@@ -9,8 +9,7 @@ from the spectral boundary is a hard error, never smoothed over.
 """
 
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -150,14 +149,11 @@ class RankOneDestabilizer:
 
 
 def _resolvent_inverse(T, est, rtol=1e-10):
-    """(I - T)^{-1} assembled column-by-column via resolvent solves."""
-    n = T.dim
-    cols = []
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        cols.append(resolvent_apply(T, 1.0, e, rtol=rtol, estimate=est))
-    return np.column_stack(cols)
+    """(I - T)^{-1} from one block resolvent solve, or the SpectralProximityError it raised."""
+    try:
+        return resolvent_apply(T, 1.0, np.eye(T.dim), rtol=rtol, estimate=est)
+    except SpectralProximityError as exc:
+        return exc
 
 
 def _cone_margin(cone, x):
@@ -179,24 +175,24 @@ def _decision_tol(est, tol):
     return max(tol, 10.0 * res)
 
 
-def check_resolvent_positivity(T, cone, estimate=None, tol=1e-10, rng=None):
+def check_resolvent_positivity(T, cone, estimate=None, tol=1e-10, rng=None, inverse=None):
     """Is id - T invertible with a positive inverse?
 
-    Orthant: holds iff every column of (I - T)^{-1} (solved one basis
-    vector at a time) lies in the cone within `tol`; the margin is the
-    minimal entry of the inverse.  Lorentz: basis vectors do not generate
-    the cone, so the inverse is tested as a cone map on boundary rays
-    instead; the margin is the worst membership margin of a mapped ray.
+    Orthant: holds iff every column of (I - T)^{-1} lies in the cone within
+    `tol`; the margin is the minimal entry of the inverse.  Lorentz: basis
+    vectors do not generate the cone, so the inverse is tested as a cone
+    map on boundary rays instead; the margin is the worst membership margin
+    of a mapped ray.  `inverse` reuses an (I - T)^{-1} already computed for
+    T, or the SpectralProximityError its solve raised.
     """
     est = spectral_radius(T) if estimate is None else estimate
-    try:
-        inv = _resolvent_inverse(T, est)
-    except SpectralProximityError as exc:
+    inv = _resolvent_inverse(T, est) if inverse is None else inverse
+    if isinstance(inv, SpectralProximityError):
         return CriterionVerdict(
             "RESOLVENT_POS",
             False,
             est.lower - 1.0,
-            Witness(kind="flag", note=f"SPECTRAL_PROXIMITY: {exc}"),
+            Witness(kind="flag", note=f"SPECTRAL_PROXIMITY: {inv}"),
         )
     if cone.kind == "orthant":
         margins = [_cone_margin(cone, inv[:, j]) for j in range(inv.shape[1])]
@@ -239,18 +235,25 @@ def check_resolvent_positivity(T, cone, estimate=None, tol=1e-10, rng=None):
     )
 
 
-def mbi_constant(T, cone, estimate=None, rng=None, n_trials=1000, tol=1e-12):
+def mbi_constant(
+    T, cone, estimate=None, rng=None, n_trials=1000, tol=1e-12, inverse=None, resolvent_verdict=None
+):
     """Monotone bounded invertibility: (I-T)x <= y forces ||x|| <= c ||y||.
 
     Returns c = C * ||(I-T)^{-1}|| in the cone's norm; a randomized
     falsification search over cone pairs confirms the bound before the
-    verdict is issued.
+    verdict is issued.  MBI needs a positive inverse, so it fails with the
+    RESOLVENT_POS verdict when that fails; `inverse` (as in
+    `check_resolvent_positivity`) and `resolvent_verdict` reuse results
+    already computed for T.
     """
     est = spectral_radius(T) if estimate is None else estimate
-    base = check_resolvent_positivity(T, cone, estimate=est)
+    inv = _resolvent_inverse(T, est) if inverse is None else inverse
+    base = resolvent_verdict
+    if base is None:
+        base = check_resolvent_positivity(T, cone, estimate=est, inverse=inv)
     if not base.holds:
         return float("inf"), CriterionVerdict("MBI", False, base.margin, base.witness)
-    inv = _resolvent_inverse(T, est)
     consts = cone_constants(cone)
     c = consts.normality_C * induced_norm(inv, cone.norm)
     rng = np.random.default_rng(0) if rng is None else rng
@@ -811,7 +814,6 @@ class CrossCheckConfig:
     boundary_band: float = 0.02
     eps: float | None = None
     seed: int = 0
-    threads: int = 1
     include_lyapunov: bool = True
     include_iss: bool = True
 
@@ -884,36 +886,16 @@ def cross_check(T, cone, config=None, extra_notes=()):
         if cone.kind == "lorentz":
             notes.append("positivity on the Lorentz cone is a randomized certificate")
 
-        def run_resolvent():
-            return check_resolvent_positivity(T, cone, estimate=est, tol=1e-10)
-
-        def run_mbi():
-            return mbi_constant(T, cone, estimate=est, rng=rngs[1])
-
-        def run_usg():
-            return uniform_small_gain_margin(T, cone, estimate=est, rng=rngs[2])
-
-        def run_dual():
-            return dual_small_gain(T, cone, estimate=est)
-
-        def run_isg():
-            return interior_small_gain(T, cone, interior_point(cone), estimate=est, rng=rngs[3])
-
-        def run_quasi():
-            return quasi_compact_suite(T, cone, estimate=est, rng=rngs[4])
-
-        tasks = [run_resolvent, run_mbi, run_usg, run_dual, run_isg, run_quasi]
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                results = list(pool.map(lambda fn: fn(), tasks))
-        else:
-            results = [fn() for fn in tasks]
-        res_v = results[0]
-        c_mbi, mbi_v = results[1]
-        eta_emp, usg_v = results[2]
-        dual_v = results[3]
-        isg_eta, isg_v = results[4]
-        quasi_v = results[5]
+        inv = _resolvent_inverse(T, est)
+        res_v = check_resolvent_positivity(T, cone, estimate=est, tol=1e-10, inverse=inv)
+        c_mbi, mbi_v = mbi_constant(
+            T, cone, estimate=est, rng=rngs[1], inverse=inv, resolvent_verdict=res_v
+        )
+        del inv  # n x n, and no later stage needs it
+        eta_emp, usg_v = uniform_small_gain_margin(T, cone, estimate=est, rng=rngs[2])
+        dual_v = dual_small_gain(T, cone, estimate=est)
+        _, isg_v = interior_small_gain(T, cone, interior_point(cone), estimate=est, rng=rngs[3])
+        quasi_v = quasi_compact_suite(T, cone, estimate=est, rng=rngs[4])
 
         eta_cert = None
         if mbi_v.holds and np.isfinite(c_mbi) and c_mbi > 0.0:
@@ -921,12 +903,9 @@ def cross_check(T, cone, config=None, extra_notes=()):
             notes.append(f"eta certified >= {eta_cert:.6e} (= 1/(c*M)); eta empirical = {eta_emp:.6e}")
         decision = _decision_tol(est, cfg.tol)
         eps = cfg.eps if cfg.eps is not None else (0.5 * eta_emp if eta_emp > decision else 1e-3)
-        robust_v = robust_small_gain(
-            T, cone, eps, estimate=est, eta_emp=eta_emp, criterion_id="ROBUST_SG"
-        )
-        rank1_v = robust_small_gain(
-            T, cone, eps, estimate=est, eta_emp=eta_emp, criterion_id="RANK1_SG"
-        )
+        # RANK1_SG is decided by the same rank-one construction as ROBUST_SG
+        robust_v = robust_small_gain(T, cone, eps, estimate=est, eta_emp=eta_emp)
+        rank1_v = replace(robust_v, id="RANK1_SG")
         try:
             lam_sd = 0.5 * (est.upper + 1.0)
             cert = strict_decay_point(T, cone, lam_sd, interior_point(cone), estimate=est)
@@ -1014,9 +993,12 @@ def reverify_witness(T, cone, verdict, tol=1e-9):
     if w.kind == "cone_vector" and w.vector is not None:
         x = np.asarray(w.vector, dtype=float)
         if verdict.id in ("UNIFORM_SG", "SIMPLE_SG", "INTERIOR_SG"):
-            return contains(cone, apply(T, np.abs(x)) - np.abs(x), tol) or (
-                distance(cone, apply(T, np.abs(x)) - np.abs(x)) <= max(tol, 1e-6)
-            )
+            if cone.kind == "orthant":
+                x = np.abs(x)
+            elif not (contains(cone, x, tol) and np.any(x != 0.0)):
+                return False  # the Lorentz cone has no lattice |x| to fall back on
+            s = apply(T, x) - x
+            return contains(cone, s, tol) or distance(cone, s) <= max(tol, 1e-6)
         if verdict.id == "SUBFIXED_POS":
             # x is the negated Perron vector: T x <= x yet x not in cone
             return contains(cone, x - apply(T, x), tol) and not contains(cone, x, 0.0)
@@ -1032,5 +1014,10 @@ def reverify_witness(T, cone, verdict, tol=1e-9):
         lhs = apply(T, x) + P @ x - x
         return contains(cone, lhs, tol)
     if w.kind == "column" and w.vector is not None:
-        return not contains(cone, np.asarray(w.vector, dtype=float), tol)
+        # v must be column `column` of (I - T)^{-1} and lie outside the cone
+        v = np.asarray(w.vector, dtype=float)
+        r = v - apply(T, v)
+        r[w.column] -= 1.0
+        solves = float(np.max(np.abs(r))) <= 1e-8 * (1.0 + float(np.max(np.abs(v))))
+        return solves and not contains(cone, v, tol)
     return True

@@ -86,10 +86,6 @@ def shift(dim, factor):
     return TruncatedShift(int(dim), float(factor))
 
 
-def dim_of(T):
-    return T.dim
-
-
 def materialize(T):
     """Dense matrix of the operator (read-only view where possible)."""
     if isinstance(T, DenseOperator):
@@ -477,13 +473,19 @@ def spectral_radius(T, rel_width=BRACKET_WIDTH, max_power_iter=20000):
 def resolvent_apply(T, lam, y, rtol=1e-10, estimate=None, cross_check=True):
     """Solve (lam*I - T) z = y by LU with partial pivoting.
 
-    Requires lam outside the certified spectral bracket; for lam above the
-    bracket the solution is cross-checked against a truncated Neumann
-    series (skipped when upper/lam > 0.995, where the series is too slow).
+    y is one right-hand side of shape (n,) or a block of shape (n, k); a
+    block shares one factorization and one iterative refinement, and each
+    column must meet the residual test ||(lam*I - T) z_j - y_j|| <=
+    rtol*||y_j||.  Requires lam outside the certified spectral bracket; for
+    lam above the bracket the solution is cross-checked against a truncated
+    Neumann series built from `apply` (skipped when upper/lam > 0.995, where
+    the series is too slow).  A vector is checked on y itself, a block on a
+    fixed probe: the all-ones and one seeded positive combination of its
+    columns, pushed through the assembled solution.
     """
     y = np.asarray(y, dtype=float)
-    if y.shape != (T.dim,):
-        raise DimensionMismatchError(f"expected vector of shape ({T.dim},)")
+    if y.ndim not in (1, 2) or y.shape[0] != T.dim:
+        raise DimensionMismatchError(f"expected shape ({T.dim},) or ({T.dim}, k)")
     est = spectral_radius(T) if estimate is None else estimate
     # solvability is guaranteed for any lam strictly above the bracket, no
     # matter how wide it is, so the guard band is absolute, not width-scaled
@@ -494,43 +496,53 @@ def resolvent_apply(T, lam, y, rtol=1e-10, estimate=None, cross_check=True):
         )
     a = materialize(T)
     n = a.shape[0]
-    m = lam * np.eye(n) - a
+    m = np.negative(a)  # lam*I - a without n x n identity temporaries
+    m[np.diag_indices(n)] += lam
     try:
         lu = lu_factor(m)
     except LinAlgError as exc:
         raise SpectralProximityError(f"singular system at lam={lam}") from exc
-    z = lu_solve(lu, y)
-    ny = float(np.linalg.norm(y))
-    for _ in range(3):
-        r = y - m @ z
-        if float(np.linalg.norm(r)) <= rtol * max(ny, 1e-300):
+    b = y.reshape(n, -1)
+    z = lu_solve(lu, b)
+    bound = rtol * np.maximum(np.linalg.norm(b, axis=0), 1e-300)
+    for refinements in range(4):
+        r = np.matmul(m, z)
+        np.subtract(b, r, out=r)
+        bad = np.linalg.norm(r, axis=0) > bound
+        if not bad.any() or refinements == 3:
             break
-        z = z + lu_solve(lu, r)
-    resid = float(np.linalg.norm(m @ z - y))
-    if resid > rtol * max(ny, 1e-300):
+        z[:, bad] += lu_solve(lu, r[:, bad])
+    if bad.any():
         raise SpectralProximityError(
-            f"resolvent solve residual {resid:.3e} exceeds tolerance at lam={lam}"
+            "resolvent solve residual exceeds tolerance at lam="
+            f"{lam} in {int(bad.sum())} of {b.shape[1]} columns"
         )
-    if cross_check and lam > est.upper + guard and lam != 0.0:
-        q = est.upper / abs(lam)
-        if q <= 0.995:
-            zn = _neumann_resolvent(a, lam, y)
+    if cross_check and lam > est.upper + guard and est.upper / lam <= 0.995:
+        c = _probe(b.shape[1]) if y.ndim == 2 else np.ones((1, 1))
+        for yp, zp in zip((b @ c).T, (z @ c).T):
+            zn = _neumann_resolvent(T, lam, yp)
             if zn is not None:
-                gap = float(np.linalg.norm(z - zn))
-                if gap > 1e-7 * (1.0 + float(np.linalg.norm(z))):
+                gap = float(np.linalg.norm(zp - zn))
+                if gap > 1e-7 * (1.0 + float(np.linalg.norm(zp))):
                     raise ArithmeticError(
                         "LU and Neumann resolvent routes disagree "
                         f"(gap {gap:.3e}); this is an internal error"
                     )
-    return z
+    return z.reshape(y.shape)
 
 
-def _neumann_resolvent(a, lam, y, max_terms=60000):
+def _probe(k):
+    """(k, 2) probe combinations: all-ones and a seeded positive vector."""
+    return np.column_stack([np.ones(k), np.random.default_rng(0).uniform(0.5, 1.5, k)])
+
+
+def _neumann_resolvent(T, lam, y, max_terms=60000):
+    """sum_k T^k y / lam^(k+1), with T applied through `apply`, not the LU's matrix."""
     term = y / lam
     total = term.copy()
     tol = 1e-13 * max(float(np.linalg.norm(y)), 1e-300)
     for _ in range(max_terms):
-        term = (a @ term) / lam
+        term = apply(T, term) / lam
         total += term
         if not np.all(np.isfinite(total)):
             return None

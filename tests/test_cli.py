@@ -78,16 +78,6 @@ def test_analyze_determinism_byte_identical(files, tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
-def test_analyze_threads_match_single(files, tmp_path):
-    out1 = str(tmp_path / "t1.json")
-    out4 = str(tmp_path / "t4.json")
-    run(["analyze", "--matrix", files["upper2x2.json"], "--seed", "3", "--no-timestamp",
-         "--threads", "1", "--out", out1])
-    run(["analyze", "--matrix", files["upper2x2.json"], "--seed", "3", "--no-timestamp",
-         "--threads", "4", "--out", out4])
-    assert open(out1).read() == open(out4).read()
-
-
 def test_timestamp_included_by_default(files, capsys):
     run(["analyze", "--matrix", files["upper2x2.json"]])
     rep = json.loads(capsys.readouterr().out)

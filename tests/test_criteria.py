@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -546,7 +548,74 @@ def test_consensus_mini_sweep():
             assert v.holds == expect, (v.id, target)
 
 
-def test_cross_check_threaded_matches_sequential():
-    rep1 = cross_check(UPPER2X2, CONE2, CrossCheckConfig(seed=5, threads=1))
-    rep4 = cross_check(UPPER2X2, CONE2, CrossCheckConfig(seed=5, threads=4))
-    assert rep1.to_dict() == rep4.to_dict()
+def test_cross_check_factors_i_minus_t_once(monkeypatch):
+    # RESOLVENT_POS and MBI share one block solve: I - T is factorized once
+    import posstab.operators as ops
+
+    rng = np.random.default_rng(2)
+    n = 32
+    a = rng.uniform(0.0, 1.0, size=(n, n))
+    a *= 0.7 / float(np.max(np.abs(np.linalg.eigvals(a))))
+    real = ops.lu_factor
+    shift_one = []
+
+    def counting_lu_factor(m, *args, **kwargs):
+        if np.array_equal(m, np.eye(n) - a):
+            shift_one.append(m)
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(ops, "lu_factor", counting_lu_factor)
+    rep = cross_check(dense(a), orthant(n, "l2"), CrossCheckConfig(seed=0))
+    assert rep.consensus == "STABLE"
+    assert len(shift_one) == 1
+
+
+def test_rank1_sg_reports_robust_sg_result():
+    rep = cross_check(diagonal([1.5, 0.5]), CONE2)
+    robust, rank1 = rep.verdict("ROBUST_SG"), rep.verdict("RANK1_SG")
+    assert robust.witness.kind == "rank_one_perturbation"
+    assert rank1.to_dict() == {**robust.to_dict(), "id": "RANK1_SG"}
+
+
+def test_reverify_column_witness_must_solve():
+    T = diagonal([1.5, 0.5])  # (I - T)^{-1} = diag(-2, 2)
+    cone = orthant(2, "linf")
+    v = check_resolvent_positivity(T, cone)
+    assert v.witness.kind == "column" and v.witness.column == 0
+    assert reverify_witness(T, cone, v)
+    # planted: outside the cone, but not a column of the inverse
+    halved = replace(v, witness=replace(v.witness, vector=0.5 * v.witness.vector))
+    assert not reverify_witness(T, cone, halved)
+    other = replace(v, witness=replace(v.witness, column=1))
+    assert not reverify_witness(T, cone, other)
+
+
+def _lorentz_positive(rng, n, rho):
+    """sum_i u_i v_i^T with u_i, v_i inside the Lorentz cone, rescaled to radius rho."""
+
+    def points():
+        d = rng.normal(size=(n, n - 1))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        r = rng.uniform(0.0, 0.95, size=(n, 1))
+        scale = rng.uniform(0.5, 1.0, size=(n, 1))
+        return np.hstack([np.ones((n, 1)), r * d]) * scale
+
+    a = points().T @ points()
+    return a * (rho / float(np.max(np.abs(np.linalg.eigvals(a)))))
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_lorentz_cone_vector_witnesses_reverify(n):
+    # the Lorentz cone has no lattice: witnesses are checked as x, not |x|
+    T = dense(_lorentz_positive(np.random.default_rng(0), n, 1.05))
+    cone = lorentz(n, "l2")
+    rep = cross_check(T, cone)
+    found = [
+        v for v in rep.criteria
+        if v.id in ("UNIFORM_SG", "INTERIOR_SG", "SIMPLE_SG") and v.witness.kind == "cone_vector"
+    ]
+    assert {"UNIFORM_SG", "INTERIOR_SG"} <= {v.id for v in found}
+    for v in found:
+        assert reverify_witness(T, cone, v), v.id
+        negated = replace(v, witness=replace(v.witness, vector=-v.witness.vector))
+        assert not reverify_witness(T, cone, negated), v.id

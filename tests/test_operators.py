@@ -198,6 +198,78 @@ def test_resolvent_residual_and_positivity():
         assert z.min() >= -1e-12  # resolvent positivity above the bracket
 
 
+def test_resolvent_block_matches_columns():
+    rng = np.random.default_rng(5)
+    a = rng.uniform(0.0, 1.0, size=(7, 7))
+    a *= 0.6 / float(np.max(np.abs(np.linalg.eigvals(a))))
+    T = dense(a)
+    est = spectral_radius(T)
+    Y = rng.uniform(0.0, 1.0, size=(7, 3))
+    Z = resolvent_apply(T, 1.0, Y, estimate=est)
+    assert Z.shape == (7, 3)
+    for j in range(3):
+        np.testing.assert_allclose(Z[:, j], resolvent_apply(T, 1.0, Y[:, j], estimate=est),
+                                   rtol=1e-12, atol=1e-14)
+    # oracle: numpy's inverse of I - T
+    inv = resolvent_apply(T, 1.0, np.eye(7), estimate=est)
+    np.testing.assert_allclose(inv, np.linalg.inv(np.eye(7) - a), rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 2), (2, 2, 1)])
+def test_resolvent_rejects_bad_shapes(shape):
+    with pytest.raises(DimensionMismatchError):
+        resolvent_apply(UPPER2X2, 3.0, np.ones(shape))
+
+
+def _stable_positive(n=6, rho=0.5, seed=8):
+    a = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, n))
+    a *= rho / float(np.max(np.abs(np.linalg.eigvals(a))))
+    return dense(a)
+
+
+RHS = {"vector": lambda n: np.ones(n), "block": lambda n: np.eye(n)}
+
+
+@pytest.mark.parametrize("rhs", sorted(RHS))
+def test_resolvent_planted_solve_offset_fails_residual(monkeypatch, rhs):
+    # planted fault: every solve returns one column shifted by a fixed offset
+    import posstab.operators as ops
+
+    T = _stable_positive()
+    est = spectral_radius(T)
+    real = ops.lu_solve
+
+    def offset_solve(lu, b, *args, **kwargs):
+        out = np.array(real(lu, b, *args, **kwargs))
+        if out.ndim == 1:
+            out += 1e-3
+        else:
+            out[:, 0] += 1e-3
+        return out
+
+    monkeypatch.setattr(ops, "lu_solve", offset_solve)
+    with pytest.raises(SpectralProximityError, match="residual"):
+        resolvent_apply(T, 1.0, RHS[rhs](T.dim), estimate=est)
+
+
+@pytest.mark.parametrize("rhs", sorted(RHS))
+def test_resolvent_planted_wrong_matrix_caught_by_neumann(monkeypatch, rhs):
+    # planted fault: the LU route factors and checks against a matrix that
+    # differs from T in one entry.  Its residual is consistent, so only the
+    # Neumann series, which applies T itself, can see it.
+    import posstab.operators as ops
+
+    T = _stable_positive()
+    est = spectral_radius(T)
+    y = RHS[rhs](T.dim)
+    resolvent_apply(T, 1.0, y, estimate=est)  # the unpatched solve passes both checks
+    wrong = np.array(T.matrix)
+    wrong[0, 1] += 0.05
+    monkeypatch.setattr(ops, "materialize", lambda _: wrong)
+    with pytest.raises(ArithmeticError, match="Neumann"):
+        resolvent_apply(T, 1.0, y, estimate=est)
+
+
 # ---------------------------------------------------------------- power norms
 
 def test_power_norms_diagonal():
