@@ -141,8 +141,7 @@ def _cmd_decay_point(args):
     T = _load_operator(args.matrix)
     cone = _make_cone(args, T.dim)
     y = _load_vector(args.y_file) if args.y_file else interior_point(cone)
-    est = spectral_radius(T)
-    cert = strict_decay_point(T, cone, args.lam, y, estimate=est)
+    cert = strict_decay_point(T, cone, args.lam, y)
     payload = cert.to_dict()
     payload["operator"] = operator_to_dict(T)
     payload["cone"] = cone.to_dict()
@@ -153,9 +152,8 @@ def _cmd_decay_point(args):
 def _cmd_lyapunov(args):
     T = _load_operator(args.matrix)
     cone = _make_cone(args, T.dim)
-    est = spectral_radius(T)
     if args.mode == "stein":
-        cert = solve_stein(T, estimate=est)
+        cert = solve_stein(T)
         payload = {
             "mode": "stein",
             "Q": [[float(v) for v in row] for row in cert.Q],
@@ -164,13 +162,13 @@ def _cmd_lyapunov(args):
             "n_terms": int(cert.n_terms),
         }
     else:
-        s = args.s if args.s is not None else min(float(np.sqrt(1.0 / max(est.upper, 1e-6))), 1e3)
+        upper = spectral_radius(T).upper
+        s = args.s if args.s is not None else min(float(np.sqrt(1.0 / max(upper, 1e-6))), 1e3)
         cert = equivalent_norm(
             T,
             s,
             lattice=(cone.kind == "orthant"),
             cone=cone,
-            estimate=est,
             rng=np.random.default_rng(args.seed),
             norm=cone.norm,
         )
@@ -198,10 +196,9 @@ def _cmd_simulate(args):
     for k, (state, nv) in enumerate(zip(traj.states, traj.norms)):
         lines.append(f"{k}," + ",".join(repr(float(v)) for v in state) + f",{float(nv)!r}")
     _emit_text("\n".join(lines) + "\n", args)
-    est = spectral_radius(T)
     summary = {"steps": int(K), "final_norm": float(traj.norms[-1]), "norm": cone.norm}
-    if est.upper < 1.0:
-        iss_est = iss_constants(T, norm=cone.norm, estimate=est)
+    if spectral_radius(T).upper < 1.0:
+        iss_est = iss_constants(T, norm=cone.norm)
         ok = verify_iss_bound(T, iss_est, trials=20, rng=np.random.default_rng(args.seed))
         summary["iss"] = iss_est.to_dict()
         summary["iss_bound_verified"] = bool(ok)

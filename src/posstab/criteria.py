@@ -28,6 +28,8 @@ from .cones import (
 from .errors import SpectralProximityError, UnsupportedConeNormError
 from .norms import batch_vec_norm, dual_norm, induced_norm, vec_norm
 from .operators import (
+    DenseOperator,
+    _resolvent_inverse,
     adjoint,
     apply,
     geometric_envelope,
@@ -148,14 +150,6 @@ class RankOneDestabilizer:
     z: np.ndarray
 
 
-def _resolvent_inverse(T, est, rtol=1e-10):
-    """(I - T)^{-1} from one block resolvent solve, or the SpectralProximityError it raised."""
-    try:
-        return resolvent_apply(T, 1.0, np.eye(T.dim), rtol=rtol, estimate=est)
-    except SpectralProximityError as exc:
-        return exc
-
-
 def _cone_margin(cone, x):
     """Signed membership margin (>= 0 inside)."""
     if cone.kind == "orthant":
@@ -175,23 +169,21 @@ def _decision_tol(est, tol):
     return max(tol, 10.0 * res)
 
 
-def check_resolvent_positivity(T, cone, estimate=None, tol=1e-10, rng=None, inverse=None):
+def check_resolvent_positivity(T, cone, tol=1e-10, rng=None):
     """Is id - T invertible with a positive inverse?
 
     Orthant: holds iff every column of (I - T)^{-1} lies in the cone within
     `tol`; the margin is the minimal entry of the inverse.  Lorentz: basis
     vectors do not generate the cone, so the inverse is tested as a cone
     map on boundary rays instead; the margin is the worst membership margin
-    of a mapped ray.  `inverse` reuses an (I - T)^{-1} already computed for
-    T, or the SpectralProximityError its solve raised.
+    of a mapped ray.  (I - T)^{-1} is computed once per operator and shared.
     """
-    est = spectral_radius(T) if estimate is None else estimate
-    inv = _resolvent_inverse(T, est) if inverse is None else inverse
+    inv = _resolvent_inverse(T)
     if isinstance(inv, SpectralProximityError):
         return CriterionVerdict(
             "RESOLVENT_POS",
             False,
-            est.lower - 1.0,
+            spectral_radius(T).lower - 1.0,
             Witness(kind="flag", note=f"SPECTRAL_PROXIMITY: {inv}"),
         )
     if cone.kind == "orthant":
@@ -211,8 +203,6 @@ def check_resolvent_positivity(T, cone, estimate=None, tol=1e-10, rng=None, inve
                 note="column of (I-T)^{-1} outside the cone",
             ),
         )
-    from .operators import DenseOperator
-
     rng = np.random.default_rng(0) if rng is None else rng
     rays = _cone_unit_rows(cone, random_points(cone, rng, 256))
     mapped = rays @ inv.T
@@ -235,27 +225,18 @@ def check_resolvent_positivity(T, cone, estimate=None, tol=1e-10, rng=None, inve
     )
 
 
-def mbi_constant(
-    T, cone, estimate=None, rng=None, n_trials=1000, tol=1e-12, inverse=None, resolvent_verdict=None
-):
+def mbi_constant(T, cone, rng=None, n_trials=1000):
     """Monotone bounded invertibility: (I-T)x <= y forces ||x|| <= c ||y||.
 
     Returns c = C * ||(I-T)^{-1}|| in the cone's norm; a randomized
     falsification search over cone pairs confirms the bound before the
     verdict is issued.  MBI needs a positive inverse, so it fails with the
-    RESOLVENT_POS verdict when that fails; `inverse` (as in
-    `check_resolvent_positivity`) and `resolvent_verdict` reuse results
-    already computed for T.
+    RESOLVENT_POS verdict when that fails.
     """
-    est = spectral_radius(T) if estimate is None else estimate
-    inv = _resolvent_inverse(T, est) if inverse is None else inverse
-    base = resolvent_verdict
-    if base is None:
-        base = check_resolvent_positivity(T, cone, estimate=est, inverse=inv)
+    base = check_resolvent_positivity(T, cone)
     if not base.holds:
         return float("inf"), CriterionVerdict("MBI", False, base.margin, base.witness)
-    consts = cone_constants(cone)
-    c = consts.normality_C * induced_norm(inv, cone.norm)
+    c = cone_constants(cone).normality_C * induced_norm(_resolvent_inverse(T), cone.norm)
     rng = np.random.default_rng(0) if rng is None else rng
     a = materialize(T)
     n = cone.dim
@@ -304,7 +285,7 @@ def _cone_unit_rows(cone, X):
     return X
 
 
-def _usg_seeds(cone, est, rng, n_starts, T=None):
+def _usg_seeds(T, cone, rng, n_starts):
     n = cone.dim
     seeds = [np.ones(n)]
     if cone.kind == "orthant":
@@ -319,14 +300,15 @@ def _usg_seeds(cone, est, rng, n_starts, T=None):
                 ray[0] = 1.0
                 ray[i] = s
                 seeds.append(ray)
+    est = spectral_radius(T)
     if est.perron_vector is not None:
         seeds.append(np.maximum(est.perron_vector, 0.0))
-    elif T is not None:
+    else:
         # no Perron pair (operator not entrywise nonnegative): seed with the
         # resolvent-built positive approximate eigenvector instead, which
         # concentrates on the Krein-Rutman direction even when complex
         # eigenvalues tie the spectral radius in modulus
-        seq = approximate_positive_eigenvector(T, cone, n_steps=22, estimate=est)
+        seq = approximate_positive_eigenvector(T, cone, n_steps=22)
         if seq:
             seeds.append(seq[-1].x)
     seeds = np.array(seeds)
@@ -337,7 +319,6 @@ def _usg_seeds(cone, est, rng, n_starts, T=None):
 def uniform_small_gain_margin(
     T,
     cone,
-    estimate=None,
     rng=None,
     n_starts=64,
     descent_iters=50,
@@ -352,14 +333,13 @@ def uniform_small_gain_margin(
     point.  eta_emp upper-bounds the true infimum; the certified lower
     bound 1/(c*M) is available via `small_gain_certificate`.
     """
-    est = spectral_radius(T) if estimate is None else estimate
     rng = np.random.default_rng(0) if rng is None else rng
     a = materialize(T)
     n = cone.dim
     amI = a - np.eye(n)
     f = _usg_objective(cone, amI)
 
-    X = _cone_unit_rows(cone, _usg_seeds(cone, est, rng, n_starts, T=T))
+    X = _cone_unit_rows(cone, _usg_seeds(T, cone, rng, n_starts))
     vals = f(X)
     best_i = int(np.argmin(vals))
     best_x, best_v = X[best_i].copy(), float(vals[best_i])
@@ -394,7 +374,7 @@ def uniform_small_gain_margin(
         radius *= 0.92
 
     eta_emp = max(best_v, 0.0)
-    decision = _decision_tol(est, tol)
+    decision = _decision_tol(spectral_radius(T), tol)
     holds = eta_emp > decision
     witness = None
     if not holds:
@@ -402,17 +382,16 @@ def uniform_small_gain_margin(
     return eta_emp, CriterionVerdict("UNIFORM_SG", holds, eta_emp, witness)
 
 
-def small_gain_certificate(T, cone, estimate=None, rng=None):
+def small_gain_certificate(T, cone, rng=None):
     """Certified lower bound eta >= 1/(c*M) from the MBI constant, or None."""
-    est = spectral_radius(T) if estimate is None else estimate
-    c, verdict = mbi_constant(T, cone, estimate=est, rng=rng)
+    c, verdict = mbi_constant(T, cone, rng=rng)
     if not verdict.holds or not np.isfinite(c) or c <= 0.0:
         return None
     m = cone_constants(cone).decomposition_M
     return 1.0 / (c * m)
 
 
-def approximate_positive_eigenvector(T, cone, n_steps=30, estimate=None, start=None):
+def approximate_positive_eigenvector(T, cone, n_steps=30, start=None):
     """Positive approximate eigenvector sequence via resolvent solves.
 
     Shifts follow the geometric schedule r_k = upper + 2^{-k} down towards
@@ -422,8 +401,7 @@ def approximate_positive_eigenvector(T, cone, n_steps=30, estimate=None, start=N
     norms fail to grow (they must for a start inside the cone) the start
     vector is swapped for a perturbed one once.
     """
-    est = spectral_radius(T) if estimate is None else estimate
-    upper = est.upper
+    upper = spectral_radius(T).upper
     v = interior_point(cone) if start is None else np.asarray(start, dtype=float)
     Step = namedtuple("ApproxEigStep", "r x residual")
 
@@ -437,7 +415,7 @@ def approximate_positive_eigenvector(T, cone, n_steps=30, estimate=None, start=N
             gap = r_k - upper
             rtol = min(1e-2, max(1e-10, 1e-14 / gap))
             try:
-                xk = resolvent_apply(T, r_k, v0, rtol=rtol, estimate=est, cross_check=False)
+                xk = resolvent_apply(T, r_k, v0, rtol=rtol, cross_check=False)
             except (SpectralProximityError, ArithmeticError):
                 break
             alpha = vec_norm(xk, cone.norm)
@@ -481,7 +459,7 @@ def _dual_functional(cone, x):
     return x.copy()
 
 
-def rank_one_destabilizer(T, cone, estimate=None, n_steps=34):
+def rank_one_destabilizer(T, cone, n_steps=34):
     """Rank-one positive P with ||P|| <= M' ||z|| and (T+P)x >= x.
 
     Built from an approximate positive eigenvector x: split
@@ -491,11 +469,11 @@ def rank_one_destabilizer(T, cone, estimate=None, n_steps=34):
     as x improves.  Returns None when the spectral upper bound is < 1: no
     small-norm destabilizer needs to exist there.
     """
-    est = spectral_radius(T) if estimate is None else estimate
+    est = spectral_radius(T)
     if est.upper < 1.0:
         return None
     candidates = []
-    seq = approximate_positive_eigenvector(T, cone, n_steps=n_steps, estimate=est)
+    seq = approximate_positive_eigenvector(T, cone, n_steps=n_steps)
     if seq:
         candidates.append(seq[-1].x)
     if est.perron_vector is not None and contains(cone, est.perron_vector, 1e-12):
@@ -524,27 +502,24 @@ def rank_one_destabilizer(T, cone, estimate=None, n_steps=34):
     return RankOneDestabilizer(P, x, norm_p, zp, z)
 
 
-def robust_small_gain(
-    T, cone, eps, estimate=None, eta_emp=None, rng=None, criterion_id="ROBUST_SG", tol=1e-10
-):
+def robust_small_gain(T, cone, eps, eta_emp=None, rng=None, tol=1e-10):
     """(T+P)x >= x impossible for every positive ||P|| <= eps?
 
     Certified to hold when eps <= eta_emp / 2 (distance argument); otherwise
     an adversarial rank-one construction searches for a verified violating
     pair (P, x), and the verdict fails exactly when one is found.
     """
-    est = spectral_radius(T) if estimate is None else estimate
     if eta_emp is None:
-        eta_emp, _ = uniform_small_gain_margin(T, cone, estimate=est, rng=rng)
-    decision = _decision_tol(est, DEFAULT_TOL)
+        eta_emp, _ = uniform_small_gain_margin(T, cone, rng=rng)
+    decision = _decision_tol(spectral_radius(T), DEFAULT_TOL)
     if eta_emp > decision and eps <= 0.5 * eta_emp:
-        return CriterionVerdict(criterion_id, True, 0.5 * eta_emp - eps, None)
-    cand = rank_one_destabilizer(T, cone, estimate=est)
+        return CriterionVerdict("ROBUST_SG", True, 0.5 * eta_emp - eps, None)
+    cand = rank_one_destabilizer(T, cone)
     if cand is not None and cand.norm_p <= eps + tol:
         lhs = apply(T, cand.x) + cand.matrix @ cand.x - cand.x
         if contains(cone, lhs, tol):
             return CriterionVerdict(
-                criterion_id,
+                "ROBUST_SG",
                 False,
                 0.5 * eta_emp - eps,
                 Witness(
@@ -557,11 +532,11 @@ def robust_small_gain(
                 ),
             )
     return CriterionVerdict(
-        criterion_id, True, 0.5 * eta_emp - eps, Witness(kind="flag", note="no violation found")
+        "ROBUST_SG", True, 0.5 * eta_emp - eps, Witness(kind="flag", note="no violation found")
     )
 
 
-def dual_small_gain(T, cone, estimate=None, tol=DEFAULT_TOL):
+def dual_small_gain(T, cone, tol=DEFAULT_TOL):
     """T'x' >= x' impossible for every nonzero positive functional x'?
 
     Decided through the Perron pair of the adjoint (the spectral radius is
@@ -597,7 +572,6 @@ def interior_small_gain(
     T,
     cone,
     z,
-    estimate=None,
     rng=None,
     tol=DEFAULT_TOL,
     bisect_steps=48,
@@ -616,12 +590,11 @@ def interior_small_gain(
     inside, _ = is_interior(cone, z)
     if not inside:
         raise ValueError("z must be an interior point of the cone")
-    est = spectral_radius(T) if estimate is None else estimate
     rng = np.random.default_rng(0) if rng is None else rng
     a = materialize(T)
     n = cone.dim
 
-    seeds = _cone_unit_rows(cone, _usg_seeds(cone, est, rng, 16, T=T))
+    seeds = _cone_unit_rows(cone, _usg_seeds(T, cone, rng, 16))
 
     def feasible(eta):
         X = seeds.copy()
@@ -674,14 +647,14 @@ def interior_small_gain(
     return eta, CriterionVerdict("INTERIOR_SG", holds, eta, witness)
 
 
-def strict_decay_point(T, cone, lam, y, estimate=None, tol=1e-10):
+def strict_decay_point(T, cone, lam, y, tol=1e-10):
     """Point of strict decay z = (lam*I - T)^{-1} y with verified certificate.
 
     Verifies (a) z >= y / lam, (b) the realized contraction factor
     max over the cone order of Tz against z stays <= lam + tol, and
     (c) the interiority margin of z.
     """
-    est = spectral_radius(T) if estimate is None else estimate
+    est = spectral_radius(T)
     if not lam < 1.0:
         raise ValueError("lam must be < 1")
     guard = 1e-12 * max(1.0, est.upper)
@@ -693,7 +666,7 @@ def strict_decay_point(T, cone, lam, y, estimate=None, tol=1e-10):
     inside, _ = is_interior(cone, y)
     if not inside:
         raise ValueError("y must be an interior point of the cone")
-    z = resolvent_apply(T, lam, y, estimate=est)
+    z = resolvent_apply(T, lam, y)
     if not contains(cone, z - y / lam, tol):
         raise ArithmeticError("certificate failed: z >= y/lam does not hold; internal error")
     tz = apply(T, z)
@@ -714,7 +687,7 @@ def strict_decay_point(T, cone, lam, y, estimate=None, tol=1e-10):
     return StrictDecayCertificate(z=z, lam=lam, realized_lambda=realized, interior_margin=margin)
 
 
-def quasi_compact_suite(T, cone, estimate=None, rng=None, n_starts=32, tol=DEFAULT_TOL):
+def quasi_compact_suite(T, cone, rng=None, n_starts=32, tol=DEFAULT_TOL):
     """Finite-dimensional instances of the quasi-compact criteria.
 
     SIMPLE_SG and SUBFIXED_POS are decided through the Perron pair (every
@@ -723,7 +696,7 @@ def quasi_compact_suite(T, cone, estimate=None, rng=None, n_starts=32, tol=DEFAU
     cone starts over a horizon derived from the certified geometric
     envelope of the power norms.
     """
-    est = spectral_radius(T) if estimate is None else estimate
+    est = spectral_radius(T)
     rng = np.random.default_rng(0) if rng is None else rng
     a = materialize(T)
     value = est.point
@@ -886,16 +859,12 @@ def cross_check(T, cone, config=None, extra_notes=()):
         if cone.kind == "lorentz":
             notes.append("positivity on the Lorentz cone is a randomized certificate")
 
-        inv = _resolvent_inverse(T, est)
-        res_v = check_resolvent_positivity(T, cone, estimate=est, tol=1e-10, inverse=inv)
-        c_mbi, mbi_v = mbi_constant(
-            T, cone, estimate=est, rng=rngs[1], inverse=inv, resolvent_verdict=res_v
-        )
-        del inv  # n x n, and no later stage needs it
-        eta_emp, usg_v = uniform_small_gain_margin(T, cone, estimate=est, rng=rngs[2])
-        dual_v = dual_small_gain(T, cone, estimate=est)
-        _, isg_v = interior_small_gain(T, cone, interior_point(cone), estimate=est, rng=rngs[3])
-        quasi_v = quasi_compact_suite(T, cone, estimate=est, rng=rngs[4])
+        res_v = check_resolvent_positivity(T, cone, tol=1e-10)
+        c_mbi, mbi_v = mbi_constant(T, cone, rng=rngs[1])
+        eta_emp, usg_v = uniform_small_gain_margin(T, cone, rng=rngs[2])
+        dual_v = dual_small_gain(T, cone)
+        _, isg_v = interior_small_gain(T, cone, interior_point(cone), rng=rngs[3])
+        quasi_v = quasi_compact_suite(T, cone, rng=rngs[4])
 
         eta_cert = None
         if mbi_v.holds and np.isfinite(c_mbi) and c_mbi > 0.0:
@@ -904,11 +873,11 @@ def cross_check(T, cone, config=None, extra_notes=()):
         decision = _decision_tol(est, cfg.tol)
         eps = cfg.eps if cfg.eps is not None else (0.5 * eta_emp if eta_emp > decision else 1e-3)
         # RANK1_SG is decided by the same rank-one construction as ROBUST_SG
-        robust_v = robust_small_gain(T, cone, eps, estimate=est, eta_emp=eta_emp)
+        robust_v = robust_small_gain(T, cone, eps, eta_emp=eta_emp)
         rank1_v = replace(robust_v, id="RANK1_SG")
         try:
             lam_sd = 0.5 * (est.upper + 1.0)
-            cert = strict_decay_point(T, cone, lam_sd, interior_point(cone), estimate=est)
+            cert = strict_decay_point(T, cone, lam_sd, interior_point(cone))
             sd_v = CriterionVerdict(
                 "STRICT_DECAY",
                 True,
@@ -941,7 +910,7 @@ def cross_check(T, cone, config=None, extra_notes=()):
     iss_section = None
     if est.upper < 1.0:
         if cfg.include_lyapunov:
-            stein = lyap_mod.solve_stein(T, estimate=est)
+            stein = lyap_mod.solve_stein(T)
             s = float(np.sqrt(1.0 / max(est.upper, 1e-6)))
             s = min(s, 1e3)
             norm_cert = lyap_mod.equivalent_norm(
@@ -949,7 +918,6 @@ def cross_check(T, cone, config=None, extra_notes=()):
                 s,
                 lattice=(cone.kind == "orthant"),
                 cone=cone,
-                estimate=est,
                 rng=rngs[5],
                 norm=cone.norm,
             )
@@ -965,7 +933,7 @@ def cross_check(T, cone, config=None, extra_notes=()):
                 },
             }
         if cfg.include_iss:
-            iss_est = iss_mod.iss_constants(T, norm=cone.norm, estimate=est)
+            iss_est = iss_mod.iss_constants(T, norm=cone.norm)
             iss_section = iss_est.to_dict()
 
     return CertificateReport(

@@ -145,11 +145,11 @@ class ISSEstimate:
         }
 
 
-def iss_constants(T, norm="linf", estimate=None, tail_tol=1e-10, max_k=100000):
+def iss_constants(T, norm="linf", tail_tol=1e-10, max_k=100000):
     """Certified ISS constants: a = (upper+1)/2, M from the geometric
     envelope of the power norms, C = partial sum of ||T^k|| plus the
     geometric tail bound M a^{K+1} / (1-a)."""
-    est = spectral_radius(T) if estimate is None else estimate
+    est = spectral_radius(T)
     if est.upper >= 1.0:
         raise NoISSEstimateError(
             f"no ISS estimate: spectral upper bound {est.upper} >= 1"

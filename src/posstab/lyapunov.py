@@ -5,8 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, NotALatticeError
-from .norms import batch_vec_norm, induced_norm, vec_norm
-from .operators import materialize, spectral_radius
+from .norms import batch_vec_norm, vec_norm
+from .operators import _power_table, materialize, spectral_radius
 
 STEIN_TERM_TOL = 1e-14
 
@@ -21,14 +21,14 @@ class QuadraticCertificate:
     n_terms: int
 
 
-def solve_stein(T, estimate=None, term_tol=STEIN_TERM_TOL, max_terms=200000):
+def solve_stein(T, term_tol=STEIN_TERM_TOL, max_terms=200000):
     """Solve T^T Q T - Q = -I by the convergent series Q = sum_k (T^T)^k T^k.
 
     The series is truncated once the term norm drops below `term_tol`, and
     the recorded tail bound extrapolates the observed geometric decay.
     Growth of the terms raises DivergenceError (spectral radius >= 1).
     """
-    est = spectral_radius(T) if estimate is None else estimate
+    est = spectral_radius(T)
     if est.upper >= 1.0:
         raise DivergenceError(
             f"Stein series requires a spectral upper bound < 1 (got {est.upper})"
@@ -118,7 +118,6 @@ def equivalent_norm(
     s,
     lattice=False,
     cone=None,
-    estimate=None,
     n_check=1000,
     rng=None,
     norm="linf",
@@ -129,26 +128,24 @@ def equivalent_norm(
     Requires s * (spectral upper bound) < 1.  The truncation depth K is
     the first index with s^K ||T^K|| < 1: past it, no term can attain the
     supremum, so the infinite sup collapses to a certified finite max.
+    The norms ||T^k|| come from T's memoized power-norm table.
     """
     if s <= 1.0:
         raise ValueError("s must be > 1")
     if lattice and cone is not None and cone.kind != "orthant":
         raise NotALatticeError("lattice norm variant requires the orthant cone")
-    est = spectral_radius(T) if estimate is None else estimate
+    est = spectral_radius(T)
     if s * est.upper >= 1.0:
         raise ValueError(
             f"s * spectral_upper = {s * est.upper} >= 1: the equivalent norm sup may diverge"
         )
-    a = materialize(T)
-    p = np.eye(a.shape[0])
-    K = None
-    for k in range(1, max_k + 1):
-        p = p @ a
-        if (s**k) * induced_norm(p, norm) < 1.0:
-            K = k
+    table = _power_table(T, norm)
+    for K in range(1, max_k + 1):
+        if (s**K) * table.at(K) < 1.0:
             break
-    if K is None:
+    else:
         raise ValueError("failed to certify a truncation depth; s too close to 1/spr")
+    a = materialize(T)
     cert = EquivalentNorm(
         s=float(s), K=K, contraction_factor=0.0, lattice=lattice, norm=norm, _matrix=a
     )

@@ -8,19 +8,23 @@ on the resolvent-positivity test that tightens the bracket to the target
 width.  No general eigensolver is used anywhere.
 """
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, lu_factor, lu_solve
 
 from .errors import DimensionMismatchError, SpectralProximityError
-from .norms import induced_norm
+from .norms import NORMS, induced_norm
 
 #: additive shift that breaks periodicity of the Perron power iteration
 PERRON_SHIFT = 1e-12
 
 #: target relative bracket width for spectral_radius
 BRACKET_WIDTH = 1e-8
+
+#: step cap of the Perron power iteration inside spectral_radius
+PERRON_MAX_ITER = 20000
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,17 @@ def diagonal(entries):
 
 def shift(dim, factor):
     return TruncatedShift(int(dim), float(factor))
+
+
+def _memo(T, key, make):
+    """make(), computed once per operator and kept on it; operators are immutable.
+
+    Store nothing that refers back to T: the cycle would delay its release.
+    """
+    memo = vars(T).setdefault("_memo", {})
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
 
 
 def materialize(T):
@@ -189,14 +204,15 @@ def is_positive(T, cone, n_samples=256, tol=1e-10, rng=None):
     return True, None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralEstimate:
     """Certified bracket [lower, upper] for the spectral radius.
 
     perron_value/perron_vector are present when the operator is
     entrywise nonnegative; `residual` is ||T v - perron_value v||_inf for
     the reported vector.  `converged` is False when the iteration caps
-    were reached before the bracket hit the target width.
+    were reached before the bracket hit the target width.  Frozen, with a
+    read-only vector: one instance per operator is shared by every caller.
     """
 
     lower: float
@@ -206,6 +222,11 @@ class SpectralEstimate:
     iterations: int = 0
     converged: bool = True
     residual: float = float("inf")
+
+    def __post_init__(self):
+        if self.perron_vector is not None:
+            object.__setattr__(self, "perron_vector", np.array(self.perron_vector, dtype=float))
+            self.perron_vector.setflags(write=False)
 
     @property
     def width(self):
@@ -254,36 +275,21 @@ def _gelfand_upper(a, max_squarings=46):
     return best
 
 
-def _diag_power_lower(a, k_max=24):
-    """Certified lower bound max_{k,i} ((T^k)_ii)^(1/k) for nonnegative T."""
-    best = float(np.max(np.diag(a)))
-    p = a
-    for k in range(2, min(k_max, 2 * a.shape[0]) + 1):
-        p = p @ a
-        if not np.all(np.isfinite(p)):
-            break
-        d = float(np.max(np.diag(p)))
-        if d > 0.0:
-            best = max(best, d ** (1.0 / k))
-    return max(best, 0.0)
-
-
-def _trace_lower(a, k_max=16):
-    """Certified lower bound (|tr T^k| / n)^(1/k) for arbitrary T."""
-    n = a.shape[0]
-    best = abs(float(np.trace(a))) / n
+def _power_lower(a, stat, k_max):
+    """Certified spectral-radius lower bound max_{k <= k_max} stat(T^k)^(1/k)."""
+    best = stat(a)
     p = a
     for k in range(2, k_max + 1):
         p = p @ a
         if not np.all(np.isfinite(p)):
             break
-        t = abs(float(np.trace(p))) / n
+        t = stat(p)
         if t > 0.0:
             best = max(best, t ** (1.0 / k))
     return best
 
 
-def _collatz_wielandt(a, max_iter, rel_width):
+def _collatz_wielandt(a):
     """Power iteration on T + delta*I: certified CW bounds plus the iterate."""
     n = a.shape[0]
     delta = PERRON_SHIFT
@@ -292,7 +298,7 @@ def _collatz_wielandt(a, max_iter, rel_width):
     it = 0
     stall = 0
     last_width = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, PERRON_MAX_ITER + 1):
         w = a @ v + delta * v
         ratios = w / v  # v stays strictly positive
         # 4-ulp safety margins keep the bounds certified under fp roundoff
@@ -306,7 +312,7 @@ def _collatz_wielandt(a, max_iter, rel_width):
         # CW bounds above were computed from a consistent (v, w) pair
         v = np.maximum(w / mx, 1e-280)
         width = hi - lo
-        if width <= 0.25 * rel_width * max(1.0, hi):
+        if width <= 0.25 * BRACKET_WIDTH * max(1.0, hi):
             break
         # the bisection route takes over once the CW bracket stops improving
         if width > 0.999 * last_width:
@@ -359,9 +365,9 @@ def _semipositivity(a, lam):
     return None
 
 
-def _bisect_bracket(a, lo, hi, rel_width, max_steps=120):
+def _bisect_bracket(a, lo, hi, max_steps=120):
     steps = 0
-    while hi - lo > rel_width * max(1.0, hi) and steps < max_steps:
+    while hi - lo > BRACKET_WIDTH * max(1.0, hi) and steps < max_steps:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -402,7 +408,7 @@ def _perron_residual(a, v, lam):
     return float(np.max(np.abs(a @ v - lam * v)))
 
 
-def spectral_radius(T, rel_width=BRACKET_WIDTH, max_power_iter=20000):
+def spectral_radius(T):
     """Certified spectral-radius bracket (and Perron pair when available).
 
     For entrywise-nonnegative operators three independent routes are
@@ -416,19 +422,20 @@ def spectral_radius(T, rel_width=BRACKET_WIDTH, max_power_iter=20000):
     for reducible or periodic matrices where the power iteration stalls.
     For operators that are not entrywise nonnegative only route (b) plus a
     trace-based lower bound is available and no Perron pair is reported.
+    The bracket is computed once per operator and shared by every caller.
     """
+    return _memo(T, "spectral", lambda: _spectral_bracket(T))
+
+
+def _spectral_bracket(T):
     if isinstance(T, DiagonalOperator):
         d = T.entries
         r = float(np.max(np.abs(d)))
-        est = SpectralEstimate(r, r)
-        if np.all(d >= 0.0):
-            i = int(np.argmax(d))
-            v = np.zeros(T.dim)
-            v[i] = 1.0
-            est.perron_value = r
-            est.perron_vector = v
-            est.residual = 0.0
-        return est
+        if np.any(d < 0.0):
+            return SpectralEstimate(r, r)
+        v = np.zeros(T.dim)
+        v[int(np.argmax(d))] = 1.0
+        return SpectralEstimate(r, r, perron_value=r, perron_vector=v, residual=0.0)
     if isinstance(T, TruncatedShift):
         v = np.zeros(T.dim)
         v[T.dim - 1] = 1.0
@@ -437,19 +444,17 @@ def spectral_radius(T, rel_width=BRACKET_WIDTH, max_power_iter=20000):
     a = materialize(T)
     nonneg = bool(np.all(a >= 0.0))
     upper = _gelfand_upper(a)
-    iterations = 0
     if not nonneg:
-        lower = min(_trace_lower(a), upper)
-        est = SpectralEstimate(lower, upper)
-        est.converged = upper - lower <= rel_width * max(1.0, upper)
-        return est
+        lower = min(_power_lower(a, lambda p: abs(float(np.trace(p))) / len(p), 16), upper)
+        converged = upper - lower <= BRACKET_WIDTH * max(1.0, upper)
+        return SpectralEstimate(lower, upper, converged=converged)
 
-    lower = _diag_power_lower(a)
-    cw_lo, cw_hi, v, iterations = _collatz_wielandt(a, max_power_iter, rel_width)
+    lower = _power_lower(a, lambda p: float(np.max(np.diag(p))), min(24, 2 * a.shape[0]))
+    cw_lo, cw_hi, v, iterations = _collatz_wielandt(a)
     lower = max(lower, cw_lo)
     upper = min(upper, cw_hi)
     lower = min(lower, upper)  # guards fp dust in the certified bounds
-    lower, upper, bis_steps = _bisect_bracket(a, lower, upper, rel_width)
+    lower, upper, bis_steps = _bisect_bracket(a, lower, upper)
     iterations += bis_steps
 
     shift_gap = max((upper - lower), 1e-12 * max(1.0, upper), 1e-300)
@@ -463,14 +468,12 @@ def spectral_radius(T, rel_width=BRACKET_WIDTH, max_power_iter=20000):
     v_best = v_best / nv if nv > 0 else v_best
     lam = float(v_best @ (a @ v_best))
     lam = min(max(lam, lower), upper)
-    est = SpectralEstimate(lower, upper, perron_value=lam, perron_vector=v_best)
-    est.iterations = iterations
-    est.residual = _perron_residual(a, v_best, lam)
-    est.converged = upper - lower <= rel_width * max(1.0, upper)
-    return est
+    converged = upper - lower <= BRACKET_WIDTH * max(1.0, upper)
+    residual = _perron_residual(a, v_best, lam)
+    return SpectralEstimate(lower, upper, lam, v_best, iterations, converged, residual)
 
 
-def resolvent_apply(T, lam, y, rtol=1e-10, estimate=None, cross_check=True):
+def resolvent_apply(T, lam, y, rtol=1e-10, cross_check=True):
     """Solve (lam*I - T) z = y by LU with partial pivoting.
 
     y is one right-hand side of shape (n,) or a block of shape (n, k); a
@@ -486,7 +489,7 @@ def resolvent_apply(T, lam, y, rtol=1e-10, estimate=None, cross_check=True):
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2) or y.shape[0] != T.dim:
         raise DimensionMismatchError(f"expected shape ({T.dim},) or ({T.dim}, k)")
-    est = spectral_radius(T) if estimate is None else estimate
+    est = spectral_radius(T)
     # solvability is guaranteed for any lam strictly above the bracket, no
     # matter how wide it is, so the guard band is absolute, not width-scaled
     guard = 1e-12 * max(1.0, abs(est.upper))
@@ -531,6 +534,20 @@ def resolvent_apply(T, lam, y, rtol=1e-10, estimate=None, cross_check=True):
     return z.reshape(y.shape)
 
 
+def _resolvent_inverse(T):
+    """Read-only (I - T)^{-1} from one block solve, or its SpectralProximityError; once per T."""
+
+    def solve():
+        try:
+            inv = resolvent_apply(T, 1.0, np.eye(T.dim))
+        except SpectralProximityError as exc:
+            return exc
+        inv.setflags(write=False)
+        return inv
+
+    return _memo(T, "inverse", solve)
+
+
 def _probe(k):
     """(k, 2) probe combinations: all-ones and a seeded positive vector."""
     return np.column_stack([np.ones(k), np.random.default_rng(0).uniform(0.5, 1.5, k)])
@@ -566,40 +583,62 @@ class PowerNormSequence:
         return len(self.values)
 
 
-def power_norms(T, K, norm="linf"):
-    """Induced norms of successive powers, by repeated multiplication.
+class _PowerNormTable:
+    """||T^0||, ||T^1||, ... in one norm, extended on demand.
 
-    Diagonal and truncated-shift operators use exact closed forms (the
-    power method on clustered spectra would otherwise bias the l2 norms
-    low); dense powers use the induced-norm routines.
+    Dense operators keep the newest power, so each entry costs one matmul;
+    diagonal and shift operators use exact closed forms (the power method
+    on clustered spectra would bias l2 norms low).  The table ends at
+    `overflow_at`, the first power whose entries (dense) or norm (closed
+    form) exceed 1e300 or are not finite.
     """
+
+    def __init__(self, T, norm):
+        if norm not in NORMS:
+            raise ValueError(f"unknown norm {norm!r}")
+        self.norm, self.values, self.overflow_at = norm, array("d", [1.0]), None
+        self._matrix = T.matrix if isinstance(T, DenseOperator) else None
+        if self._matrix is not None:
+            self._power = np.eye(T.dim)
+        elif isinstance(T, DiagonalOperator):
+            self._base, self._zero_from = np.max(np.abs(T.entries)), np.inf
+        else:
+            self._base, self._zero_from = np.float64(T.factor), T.dim
+
+    def at(self, k):
+        """||T^k||, or inf when the table ends before k."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            while len(self.values) <= k and self.overflow_at is None:
+                j = len(self.values)
+                if self._matrix is None:
+                    nm = float(self._base**j) if j < self._zero_from else 0.0
+                    ok = nm <= 1e300  # False for inf and nan
+                else:
+                    p = self._power @ self._matrix
+                    ok = np.all(np.isfinite(p)) and float(np.max(np.abs(p))) <= 1e300
+                    if ok:
+                        nm = induced_norm(p, self.norm)  # may raise: keep power and table in step
+                        self._power = p
+                if ok:
+                    self.values.append(nm)
+                else:
+                    self.overflow_at = j
+        return self.values[k] if k < len(self.values) else np.inf
+
+
+def _power_table(T, norm):
+    """T's power-norm table in `norm`, built once per operator and norm."""
+    return _memo(T, ("powers", norm), lambda: _PowerNormTable(T, norm))
+
+
+def power_norms(T, K, norm="linf"):
+    """Induced norms ||T^0||..||T^K||, read from T's memoized power-norm table."""
     if K < 0:
         raise ValueError("K must be >= 0")
-    if isinstance(T, (DiagonalOperator, TruncatedShift)):
-        if isinstance(T, DiagonalOperator):
-            r = float(np.max(np.abs(T.entries)))
-            with np.errstate(over="ignore"):
-                vals = r ** np.arange(K + 1, dtype=float)
-        else:
-            with np.errstate(over="ignore"):
-                vals = float(T.factor) ** np.arange(K + 1, dtype=float)
-            vals[T.dim :] = 0.0
-        bad = np.nonzero(~np.isfinite(vals) | (vals > 1e300))[0]
-        if bad.size:
-            return PowerNormSequence(vals[: bad[0]], norm, int(bad[0]))
-        return PowerNormSequence(vals, norm, None)
-    a = materialize(T)
-    vals = [1.0]
-    p = np.eye(a.shape[0])
-    overflow_at = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, K + 1):
-            p = p @ a
-            if not np.all(np.isfinite(p)) or float(np.max(np.abs(p))) > 1e300:
-                overflow_at = k
-                break
-            vals.append(induced_norm(p, norm))
-    return PowerNormSequence(np.array(vals), norm, overflow_at)
+    table = _power_table(T, norm)
+    table.at(K)
+    overflow_at = table.overflow_at if len(table.values) <= K else None
+    return PowerNormSequence(np.array(table.values[: K + 1]), norm, overflow_at)
 
 
 def geometric_envelope(T, a_env, norm="linf", max_m=4096):
@@ -608,18 +647,16 @@ def geometric_envelope(T, a_env, norm="linf", max_m=4096):
     Searches for the first m with ||T^m|| <= a_env^m; submultiplicativity
     over blocks of length m then gives M = max_{r<m} ||T^r|| / a_env^r.
     Returns None when no such m exists within the cap (a_env below the
-    spectral radius).
+    spectral radius) or the powers overflow first.
     """
     if a_env <= 0.0:
         raise ValueError("a_env must be positive")
-    a = materialize(T)
-    p = np.eye(a.shape[0])
+    table = _power_table(T, norm)
     best_ratio = 1.0  # k = 0 term
     for m in range(1, max_m + 1):
-        p = p @ a
-        if not np.all(np.isfinite(p)):
+        nm = table.at(m)
+        if nm == np.inf:
             return None
-        nm = induced_norm(p, norm)
         if nm <= a_env**m:
             return max(best_ratio, 1.0), m
         best_ratio = max(best_ratio, nm / a_env**m)

@@ -117,7 +117,7 @@ def test_acceptance_3_strict_decay_on_stable_sweep(stable_sweep):
     for T, _target, est, _i in stable_sweep:
         lam = 0.5 * (est.upper + 1.0)
         y = np.ones(T.dim)
-        cert = strict_decay_point(T, orthant(T.dim, "linf"), lam, y, estimate=est)
+        cert = strict_decay_point(T, orthant(T.dim, "linf"), lam, y)
         a = materialize(T)
         assert np.all(a @ cert.z <= lam * cert.z + 1e-10)
         assert np.all(cert.z >= y / lam - 1e-10)
@@ -133,7 +133,7 @@ def test_acceptance_4_stein_certificates(stable_sweep):
     for T, _target, est, _i in stable_sweep:
         n = T.dim
         a = materialize(T)
-        cert = solve_stein(T, estimate=est)
+        cert = solve_stein(T)
         assert cert.residual <= 1e-8
         if n <= 6:
             lhs = np.kron(a.T, a.T) - np.eye(n * n)
@@ -154,12 +154,12 @@ def test_acceptance_5_equivalent_norm(stable_sweep):
         s = float(np.sqrt(1.0 / est.upper))
         cone = orthant(T.dim, "linf")
         cert = equivalent_norm(
-            T, s, lattice=False, cone=cone, estimate=est, n_check=1000,
+            T, s, lattice=False, cone=cone, n_check=1000,
             rng=np.random.default_rng(i), norm="linf",
         )
         assert cert.contraction_factor <= 1.0 / s + 1e-8
         lat = equivalent_norm(
-            T, s, lattice=True, cone=cone, estimate=est, n_check=50,
+            T, s, lattice=True, cone=cone, n_check=50,
             rng=np.random.default_rng(i), norm="linf",
         )
         X = rng.uniform(0.0, 1.0, size=(1000, T.dim))
@@ -173,9 +173,9 @@ def test_acceptance_5_equivalent_norm(stable_sweep):
 def test_acceptance_6_small_gain_chain(stable_sweep):
     for T, _target, est, i in stable_sweep:
         cone = orthant(T.dim, "linf")
-        eta_cert = small_gain_certificate(T, cone, estimate=est)
+        eta_cert = small_gain_certificate(T, cone)
         eta_emp, verdict = uniform_small_gain_margin(
-            T, cone, estimate=est, rng=np.random.default_rng(i)
+            T, cone, rng=np.random.default_rng(i)
         )
         assert eta_cert is not None and verdict.holds
         assert eta_cert <= eta_emp + 1e-8
@@ -209,7 +209,7 @@ def test_acceptance_8_iss(stable_sweep):
     traj = simulate(diagonal([0.5]), [0.0], np.ones((100, 1)), check_tol=1e-10)
     assert abs(float(traj.norms.max()) - 2.0) <= 1e-9
     for T, _target, t_est, i in stable_sweep:
-        t_iss = iss_constants(T, norm="linf", estimate=t_est)
+        t_iss = iss_constants(T, norm="linf")
         assert verify_iss_bound(T, t_iss, trials=100, rng=np.random.default_rng(i))
     # recurrence/convolution agreement is enforced inside simulate at 1e-10
     rng = np.random.default_rng(4)

@@ -16,11 +16,13 @@ from posstab import (
     diagonal,
     distance,
     dual_small_gain,
+    geometric_envelope,
     interior_small_gain,
     lorentz,
     materialize,
     mbi_constant,
     orthant,
+    power_norms,
     quasi_compact_suite,
     rank_one_destabilizer,
     reverify_witness,
@@ -131,9 +133,8 @@ def test_eta_chain_certified_below_empirical():
         a *= rng.choice([0.3, 0.7, 0.9]) / max(float(np.max(np.abs(np.linalg.eigvals(a)))), 1e-9)
         T = dense(a)
         cone = orthant(n, "linf")
-        est = spectral_radius(T)
-        eta_cert = small_gain_certificate(T, cone, estimate=est)
-        eta_emp, _ = uniform_small_gain_margin(T, cone, estimate=est)
+        eta_cert = small_gain_certificate(T, cone)
+        eta_emp, _ = uniform_small_gain_margin(T, cone)
         assert eta_cert is not None
         assert eta_cert <= eta_emp + 1e-8
 
@@ -204,7 +205,7 @@ def test_approx_eigenvector_zero_operator():
 
 def test_approx_eigenvector_schedule_decreases_to_bracket():
     est = spectral_radius(UPPER2X2)
-    seq = approximate_positive_eigenvector(UPPER2X2, CONE2, n_steps=12, estimate=est)
+    seq = approximate_positive_eigenvector(UPPER2X2, CONE2, n_steps=12)
     rs = [s.r for s in seq]
     assert all(rs[i] > rs[i + 1] for i in range(len(rs) - 1))
     assert all(r > est.upper for r in rs)
@@ -568,6 +569,33 @@ def test_cross_check_factors_i_minus_t_once(monkeypatch):
     rep = cross_check(dense(a), orthant(n, "l2"), CrossCheckConfig(seed=0))
     assert rep.consensus == "STABLE"
     assert len(shift_one) == 1
+
+
+def test_cross_check_leaves_derived_data_on_the_operator(monkeypatch):
+    # after one cross_check, the bracket, (I - T)^{-1} and the power-norm
+    # table are read from T: the routines that build them must not run again
+    import posstab.operators as ops
+
+    rng = np.random.default_rng(4)
+    n = 12
+    a = rng.uniform(0.0, 1.0, size=(n, n))
+    a *= 0.8 / float(np.max(np.abs(np.linalg.eigvals(a))))
+    T, cone = dense(a), orthant(n, "l2")
+    rep = cross_check(T, cone, CrossCheckConfig(seed=0))
+    assert rep.consensus == "STABLE"
+
+    def recomputed(*args, **kwargs):
+        raise AssertionError("derived data recomputed")
+
+    for name in ("_collatz_wielandt", "lu_factor", "induced_norm"):
+        monkeypatch.setattr(ops, name, recomputed)
+    assert spectral_radius(T) is rep.spectral
+    assert check_resolvent_positivity(T, cone).to_dict() == rep.verdict("RESOLVENT_POS").to_dict()
+    c, verdict = mbi_constant(T, cone)
+    assert verdict.holds and c == rep.verdict("MBI").margin
+    assert small_gain_certificate(T, cone) == pytest.approx(1.0 / (c * cone_constants(cone).decomposition_M))
+    assert geometric_envelope(T, rep.iss["a"], "l2") is not None
+    assert len(power_norms(T, rep.iss["K"], "l2")) == rep.iss["K"] + 1
 
 
 def test_rank1_sg_reports_robust_sg_result():

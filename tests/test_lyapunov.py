@@ -12,6 +12,7 @@ from posstab import (
     materialize,
     orthant,
     quadratic_decrease_check,
+    shift,
     solve_stein,
     vec_norm,
     verify_lyapunov,
@@ -153,6 +154,23 @@ def test_equivalent_norm_lattice_monotone():
         x = rng.uniform(0.0, 1.0, size=2)
         y = x + rng.uniform(0.0, 1.0, size=2)
         assert cert(x) <= cert(y) + 1e-12
+
+
+@pytest.mark.parametrize("norm", ["linf", "l2"])
+@pytest.mark.parametrize(
+    "T, s",
+    [(diagonal([0.93, -0.41, 0.77]), 1.07), (shift(7, 1.3), 1.5), (shift(5, 0.5), 3.0)],
+    ids=["diagonal", "shift", "shift-contractive"],
+)
+def test_equivalent_norm_closed_form_depth_matches_dense_oracle(T, s, norm):
+    # oracle: first k with s^k ||T^k|| < 1 from numpy matrix powers and exact norms
+    a = materialize(T)
+    order = {"linf": np.inf, "l2": 2}[norm]
+    K = next(
+        k for k in range(1, 200)
+        if s**k * np.linalg.norm(np.linalg.matrix_power(a, k), order) < 1.0
+    )
+    assert equivalent_norm(T, s, norm=norm).K == K
 
 
 def test_equivalent_norm_rejects_bad_s():

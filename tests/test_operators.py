@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,21 @@ def test_perron_pair_residual():
         assert est.lower - 1e-12 <= est.perron_value <= est.upper + 1e-12
 
 
+def test_spectral_estimate_is_frozen_and_shared():
+    # one memoized instance reaches every caller, so none may change it
+    est = spectral_radius(dense([[0.2, 0.5], [0.3, 0.4]]))
+    with pytest.raises(FrozenInstanceError):
+        est.upper = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        est.perron_vector[0] = 1.0
+
+
+def test_spectral_radius_is_memoized_per_operator():
+    T = dense([[0.2, 0.5], [0.3, 0.4]])
+    assert spectral_radius(T) is spectral_radius(T)
+    assert spectral_radius(dense(T.matrix)) is not spectral_radius(T)
+
+
 def test_spectral_radius_non_positive_matrix_gelfand_only():
     a = np.array([[0.0, 1.0], [-0.25, 0.0]])  # spectrum +-0.5i
     est = spectral_radius(dense(a))
@@ -192,7 +209,7 @@ def test_resolvent_residual_and_positivity():
         est = spectral_radius(T)
         y = rng.uniform(0.0, 1.0, size=n)
         lam = est.upper + rng.uniform(0.05, 1.0)
-        z = resolvent_apply(T, lam, y, estimate=est)
+        z = resolvent_apply(T, lam, y)
         resid = np.linalg.norm((lam * np.eye(n) - a) @ z - y)
         assert resid <= 1e-10 * np.linalg.norm(y)
         assert z.min() >= -1e-12  # resolvent positivity above the bracket
@@ -203,15 +220,14 @@ def test_resolvent_block_matches_columns():
     a = rng.uniform(0.0, 1.0, size=(7, 7))
     a *= 0.6 / float(np.max(np.abs(np.linalg.eigvals(a))))
     T = dense(a)
-    est = spectral_radius(T)
     Y = rng.uniform(0.0, 1.0, size=(7, 3))
-    Z = resolvent_apply(T, 1.0, Y, estimate=est)
+    Z = resolvent_apply(T, 1.0, Y)
     assert Z.shape == (7, 3)
     for j in range(3):
-        np.testing.assert_allclose(Z[:, j], resolvent_apply(T, 1.0, Y[:, j], estimate=est),
+        np.testing.assert_allclose(Z[:, j], resolvent_apply(T, 1.0, Y[:, j]),
                                    rtol=1e-12, atol=1e-14)
     # oracle: numpy's inverse of I - T
-    inv = resolvent_apply(T, 1.0, np.eye(7), estimate=est)
+    inv = resolvent_apply(T, 1.0, np.eye(7))
     np.testing.assert_allclose(inv, np.linalg.inv(np.eye(7) - a), rtol=1e-10, atol=1e-12)
 
 
@@ -236,7 +252,7 @@ def test_resolvent_planted_solve_offset_fails_residual(monkeypatch, rhs):
     import posstab.operators as ops
 
     T = _stable_positive()
-    est = spectral_radius(T)
+    spectral_radius(T)  # memoized before the solver is patched
     real = ops.lu_solve
 
     def offset_solve(lu, b, *args, **kwargs):
@@ -249,7 +265,7 @@ def test_resolvent_planted_solve_offset_fails_residual(monkeypatch, rhs):
 
     monkeypatch.setattr(ops, "lu_solve", offset_solve)
     with pytest.raises(SpectralProximityError, match="residual"):
-        resolvent_apply(T, 1.0, RHS[rhs](T.dim), estimate=est)
+        resolvent_apply(T, 1.0, RHS[rhs](T.dim))
 
 
 @pytest.mark.parametrize("rhs", sorted(RHS))
@@ -260,14 +276,14 @@ def test_resolvent_planted_wrong_matrix_caught_by_neumann(monkeypatch, rhs):
     import posstab.operators as ops
 
     T = _stable_positive()
-    est = spectral_radius(T)
+    spectral_radius(T)  # the memoized bracket comes from the real matrix
     y = RHS[rhs](T.dim)
-    resolvent_apply(T, 1.0, y, estimate=est)  # the unpatched solve passes both checks
+    resolvent_apply(T, 1.0, y)  # the unpatched solve passes both checks
     wrong = np.array(T.matrix)
     wrong[0, 1] += 0.05
     monkeypatch.setattr(ops, "materialize", lambda _: wrong)
     with pytest.raises(ArithmeticError, match="Neumann"):
-        resolvent_apply(T, 1.0, y, estimate=est)
+        resolvent_apply(T, 1.0, y)
 
 
 # ---------------------------------------------------------------- power norms
@@ -311,6 +327,49 @@ def test_gelfand_within_bracket():
         pn = power_norms(T, 24, "linf").values
         k = len(pn) - 1
         assert pn[k] ** (1.0 / k) >= est.lower - 1e-9
+
+
+CLOSED_FORMS = {"diagonal": diagonal([0.93, -0.41, 0.77]), "shift": shift(7, 1.3)}
+
+
+def dense_oracle_norms(T, K, norm):
+    """||T^k|| for k <= K from numpy matrix powers and exact induced norms."""
+    a = materialize(T)
+    order = {"linf": np.inf, "l2": 2}[norm]
+    return [float(np.linalg.norm(np.linalg.matrix_power(a, k), order)) for k in range(K + 1)]
+
+
+@pytest.mark.parametrize("norm", ["linf", "l2"])
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_closed_form_power_norms_and_envelope_match_dense_oracle(name, norm):
+    T = CLOSED_FORMS[name]
+    oracle = dense_oracle_norms(T, 40, norm)
+    np.testing.assert_allclose(power_norms(T, 40, norm).values, oracle, rtol=1e-12, atol=0)
+    a_env = 0.5 * (spectral_radius(T).upper + 1.0)
+    m = next(k for k in range(1, 41) if oracle[k] <= a_env**k)
+    M = max(oracle[r] / a_env**r for r in range(m))
+    env_M, env_m = geometric_envelope(T, a_env, norm)
+    assert env_m == m
+    assert env_M == pytest.approx(M, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_closed_form_power_norms_reject_unknown_norm(name):
+    with pytest.raises(ValueError, match="unknown norm"):
+        geometric_envelope(CLOSED_FORMS[name], 0.9, "bogus")
+
+
+def test_power_table_survives_a_failed_extension(monkeypatch):
+    # a norm routine that raises midway must not leave the power ahead of the table
+    import posstab.operators as ops
+
+    T = dense([[0.5, 0.25], [0.125, 0.5]])
+    real = ops.induced_norm
+    monkeypatch.setattr(ops, "induced_norm", lambda *a, **k: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        power_norms(T, 3, "linf")
+    monkeypatch.setattr(ops, "induced_norm", real)
+    np.testing.assert_allclose(power_norms(T, 6, "linf").values, dense_oracle_norms(T, 6, "linf"))
 
 
 def test_geometric_envelope_certifies():
