@@ -1,7 +1,11 @@
 """Finite-dimensional ordered cones with norm context.
 
 Two cone families are supported: the nonnegative orthant and the Lorentz
-(second-order) cone.  Every operation here is a pure function; the module
+(second-order) cone.  Every operation here is a pure function and works
+along the last axis: a vector of shape (n,) and a block of m row vectors
+of shape (m, n) go through the same arithmetic, one result per row.  The
+membership margin, projection, distance and decomposition formulas live
+here only; callers pass blocks instead of looping over rows.  The module
 also exposes the normality constant C, the decomposition constant M and
 the dual decomposition constant M' that the stability criteria consume.
 """
@@ -15,7 +19,7 @@ from .errors import (
     NotALatticeError,
     UnsupportedConeNormError,
 )
-from .norms import NORMS, batch_vec_norm, vec_norm
+from .norms import NORMS, batch_vec_norm
 
 DEFAULT_TOL = 1e-9
 
@@ -79,21 +83,37 @@ class ConeConstants:
     dual_M_prime: float
 
 
-def _check_vector(cone, x):
+def _rows(cone, x):
+    """x as a float array whose last axis has the cone's dimension: (n,) or (m, n)."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (cone.dim,):
+    if x.ndim not in (1, 2) or x.shape[-1] != cone.dim:
         raise DimensionMismatchError(
-            f"expected vector of shape ({cone.dim},), got {x.shape}"
+            f"expected shape ({cone.dim},) or (m, {cone.dim}), got {x.shape}"
         )
     return x
 
 
+def _require_l2(cone, what):
+    if cone.norm != "l2":
+        raise UnsupportedConeNormError(
+            f"Lorentz-cone {what} is only certified under the l2 norm"
+        )
+
+
+def margin(cone, x):
+    """Signed membership margin, >= 0 exactly on the cone.
+
+    Orthant: min_i x_i.  Lorentz: x0 - ||(x1..x_{n-1})||_2.
+    """
+    x = _rows(cone, x)
+    if cone.kind == "orthant":
+        return x.min(axis=-1)
+    return x[..., 0] - batch_vec_norm(x[..., 1:], "l2")
+
+
 def contains(cone, x, tol=DEFAULT_TOL):
     """Membership within an absolute slack `tol`."""
-    x = _check_vector(cone, x)
-    if cone.kind == "orthant":
-        return bool(np.min(x) >= -tol)
-    return bool(x[0] + tol >= np.linalg.norm(x[1:]))
+    return margin(cone, x) >= -tol
 
 
 def project(cone, x):
@@ -103,25 +123,16 @@ def project(cone, x):
     in all three supported norms.  For the Lorentz cone the closed-form l2
     projection is used; other norms are rejected.
     """
-    x = _check_vector(cone, x)
+    x = _rows(cone, x)
     if cone.kind == "orthant":
         return np.maximum(x, 0.0)
-    if cone.norm != "l2":
-        raise UnsupportedConeNormError(
-            "Lorentz-cone projection is only certified under the l2 norm"
-        )
-    t = x[0]
-    rest = x[1:]
-    r = float(np.linalg.norm(rest))
-    if r <= t:
-        return x.copy()
-    if r <= -t:
-        return np.zeros_like(x)
+    _require_l2(cone, "projection")
+    t = x[..., :1]
+    r = batch_vec_norm(x[..., 1:], "l2")[..., None]
     alpha = 0.5 * (t + r)
-    out = np.empty_like(x)
-    out[0] = alpha
-    out[1:] = (alpha / r) * rest
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cut = np.concatenate([alpha, (alpha / r) * x[..., 1:]], axis=-1)
+    return np.where(r <= t, x, np.where(r <= -t, 0.0, cut))
 
 
 def distance(cone, x):
@@ -130,37 +141,20 @@ def distance(cone, x):
     Orthant: ||x^-||.  Lorentz: closed-form l2 projection distance; the
     l1/linf pairings have no implemented closed form and are rejected.
     """
-    x = _check_vector(cone, x)
+    x = _rows(cone, x)
     if cone.kind == "orthant":
-        return vec_norm(np.minimum(x, 0.0), cone.norm)
-    if cone.norm != "l2":
-        raise UnsupportedConeNormError(
-            "Lorentz-cone distance is only certified under the l2 norm"
-        )
-    t = x[0]
-    r = float(np.linalg.norm(x[1:]))
-    if r <= t:
-        return 0.0
-    if r <= -t:
-        return float(np.linalg.norm(x))
-    return (r - t) / _SQRT2
+        return batch_vec_norm(np.minimum(x, 0.0), cone.norm)
+    _require_l2(cone, "distance")
+    t = x[..., 0]
+    r = batch_vec_norm(x[..., 1:], "l2")
+    full = batch_vec_norm(x, "l2")
+    # [()] makes the 0-d result of a vector a scalar, as on the orthant
+    return np.where(r <= t, 0.0, np.where(r <= -t, full, (r - t) / _SQRT2))[()]
 
 
 def batch_distance(cone, X):
-    """Row-wise `distance` for a 2-d array of vectors."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != cone.dim:
-        raise DimensionMismatchError(f"expected (m, {cone.dim}) array")
-    if cone.kind == "orthant":
-        return batch_vec_norm(np.minimum(X, 0.0), cone.norm)
-    if cone.norm != "l2":
-        raise UnsupportedConeNormError(
-            "Lorentz-cone distance is only certified under the l2 norm"
-        )
-    t = X[:, 0]
-    r = np.sqrt((X[:, 1:] ** 2).sum(axis=1))
-    full = np.sqrt((X**2).sum(axis=1))
-    return np.where(r <= t, 0.0, np.where(r <= -t, full, (r - t) / _SQRT2))
+    """`distance` of each row of X; a separate name because certbench/tracer.py times it."""
+    return distance(cone, X)
 
 
 def is_interior(cone, x):
@@ -171,12 +165,10 @@ def is_interior(cone, x):
     the l2 ball radius (reported in the l2 metric for every norm context;
     the sign, hence the boolean, is norm independent).
     """
-    x = _check_vector(cone, x)
-    if cone.kind == "orthant":
-        margin = float(np.min(x))
-    else:
-        margin = (x[0] - float(np.linalg.norm(x[1:]))) / _SQRT2
-    return bool(margin > 0.0), margin
+    m = margin(cone, x)
+    if cone.kind == "lorentz":
+        m = m / _SQRT2
+    return m > 0.0, m
 
 
 def interior_point(cone):
@@ -190,7 +182,7 @@ def interior_point(cone):
 
 def lattice_parts(cone, x):
     """(x^+, x^-, |x|) componentwise; only the orthant is a lattice."""
-    x = _check_vector(cone, x)
+    x = _rows(cone, x)
     if cone.kind != "orthant":
         raise NotALatticeError("the Lorentz cone does not order R^n as a lattice")
     plus = np.maximum(x, 0.0)
@@ -204,12 +196,12 @@ def decompose(cone, x):
     Orthant: the lattice parts (x^+, x^-).  Lorentz: y = x + t e0 and
     z = t e0 with t = max(0, ||rest|| - x0).
     """
-    x = _check_vector(cone, x)
+    x = _rows(cone, x)
     if cone.kind == "orthant":
-        return np.maximum(x, 0.0), np.maximum(-x, 0.0)
-    t = max(0.0, float(np.linalg.norm(x[1:])) - x[0])
+        y = np.maximum(x, 0.0)
+        return y, y - x  # equals max(-x, 0) exactly, without a -x temporary
     z = np.zeros_like(x)
-    z[0] = t
+    z[..., 0] = np.maximum(0.0, -margin(cone, x))
     return x + z, z
 
 

@@ -22,6 +22,7 @@ from .cones import (
     interior_point,
     is_interior,
     decompose,
+    margin,
     project,
     random_points,
 )
@@ -29,6 +30,7 @@ from .errors import SpectralProximityError, UnsupportedConeNormError
 from .norms import batch_vec_norm, dual_norm, induced_norm, vec_norm
 from .operators import (
     DenseOperator,
+    _memo,
     _resolvent_inverse,
     adjoint,
     apply,
@@ -150,13 +152,6 @@ class RankOneDestabilizer:
     z: np.ndarray
 
 
-def _cone_margin(cone, x):
-    """Signed membership margin (>= 0 inside)."""
-    if cone.kind == "orthant":
-        return float(np.min(x))
-    return float(x[0] - np.linalg.norm(x[1:]))
-
-
 def _decision_tol(est, tol):
     """Smallest trustworthy small-gain margin.
 
@@ -187,15 +182,15 @@ def check_resolvent_positivity(T, cone, tol=1e-10, rng=None):
             Witness(kind="flag", note=f"SPECTRAL_PROXIMITY: {inv}"),
         )
     if cone.kind == "orthant":
-        margins = [_cone_margin(cone, inv[:, j]) for j in range(inv.shape[1])]
+        margins = margin(cone, inv.T)
         worst = int(np.argmin(margins))
-        margin = float(margins[worst])
-        if margin >= -tol:
-            return CriterionVerdict("RESOLVENT_POS", True, margin, None)
+        low = float(margins[worst])
+        if low >= -tol:
+            return CriterionVerdict("RESOLVENT_POS", True, low, None)
         return CriterionVerdict(
             "RESOLVENT_POS",
             False,
-            margin,
+            low,
             Witness(
                 kind="column",
                 vector=inv[:, worst],
@@ -205,18 +200,17 @@ def check_resolvent_positivity(T, cone, tol=1e-10, rng=None):
         )
     rng = np.random.default_rng(0) if rng is None else rng
     rays = _cone_unit_rows(cone, random_points(cone, rng, 256))
-    mapped = rays @ inv.T
-    margins = mapped[:, 0] - np.sqrt((mapped[:, 1:] ** 2).sum(axis=1))
+    margins = margin(cone, rays @ inv.T)
     worst = int(np.argmin(margins))
-    margin = float(margins[worst])
+    low = float(margins[worst])
     ok, witness_ray = is_positive(DenseOperator(inv), cone, rng=rng, tol=tol)
-    if ok and margin >= -tol:
-        return CriterionVerdict("RESOLVENT_POS", True, margin, None)
+    if ok and low >= -tol:
+        return CriterionVerdict("RESOLVENT_POS", True, low, None)
     bad = witness_ray if witness_ray is not None else rays[worst]
     return CriterionVerdict(
         "RESOLVENT_POS",
         False,
-        margin,
+        low,
         Witness(
             kind="cone_vector",
             vector=inv @ bad,
@@ -242,17 +236,12 @@ def mbi_constant(T, cone, rng=None, n_trials=1000):
     n = cone.dim
     amb = np.eye(n) - a
     X = random_points(cone, rng, n_trials)
-    W = X @ amb.T  # rows (I - T) x
+    # rows y = w + z + s r, built in place over w = (I - T) x: w + z is the
+    # positive part of w (decompose), r is cone noise, so y >= w and y is in the cone
+    Y = X @ amb.T
+    Y += decompose(cone, Y)[1]
     scales = rng.uniform(0.0, 1.0, size=(n_trials, 1))
-    R = random_points(cone, rng, n_trials)
-    # y = positive part of w plus cone noise: y >= w and y in cone by construction
-    if cone.kind == "orthant":
-        Y = np.maximum(W, 0.0) + scales * R
-    else:
-        Y = np.empty_like(W)
-        for i in range(n_trials):
-            yp, _ = decompose(cone, W[i])
-            Y[i] = yp + scales[i] * R[i]
+    Y += scales * random_points(cone, rng, n_trials)
     nx = batch_vec_norm(X, cone.norm)
     ny = batch_vec_norm(Y, cone.norm)
     bad = np.nonzero(nx > c * ny + 1e-9)[0]
@@ -275,14 +264,10 @@ def _usg_objective(cone, amI):
 
 
 def _cone_unit_rows(cone, X):
-    if cone.kind == "orthant":
-        X = np.maximum(X, 0.0)
-    else:
-        X = np.array([project(cone, row) for row in X])
+    X = project(cone, X)
     norms = batch_vec_norm(X, cone.norm)
     keep = norms > 1e-14
-    X = X[keep] / norms[keep, None]
-    return X
+    return X[keep] / norms[keep, None]
 
 
 def _usg_seeds(T, cone, rng, n_starts):
@@ -307,10 +292,14 @@ def _usg_seeds(T, cone, rng, n_starts):
         # no Perron pair (operator not entrywise nonnegative): seed with the
         # resolvent-built positive approximate eigenvector instead, which
         # concentrates on the Krein-Rutman direction even when complex
-        # eigenvalues tie the spectral radius in modulus
-        seq = approximate_positive_eigenvector(T, cone, n_steps=22)
-        if seq:
-            seeds.append(seq[-1].x)
+        # eigenvalues tie the spectral radius in modulus; USG and ISG share it
+        def make():
+            seq = approximate_positive_eigenvector(T, cone, n_steps=22)
+            return seq[-1].x if seq else None
+
+        x = _memo(T, ("usg_seed", cone), make)
+        if x is not None:
+            seeds.append(x)
     seeds = np.array(seeds)
     rand = random_points(cone, rng, n_starts)
     return np.vstack([seeds, rand])
@@ -536,7 +525,7 @@ def robust_small_gain(T, cone, eps, eta_emp=None, rng=None, tol=1e-10):
     )
 
 
-def dual_small_gain(T, cone, tol=DEFAULT_TOL):
+def dual_small_gain(T, cone):
     """T'x' >= x' impossible for every nonzero positive functional x'?
 
     Decided through the Perron pair of the adjoint (the spectral radius is
@@ -600,13 +589,7 @@ def interior_small_gain(
         X = seeds.copy()
         for _ in range(inner_iters):
             W = X @ a.T + eta * z
-            S = W - X
-            margins = (
-                S.min(axis=1)
-                if cone.kind == "orthant"
-                else S[:, 0] - np.sqrt((S[:, 1:] ** 2).sum(axis=1))
-            )
-            hit = np.nonzero(margins >= -1e-12)[0]
+            hit = np.nonzero(margin(cone, W - X) >= -1e-12)[0]
             if hit.size:
                 return X[int(hit[0])].copy()
             X = _cone_unit_rows(cone, W)

@@ -12,14 +12,14 @@ def vec_norm(x, norm="l2"):
 
 
 def batch_vec_norm(X, norm="l2"):
-    """Row-wise norms of a 2-d array."""
+    """Norms along the last axis: one per row of a 2-d array, a scalar for a vector."""
     X = np.asarray(X, dtype=float)
     if norm == "l1":
-        return np.abs(X).sum(axis=1)
+        return np.abs(X).sum(axis=-1)
     if norm == "linf":
-        return np.abs(X).max(axis=1)
+        return np.abs(X).max(axis=-1)
     if norm == "l2":
-        return np.sqrt((X * X).sum(axis=1))
+        return np.sqrt((X * X).sum(axis=-1))
     raise ValueError(f"unknown norm {norm!r}")
 
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, lu_factor, lu_solve
 
+from .cones import margin
 from .errors import DimensionMismatchError, SpectralProximityError
-from .norms import NORMS, induced_norm
+from .norms import NORMS, batch_vec_norm, induced_norm
 
 #: additive shift that breaks periodicity of the Perron power iteration
 PERRON_SHIFT = 1e-12
@@ -191,16 +192,16 @@ def is_positive(T, cone, n_samples=256, tol=1e-10, rng=None):
         return False, w
     rng = np.random.default_rng(0) if rng is None else rng
     m = cone.dim - 1
-    dirs = [np.eye(m)[i] * s for i in range(m) for s in (1.0, -1.0)]
-    extra = rng.normal(size=(max(n_samples - len(dirs), 0), m))
+    eye = np.eye(m)
+    dirs = np.stack([eye, -eye], axis=1).reshape(2 * m, m)  # e1, -e1, e2, -e2, ...
+    extra = rng.normal(size=(max(n_samples - 2 * m, 0), m))
     extra /= np.maximum(np.linalg.norm(extra, axis=1, keepdims=True), 1e-300)
-    rays = [np.concatenate(([1.0], u)) for u in [*dirs, *extra]]
-    rays.append(np.concatenate(([1.0], np.zeros(m))))
-    for x in rays:
-        y = a @ x
-        margin = y[0] - np.linalg.norm(y[1:])
-        if margin < -tol * max(1.0, float(np.linalg.norm(y))):
-            return False, x
+    rest = np.vstack([dirs, extra, np.zeros((1, m))])
+    rays = np.hstack([np.ones((rest.shape[0], 1)), rest])
+    Y = rays @ a.T
+    bad = np.nonzero(margin(cone, Y) < -tol * np.maximum(1.0, batch_vec_norm(Y, "l2")))[0]
+    if bad.size:
+        return False, rays[bad[0]]
     return True, None
 
 

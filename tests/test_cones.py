@@ -19,7 +19,7 @@ from posstab import (
     project,
     vec_norm,
 )
-from posstab.cones import batch_distance, cone_from_dict, random_points
+from posstab.cones import batch_distance, cone_from_dict, margin, random_points
 
 
 # ---------------------------------------------------------------- oracles
@@ -126,12 +126,44 @@ def test_distance_zero_iff_contains():
 
 
 def test_batch_distance_matches_scalar():
+    # a block and its rows go through the same arithmetic, so they agree exactly
     rng = np.random.default_rng(2)
-    for cone in (orthant(5, "l1"), orthant(5, "linf"), lorentz(5)):
+    cones = [orthant(5, norm) for norm in ("l1", "l2", "linf")]
+    cones += [lorentz(5, norm) for norm in ("l1", "l2", "linf")]
+    for cone in cones:
         X = rng.normal(size=(40, 5))
-        bd = batch_distance(cone, X)
-        for i in range(40):
-            assert bd[i] == pytest.approx(distance(cone, X[i]), abs=1e-12)
+        X[:3] = [[1.0, 0.6, 0.8, 0.0, 0.0], [-1.0, 0.6, 0.8, 0.0, 0.0], np.zeros(5)]
+        ops = [margin, decompose]
+        if cone.kind == "orthant" or cone.norm == "l2":
+            ops += [project, distance, batch_distance]
+        for op in ops:
+            block = op(cone, X)
+            rows = [op(cone, x) for x in X]
+            if op is decompose:
+                for part, row_parts in zip(block, zip(*rows)):
+                    np.testing.assert_array_equal(part, np.array(row_parts))
+            else:
+                np.testing.assert_array_equal(block, np.array(rows), err_msg=f"{op.__name__} {cone}")
+        np.testing.assert_array_equal(contains(cone, X, 0.0), margin(cone, X) >= 0.0)
+        inside, m = is_interior(cone, X)
+        np.testing.assert_array_equal(inside, [is_interior(cone, x)[0] for x in X])
+        np.testing.assert_array_equal(m, [is_interior(cone, x)[1] for x in X])
+
+
+@pytest.mark.parametrize("cone", [orthant(3, "l2"), lorentz(3, "l2")])
+def test_block_of_wrong_width_rejected(cone):
+    bad = np.ones((4, cone.dim + 1))
+    for op in (margin, contains, is_interior, project, decompose, distance, batch_distance):
+        with pytest.raises(DimensionMismatchError):
+            op(cone, bad)
+    with pytest.raises(DimensionMismatchError):
+        margin(cone, np.ones((2, 2, cone.dim)))
+
+
+def test_margin_values():
+    assert margin(orthant(3, "l1"), [2.0, -0.5, 1.0]) == -0.5
+    assert margin(lorentz(3, "linf"), [2.0, 0.6, 0.8]) == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(margin(lorentz(2), [[1.0, 0.5], [0.4, -0.5]]), [0.5, -0.1])
 
 
 @settings(max_examples=40, deadline=None)

@@ -647,3 +647,26 @@ def test_lorentz_cone_vector_witnesses_reverify(n):
         assert reverify_witness(T, cone, v), v.id
         negated = replace(v, witness=replace(v.witness, vector=-v.witness.vector))
         assert not reverify_witness(T, cone, negated), v.id
+
+
+def test_lorentz_cross_check_builds_the_no_perron_seed_once(monkeypatch):
+    # USG and ISG seed their searches with the same approximate eigenvector
+    # when T has no Perron pair; it is computed once per (T, cone)
+    import posstab.criteria as crit
+
+    real = crit.approximate_positive_eigenvector
+    seed_calls = []
+
+    def counting(T, cone, n_steps=30, start=None):
+        if n_steps == 22:
+            seed_calls.append(cone)
+        return real(T, cone, n_steps=n_steps, start=start)
+
+    monkeypatch.setattr(crit, "approximate_positive_eigenvector", counting)
+    for n in (8, 32):
+        T = dense(_lorentz_positive(np.random.default_rng(1), n, 0.9))
+        assert spectral_radius(T).perron_vector is None
+        seed_calls.clear()
+        rep = cross_check(T, lorentz(n, "l2"))
+        assert rep.consensus == "STABLE"
+        assert len(seed_calls) == 1

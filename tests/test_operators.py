@@ -100,6 +100,38 @@ def test_is_positive_scaled_identity_lorentz():
     assert ok
 
 
+def _rays_in_order(n, n_samples, rng):
+    """The sampled rays of the Lorentz positivity test, in the order they are tried."""
+    m = n - 1
+    dirs = [np.eye(m)[i] * s for i in range(m) for s in (1.0, -1.0)]
+    extra = rng.normal(size=(max(n_samples - len(dirs), 0), m))
+    extra /= np.maximum(np.linalg.norm(extra, axis=1, keepdims=True), 1e-300)
+    rays = [np.concatenate(([1.0], u)) for u in [*dirs, *extra]]
+    return rays + [np.concatenate(([1.0], np.zeros(m)))]
+
+
+def test_is_positive_lorentz_returns_first_violating_ray():
+    # diag(1, 1, 2) sends e0 + e2 and e0 - e2 out of the cone; the witness
+    # is the first of them in the sampled order
+    ok, wit = is_positive(dense(np.diag([1.0, 1.0, 2.0])), lorentz(3))
+    assert not ok
+    np.testing.assert_array_equal(wit, [1.0, 0.0, 1.0])
+    # random non-positive maps: the ray a per-ray loop finds first
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = 3 + seed % 4
+        a = np.eye(n) + 0.6 * rng.normal(size=(n, n))
+        violating = []
+        for x in _rays_in_order(n, 256, np.random.default_rng(seed)):
+            y = a @ x
+            if y[0] - np.linalg.norm(y[1:]) < -1e-10 * max(1.0, np.linalg.norm(y)):
+                violating.append(x)
+        assert len(violating) > 1
+        ok, wit = is_positive(dense(a), lorentz(n), rng=np.random.default_rng(seed))
+        assert not ok
+        np.testing.assert_array_equal(wit, violating[0])
+
+
 # ---------------------------------------------------------------- spectral radius
 
 def test_spectral_radius_jordan_block():
