@@ -1,10 +1,12 @@
-"""Small-gain margins: certified lower bound vs empirical estimate.
+"""Small-gain margins: certified lower bound vs the reported margin.
 
 For a stable positive system the distance of (T - I)x to the cone is
 bounded below by eta = 1/(c*M) where c is the monotone-bounded-
-invertibility constant and M the cone decomposition constant.  The
-empirical margin from the projected search can only sit above that
-certified bound; for diagonal operators both are exact.
+invertibility constant and M the cone decomposition constant.  On the
+orthant C = M = 1 and the bound is attained at x = Rv/||Rv|| with
+R = (I - T)^{-1}, so `uniform_small_gain_margin` returns it in closed form
+and the two columns below are equal.  On the Lorentz cone the margin is
+still a search value, which can only sit above the certified bound.
 """
 
 import numpy as np
@@ -21,7 +23,7 @@ a = rng.uniform(0.0, 1.0, size=(5, 5))
 a *= 0.8 / ps.spectral_radius(ps.dense(a)).point
 systems["random stable"] = ps.dense(a)
 
-print(f"{'system':<16} {'c (MBI)':>9} {'eta certified':>14} {'eta empirical':>14}")
+print(f"{'system':<16} {'c (MBI)':>9} {'eta certified':>14} {'eta reported':>14}")
 for name, T in systems.items():
     cone = ps.orthant(T.dim, "linf")
     c, _ = ps.mbi_constant(T, cone)
@@ -32,7 +34,7 @@ for name, T in systems.items():
 print("\nunstable case: the margin collapses and a witness appears")
 T = ps.diagonal([1.2, 0.5])
 eta_emp, verdict = ps.uniform_small_gain_margin(T, ps.orthant(2, "linf"))
-print("eta empirical:", eta_emp, "holds:", verdict.holds)
+print("eta (search, no positive inverse):", eta_emp, "holds:", verdict.holds)
 print("witness x:", verdict.witness.vector, "-> Tx >= x along this direction")
 
 print("\nrobustness: perturbations below eta/2 are certified harmless;")

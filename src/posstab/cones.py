@@ -227,9 +227,12 @@ def random_points(cone, rng, count, interior=False):
         if interior:
             pts += 0.05
         return pts
-    u = rng.normal(size=(count, cone.dim - 1))
+    # rows (1, radius * u) * scale, filled in one array: the draws keep their order
+    pts = np.empty((count, cone.dim))
+    u = pts[:, 1:]
+    u[...] = rng.normal(size=(count, cone.dim - 1))
     u /= np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-300)
-    radius = rng.uniform(0.0, 0.95 if interior else 1.0, size=(count, 1))
-    scale = rng.uniform(0.1, 1.0, size=(count, 1))
-    pts = np.hstack([np.ones((count, 1)), radius * u]) * scale
+    u *= rng.uniform(0.0, 0.95 if interior else 1.0, size=(count, 1))
+    pts[:, 0] = 1.0
+    pts *= rng.uniform(0.1, 1.0, size=(count, 1))
     return pts

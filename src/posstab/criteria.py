@@ -27,7 +27,7 @@ from .cones import (
     random_points,
 )
 from .errors import SpectralProximityError, UnsupportedConeNormError
-from .norms import batch_vec_norm, dual_norm, induced_norm, vec_norm
+from .norms import _l2_induced, batch_vec_norm, dual_norm, induced_norm, vec_norm
 from .operators import (
     DenseOperator,
     _memo,
@@ -164,15 +164,21 @@ def _decision_tol(est, tol):
     return max(tol, 10.0 * res)
 
 
-def check_resolvent_positivity(T, cone, tol=1e-10, rng=None):
+def check_resolvent_positivity(T, cone, tol=1e-10):
     """Is id - T invertible with a positive inverse?
 
     Orthant: holds iff every column of (I - T)^{-1} lies in the cone within
     `tol`; the margin is the minimal entry of the inverse.  Lorentz: basis
     vectors do not generate the cone, so the inverse is tested as a cone
     map on boundary rays instead; the margin is the worst membership margin
-    of a mapped ray.  (I - T)^{-1} is computed once per operator and shared.
+    of a mapped ray.  The inverse, and the verdict per (cone, tol), are
+    computed once per operator: RESOLVENT_POS, MBI and the closed-form
+    small-gain margins share them.
     """
+    return _memo(T, ("resolvent_pos", cone, tol), lambda: _resolvent_positivity(T, cone, tol))
+
+
+def _resolvent_positivity(T, cone, tol):
     inv = _resolvent_inverse(T)
     if isinstance(inv, SpectralProximityError):
         return CriterionVerdict(
@@ -198,7 +204,7 @@ def check_resolvent_positivity(T, cone, tol=1e-10, rng=None):
                 note="column of (I-T)^{-1} outside the cone",
             ),
         )
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = np.random.default_rng(0)
     rays = _cone_unit_rows(cone, random_points(cone, rng, 256))
     margins = margin(cone, rays @ inv.T)
     worst = int(np.argmin(margins))
@@ -256,13 +262,6 @@ def mbi_constant(T, cone, rng=None, n_trials=1000):
     return c, CriterionVerdict("MBI", True, c, None)
 
 
-def _usg_objective(cone, amI):
-    def f(X):
-        return batch_distance(cone, X @ amI.T)
-
-    return f
-
-
 def _cone_unit_rows(cone, X):
     X = project(cone, X)
     norms = batch_vec_norm(X, cone.norm)
@@ -306,30 +305,67 @@ def _usg_seeds(T, cone, rng, n_starts):
 
 
 def uniform_small_gain_margin(
-    T,
-    cone,
-    rng=None,
-    n_starts=64,
-    descent_iters=50,
-    polish_rounds=240,
-    tol=DEFAULT_TOL,
+    T, cone, rng=None, n_starts=64, descent_iters=50, polish_rounds=240, tol=DEFAULT_TOL
 ):
-    """Empirical margin eta_emp = min_x dist((T - I)x, cone) over unit cone vectors.
+    """Uniform small-gain margin eta = inf dist((T - I)x, cone) over unit cone vectors.
 
-    The search combines the cone's extreme rays, the Perron vector, random
-    starts, a batched projected descent with numeric gradients (small
-    dimensions) and a shrinking pattern-search polish around the best
-    point.  eta_emp upper-bounds the true infimum; the certified lower
-    bound 1/(c*M) is available via `small_gain_certificate`.
+    Closed form on the orthant when R = (I - T)^{-1} is positive: eta =
+    1/||R||, the 1/(c*M) of `small_gain_certificate` (C = M = 1), attained
+    at x = Rv/||Rv|| for a positive v with ||Rv|| = ||R|| ||v||.  The
+    objective must equal eta at x, and no search seed may go below it.
+    Otherwise (the Lorentz cone, no positive inverse, or an l2 norm that a
+    seed shows too low) eta is a search value and upper-bounds the infimum:
+    the cone's extreme rays, the Perron vector, random starts, a projected
+    descent with numeric gradients (n <= 16) and a shrinking polish.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    a = materialize(T)
-    n = cone.dim
-    amI = a - np.eye(n)
-    f = _usg_objective(cone, amI)
+    amI = materialize(T) - np.eye(cone.dim)
+
+    def f(X):
+        return batch_distance(cone, X @ amI.T)
 
     X = _cone_unit_rows(cone, _usg_seeds(T, cone, rng, n_starts))
     vals = f(X)
+    gate = cone.kind == "orthant" and check_resolvent_positivity(T, cone).holds
+    closed = _orthant_usg(cone, _resolvent_inverse(T), f, vals) if gate else None
+    if closed is not None:
+        best_v, best_x = closed
+    else:
+        best_v, best_x = _usg_search(cone, f, X, vals, rng, descent_iters, polish_rounds)
+    eta_emp = max(best_v, 0.0)
+    holds = eta_emp > _decision_tol(spectral_radius(T), tol)
+    witness = None if holds else Witness("cone_vector", best_x, note="dist((T-I)x, cone) ~ 0")
+    return eta_emp, CriterionVerdict("UNIFORM_SG", holds, eta_emp, witness)
+
+
+def _orthant_usg(cone, inv, f, seed_vals):
+    """(1/||R||, the unit x = Rv/||Rv|| attaining it), checked at x and on the seeds.
+
+    v is a column of R (l1), the ones vector (linf) or the power-method
+    vector of R^T R (l2).  That power method can stop low when the top
+    singular values cluster, so under l2 a lower seed returns None.
+    """
+    eta = 1.0 / induced_norm(inv, cone.norm)
+    v = np.ones(cone.dim)
+    if cone.norm == "l1":
+        v = np.eye(cone.dim)[int(np.argmax(np.abs(inv).sum(axis=0)))]
+    elif cone.norm == "l2":
+        v = _l2_induced(inv)[1]
+    x = inv @ v
+    x /= vec_norm(x, cone.norm)
+    at = float(f(x[None, :])[0])
+    if abs(at - eta) > 1e-9 * eta:
+        raise ArithmeticError(f"eta = {eta!r} is not attained ({at!r}); internal error")
+    if float(np.min(seed_vals)) < eta * (1.0 - 1e-9):
+        if cone.norm == "l2":
+            return None
+        raise ArithmeticError(f"a search seed goes below eta = {eta!r}; internal error")
+    return eta, x
+
+
+def _usg_search(cone, f, X, vals, rng, descent_iters, polish_rounds):
+    """(best value, best x) of the seeded descent and polish over unit cone vectors."""
+    n = cone.dim
     best_i = int(np.argmin(vals))
     best_x, best_v = X[best_i].copy(), float(vals[best_i])
 
@@ -361,14 +397,7 @@ def uniform_small_gain_margin(
             if vals[i] < best_v:
                 best_v, best_x = float(vals[i]), C[i].copy()
         radius *= 0.92
-
-    eta_emp = max(best_v, 0.0)
-    decision = _decision_tol(spectral_radius(T), tol)
-    holds = eta_emp > decision
-    witness = None
-    if not holds:
-        witness = Witness(kind="cone_vector", vector=best_x, note="dist((T-I)x, cone) ~ 0")
-    return eta_emp, CriterionVerdict("UNIFORM_SG", holds, eta_emp, witness)
+    return best_v, best_x
 
 
 def small_gain_certificate(T, cone, rng=None):
@@ -494,9 +523,11 @@ def rank_one_destabilizer(T, cone, n_steps=34):
 def robust_small_gain(T, cone, eps, eta_emp=None, rng=None, tol=1e-10):
     """(T+P)x >= x impossible for every positive ||P|| <= eps?
 
-    Certified to hold when eps <= eta_emp / 2 (distance argument); otherwise
-    an adversarial rank-one construction searches for a verified violating
-    pair (P, x), and the verdict fails exactly when one is found.
+    Holds when eps <= eta / 2 (distance argument): certified where eta is
+    the closed-form 1/||(I - T)^{-1}|| (orthant), heuristic where it is a
+    search value that can sit above the true margin (Lorentz cone).
+    Otherwise an adversarial rank-one construction searches for a verified
+    violating pair (P, x), and the verdict fails exactly when one is found.
     """
     if eta_emp is None:
         eta_emp, _ = uniform_small_gain_margin(T, cone, rng=rng)
@@ -557,32 +588,24 @@ def dual_small_gain(T, cone):
     return CriterionVerdict("DUAL_SG", holds, 1.0 - value, witness)
 
 
-def interior_small_gain(
-    T,
-    cone,
-    z,
-    rng=None,
-    tol=DEFAULT_TOL,
-    bisect_steps=48,
-    inner_iters=90,
-):
+def interior_small_gain(T, cone, z, rng=None, tol=DEFAULT_TOL, inner_iters=90):
     """Largest eta such that no unit cone vector x satisfies Tx >= x - eta ||x|| z.
 
-    Bisection over eta with an inner feasibility search: the monotone
-    iteration x <- normalize(project(Tx + eta*z)) converges to the fixed
-    direction of the affine positive map, and any iterate that satisfies
-    Tx + eta*z - x in cone is a verified feasibility witness.  Found
-    witnesses are certificates; absence of one is heuristic, with the
-    spectral criterion as the authority in cross_check.
+    Closed form when R = (I - T)^{-1} is positive: (I - T)x <= eta z forces
+    x <= eta Rz, so with normality constant C = 1 (every supported pair)
+    eta = 1/||Rz||, attained at x = Rz/||Rz||.  Independent route: x must
+    be feasible at eta, and the monotone iteration x <- normalize(project(Tx
+    + eta*z)), run once just below eta, must find nothing; a failure is an
+    internal error.  Without a positive inverse (spectral radius >= 1, or
+    the solve was refused) eta = 0; the witness is a point feasible at
+    eta = 0, or else the seed with the largest margin of Tx - x.
     """
     z = np.asarray(z, dtype=float)
-    inside, _ = is_interior(cone, z)
-    if not inside:
+    mz = float(margin(cone, z))
+    if not mz > 0.0:
         raise ValueError("z must be an interior point of the cone")
     rng = np.random.default_rng(0) if rng is None else rng
     a = materialize(T)
-    n = cone.dim
-
     seeds = _cone_unit_rows(cone, _usg_seeds(T, cone, rng, 16))
 
     def feasible(eta):
@@ -597,36 +620,25 @@ def interior_small_gain(
                 return None
         return None
 
-    hi = 1.0 / vec_norm(z, cone.norm)  # x = z/||z|| is feasible here
-    lo = 0.0
-    wit_lo = feasible(0.0)
-    if wit_lo is not None:
-        return 0.0, CriterionVerdict(
-            "INTERIOR_SG",
-            False,
-            0.0,
-            Witness(kind="cone_vector", vector=wit_lo, note="Tx >= x, feasible at eta = 0"),
-        )
-    wit_hi = feasible(hi)
-    for _ in range(8):
-        if wit_hi is not None:
-            break
-        hi *= 2.0
-        wit_hi = feasible(hi)
-    for _ in range(bisect_steps):
-        mid = 0.5 * (lo + hi)
-        w = feasible(mid)
-        if w is None:
-            lo = mid
-        else:
-            hi, wit_hi = mid, w
-    eta = lo
+    if not check_resolvent_positivity(T, cone).holds:
+        x, note = feasible(0.0), "Tx >= x, feasible at eta = 0"
+        if x is None:
+            x = seeds[int(np.argmax(margin(cone, seeds @ a.T - seeds)))]
+            note = "no positive (I-T)^{-1}; seed with the largest margin of Tx - x"
+        witness = Witness("cone_vector", x, note=note)
+        return 0.0, CriterionVerdict("INTERIOR_SG", False, 0.0, witness)
+    rz = _resolvent_inverse(T) @ z
+    eta = 1.0 / vec_norm(rz, cone.norm)
+    x = eta * rz
+    # margin measures against e = ones or the axis, and e <= z / margin(z):
+    # a margin slack s is an eta slack s / margin(z); 1e-12 is feasible()'s own
+    slack = 1e-6 * eta * mz + 1e-12
+    if margin(cone, a @ x - x + eta * z) < -slack:
+        raise ArithmeticError(f"Rz/||Rz|| is not feasible at eta = {eta!r}; internal error")
+    if feasible(eta - slack / mz) is not None:
+        raise ArithmeticError(f"a feasibility probe succeeds below eta = {eta!r}; internal error")
     holds = eta > tol
-    witness = None
-    if not holds:
-        witness = Witness(
-            kind="cone_vector", vector=wit_hi, note="feasible x at vanishing eta"
-        )
+    witness = None if holds else Witness("cone_vector", x, note="feasible x at vanishing eta")
     return eta, CriterionVerdict("INTERIOR_SG", holds, eta, witness)
 
 
@@ -670,7 +682,7 @@ def strict_decay_point(T, cone, lam, y, tol=1e-10):
     return StrictDecayCertificate(z=z, lam=lam, realized_lambda=realized, interior_margin=margin)
 
 
-def quasi_compact_suite(T, cone, rng=None, n_starts=32, tol=DEFAULT_TOL):
+def quasi_compact_suite(T, cone, rng=None, n_starts=32):
     """Finite-dimensional instances of the quasi-compact criteria.
 
     SIMPLE_SG and SUBFIXED_POS are decided through the Perron pair (every
@@ -849,7 +861,6 @@ def cross_check(T, cone, config=None, extra_notes=()):
         _, isg_v = interior_small_gain(T, cone, interior_point(cone), rng=rngs[3])
         quasi_v = quasi_compact_suite(T, cone, rng=rngs[4])
 
-        eta_cert = None
         if mbi_v.holds and np.isfinite(c_mbi) and c_mbi > 0.0:
             eta_cert = 1.0 / (c_mbi * cone_constants(cone).decomposition_M)
             notes.append(f"eta certified >= {eta_cert:.6e} (= 1/(c*M)); eta empirical = {eta_emp:.6e}")

@@ -40,17 +40,18 @@ def induced_norm(a, norm="linf"):
     if norm == "linf":
         return float(np.abs(a).sum(axis=1).max())
     if norm == "l2":
-        return _l2_induced(a)
+        return _l2_induced(a)[0]
     raise ValueError(f"unknown norm {norm!r}")
 
 
 def _l2_induced(a, iters=200, rtol=1e-12):
+    """(estimate of ||A||_2, the unit power-method vector v with ||Av||_2 equal to it)."""
     n = a.shape[1]
     if not np.any(a):
-        return 0.0
+        return 0.0, np.ones(n) / np.sqrt(n)
     b = a.T @ a
     # graded deterministic start; generic against symmetric invariant subspaces
-    best = 0.0
+    best, best_v = 0.0, None
     for v in (1.0 + 1e-3 * np.arange(n), np.ones(n)):
         v = v / np.linalg.norm(v)
         lam = 0.0
@@ -66,5 +67,6 @@ def _l2_induced(a, iters=200, rtol=1e-12):
                 lam = new_lam
                 break
             lam = new_lam
-        best = max(best, lam)
-    return float(np.sqrt(best))
+        if best_v is None or lam > best:
+            best, best_v = max(lam, 0.0), v
+    return float(np.sqrt(best)), best_v

@@ -179,9 +179,10 @@ def test_acceptance_6_small_gain_chain(stable_sweep):
         )
         assert eta_cert is not None and verdict.holds
         assert eta_cert <= eta_emp + 1e-8
+        assert eta_emp == pytest.approx(eta_cert, rel=1e-12, abs=0.0)  # closed form on the orthant
     eta_emp, _ = uniform_small_gain_margin(diagonal([0.5, 0.9]), orthant(2, "linf"))
     assert abs(eta_emp - 0.1) <= 1e-9
-    print("\n[acceptance 6] PASS  eta_cert <= eta_emp on stable sweep; diag(0.5,0.9) eta = 0.1")
+    print("\n[acceptance 6] PASS  eta_cert = eta_emp on stable sweep; diag(0.5,0.9) eta = 0.1")
 
 
 def test_acceptance_7_gallery():

@@ -137,6 +137,7 @@ def test_eta_chain_certified_below_empirical():
         eta_emp, _ = uniform_small_gain_margin(T, cone)
         assert eta_cert is not None
         assert eta_cert <= eta_emp + 1e-8
+        assert eta_emp == pytest.approx(eta_cert, rel=1e-12, abs=0.0)  # closed form on the orthant
 
 
 # ------------------------------------------------- robust small gain
@@ -279,10 +280,12 @@ def test_interior_small_gain_scalar():
 
 
 def test_interior_small_gain_identity():
-    eta, v = interior_small_gain(diagonal([1.0, 1.0]), CONE2, np.ones(2))
+    T = diagonal([1.0, 1.0])
+    eta, v = interior_small_gain(T, CONE2, np.ones(2))
     assert eta == pytest.approx(0.0, abs=1e-9)
     assert not v.holds
     assert v.witness is not None
+    assert reverify_witness(T, CONE2, v)
 
 
 def test_interior_small_gain_jordan_grid_value():
@@ -670,3 +673,136 @@ def test_lorentz_cross_check_builds_the_no_perron_seed_once(monkeypatch):
         rep = cross_check(T, lorentz(n, "l2"))
         assert rep.consensus == "STABLE"
         assert len(seed_calls) == 1
+
+
+# ------------------------------------------------- closed-form small-gain margins
+
+_ORD = {"l1": 1, "l2": 2, "linf": np.inf}
+_CLOSED_FORM_CONES = [("orthant", "l1"), ("orthant", "l2"), ("orthant", "linf"), ("lorentz", "l2")]
+
+
+def _stable_positive(kind, n, seed, rho=0.9):
+    rng = np.random.default_rng(seed)
+    if kind == "lorentz":
+        return _lorentz_positive(rng, n, rho)
+    a = rng.uniform(0.0, 1.0, size=(n, n))
+    return a * (rho / float(np.max(np.abs(np.linalg.eigvals(a)))))
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("kind,norm", _CLOSED_FORM_CONES)
+def test_interior_small_gain_equals_resolvent_image_oracle(kind, norm, n):
+    # eta_ISG = 1/||(I - T)^{-1} z|| with numpy's inverse as the oracle
+    a = _stable_positive(kind, n, seed=n)
+    cone = orthant(n, norm) if kind == "orthant" else lorentz(n, norm)
+    z = np.ones(n) if kind == "orthant" else np.eye(n)[0]
+    eta, v = interior_small_gain(dense(a), cone, z)
+    oracle = 1.0 / np.linalg.norm(np.linalg.inv(np.eye(n) - a) @ z, _ORD[norm])
+    assert v.holds
+    assert eta == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_orthant_uniform_small_gain_equals_inverse_norm_oracle(norm, n):
+    # l1/linf norms are exact sums, l2 is induced_norm's power method (1e-12)
+    a = _stable_positive("orthant", n, seed=100 + n)
+    T, cone = dense(a), orthant(n, norm)
+    eta, v = uniform_small_gain_margin(T, cone)
+    oracle = 1.0 / np.linalg.norm(np.linalg.inv(np.eye(n) - a), _ORD[norm])
+    assert v.holds
+    assert eta == pytest.approx(oracle, rel=1e-12, abs=0.0)
+    assert eta == small_gain_certificate(T, cone)
+
+
+@pytest.mark.parametrize("name", ["upper2x2", "shift2R", "multiplication", "diag_strong_stable", "lorentz_demo"])
+def test_interior_small_gain_gallery_oracle(name):
+    # shift2R and diag_strong_stable converge slowly under the 90-step
+    # feasibility iteration, so a search over eta would land high there
+    from posstab import gallery_build, interior_point
+
+    entry = gallery_build(name)
+    a = materialize(entry.operator)
+    z = interior_point(entry.cone)
+    eta, _ = interior_small_gain(entry.operator, entry.cone, z)
+    oracle = 1.0 / np.linalg.norm(np.linalg.inv(np.eye(len(a)) - a) @ z, _ORD[entry.cone.norm])
+    assert eta == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+def _with_planted_inverse(a, factor):
+    T = dense(a)
+    planted = np.linalg.inv(np.eye(len(a)) - a) * factor
+    planted.setflags(write=False)
+    vars(T).setdefault("_memo", {})["inverse"] = planted
+    return T
+
+
+@pytest.mark.parametrize("kind,norm", [("orthant", "linf"), ("orthant", "l2"), ("lorentz", "l2")])
+@pytest.mark.parametrize(
+    "factor,caught_by",
+    [(0.99, "feasibility probe succeeds below"), (1.01, "is not feasible at")],
+)
+def test_interior_small_gain_catches_planted_inverse(kind, norm, factor, caught_by):
+    # R*0.99 puts eta 1% high: the probe just below it finds a feasible point.
+    # R*1.01 puts eta 1% low: x = Rz/||Rz|| is not feasible there.
+    n = 16
+    a = _stable_positive(kind, n, seed=3)
+    cone = orthant(n, norm) if kind == "orthant" else lorentz(n, norm)
+    z = np.ones(n) if kind == "orthant" else np.eye(n)[0]
+    T = _with_planted_inverse(a, factor)
+    assert check_resolvent_positivity(T, cone).holds
+    with pytest.raises(ArithmeticError, match=caught_by):
+        interior_small_gain(T, cone, z)
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_orthant_uniform_small_gain_catches_planted_inverse(norm, factor):
+    # the objective at x = Rv/||Rv|| is 1/||R_true||, not the planted 1/||R||
+    n = 16
+    T = _with_planted_inverse(_stable_positive("orthant", n, seed=5), factor)
+    with pytest.raises(ArithmeticError, match="is not attained"):
+        uniform_small_gain_margin(T, orthant(n, norm))
+
+
+def test_interior_small_gain_makes_at_most_one_probe(monkeypatch):
+    # each step of a feasibility probe calls `margin` once, and a probe that
+    # finds nothing runs 90 steps; besides one probe, the closed form calls it
+    # for the positivity gate, margin(z) and the witness check
+    import posstab.criteria as crit
+
+    n = 64
+    calls = []
+    real = crit.margin
+
+    def counting(cone, x):
+        calls.append(np.shape(x))
+        return real(cone, x)
+
+    monkeypatch.setattr(crit, "margin", counting)
+    T, cone = dense(_stable_positive("orthant", n, seed=9, rho=0.97)), orthant(n, "l2")
+    eta, v = interior_small_gain(T, cone, np.ones(n))
+    assert v.holds
+    assert len(calls) <= 90 + 3
+
+
+def test_resolvent_positivity_checked_once_per_cone(monkeypatch):
+    # RESOLVENT_POS, MBI, UNIFORM_SG and INTERIOR_SG share one memoized check
+    import posstab.criteria as crit
+
+    real = crit._resolvent_positivity
+    seen = []
+
+    def counting(T, cone, tol):
+        seen.append((cone, tol))
+        return real(T, cone, tol)
+
+    monkeypatch.setattr(crit, "_resolvent_positivity", counting)
+    n = 12
+    T = dense(_stable_positive("orthant", n, seed=2))
+    rep = cross_check(T, orthant(n, "linf"))
+    assert rep.consensus == "STABLE"
+    assert seen == [(orthant(n, "linf"), 1e-10)]
+    assert check_resolvent_positivity(T, orthant(n, "linf")) is rep.verdict("RESOLVENT_POS")
+    check_resolvent_positivity(T, orthant(n, "l1"))
+    assert len(seen) == 2

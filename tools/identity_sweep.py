@@ -1,0 +1,164 @@
+"""Identity sweep: dump `cross_check` reports on a fixed case set and diff two dumps.
+
+    python tools/identity_sweep.py dump OUT.json [--src DIR]
+    python tools/identity_sweep.py diff OLD.json NEW.json [--rtol 1e-12]
+
+`dump` runs `cross_check(T, cone, CrossCheckConfig(seed=7)).to_dict()` on
+the 5 gallery entries, 60 dense orthant cases (l1/l2/linf,
+n in {3, 8, 16, 32, 48}, rho in {0.5, 0.9, 0.97, 1.05}), 12 Lorentz-l2
+cases (n in {3, 4, 8, 16}, rho in {0.5, 0.9, 1.05}), 21 diagonal/shift
+cases and the ops of `certbench/inputs.build_ops("lorentz", s)` for
+s in {0, 1}, and writes one JSON object keyed by case name.  `--src`
+picks the `posstab` source tree to import (default: this repository's
+`src`), so one script can dump two checkouts.
+
+`diff` compares two dumps.  Verdicts, consensus, witness kinds and every
+other non-float field (the text of notes included) must match exactly;
+floats, also those inside notes, may move by `--rtol` relative.  It
+prints the largest relative move per key (list positions and case names
+folded), then every mismatch, and exits with status 1 on any mismatch.
+"""
+
+import os
+
+# one BLAS thread, as in certbench, so that a dump does not depend on the host
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import re  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 7
+
+
+def _import(src):
+    sys.path.insert(0, str(Path(src).resolve()))
+    sys.path.insert(0, str(ROOT / "certbench"))
+    import numpy as np
+    import inputs
+    import posstab
+
+    return np, inputs, posstab
+
+
+def cases(np, inputs, ps):
+    """(name, operator, cone, extra_notes) for every case of the sweep."""
+    for name in ps.gallery_names():
+        entry = ps.gallery_build(name)
+        notes = (entry.pathology,) if entry.pathology else ()
+        yield f"gallery/{name}", entry.operator, entry.cone, notes
+    rng = np.random.default_rng(SEED)
+    for norm in ("l1", "l2", "linf"):
+        for n in (3, 8, 16, 32, 48):
+            for rho in (0.5, 0.9, 0.97, 1.05):
+                a = inputs.dense_positive(rng, n, rho)
+                yield f"orthant/{norm}/n{n}/rho{rho}", ps.dense(a), ps.orthant(n, norm), ()
+    for n in (3, 4, 8, 16):
+        for rho in (0.5, 0.9, 1.05):
+            a = inputs.lorentz_positive(rng, n, rho)
+            yield f"lorentz/n{n}/rho{rho}", ps.dense(a), ps.lorentz(n, "l2"), ()
+    for norm in ("l1", "l2", "linf"):
+        for rho in (0.5, 0.9, 0.97, 1.05):
+            d = rng.uniform(0.0, rho, size=6)
+            d[0] = rho
+            yield f"diagonal/{norm}/rho{rho}", ps.diagonal(d), ps.orthant(6, norm), ()
+        for factor in (0.7, 1.3, 1.6):
+            yield f"shift/{norm}/f{factor}", ps.shift(6, factor), ps.orthant(6, norm), ()
+    for s in (0, 1):
+        for op in inputs.build_ops("lorentz", s):
+            cone = ps.lorentz(op.dim, op.norm)
+            yield f"certbench-lorentz/s{s}/{op.name}", ps.dense(op.matrix), cone, ()
+
+
+def dump(args):
+    np, inputs, ps = _import(args.src)
+    out = {}
+    for name, T, cone, notes in cases(np, inputs, ps):
+        cfg = ps.CrossCheckConfig(seed=SEED)
+        out[name] = ps.cross_check(T, cone, cfg, extra_notes=notes).to_dict()
+    Path(args.out).write_text(json.dumps(out, sort_keys=True))
+    print(f"{len(out)} reports -> {args.out}")
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
+
+
+def _leaves(obj, path=""):
+    """(path, value) for every leaf; criteria are keyed by id, list items by position."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _leaves(v, f"{path}.{k}")
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            key = v["id"] if isinstance(v, dict) and "id" in v else i
+            yield from _leaves(v, f"{path}[{key}]")
+    elif isinstance(obj, str):
+        # numbers inside text (notes) are compared as floats, the rest exactly
+        yield f"{path}#text", _NUMBER.sub("<num>", obj)
+        for i, tok in enumerate(_NUMBER.findall(obj)):
+            yield f"{path}#num{i}", float(tok)
+    else:
+        yield path, obj
+
+
+def _fold(path):
+    """Key for the per-key summary: positions dropped, criteria ids kept."""
+    return re.sub(r"\[\d+\]", "[]", path)
+
+
+def diff(args):
+    old = json.loads(Path(args.old).read_text())
+    new = json.loads(Path(args.new).read_text())
+    problems = []
+    if set(old) != set(new):
+        problems.append(f"case sets differ: {sorted(set(old) ^ set(new))}")
+    moves = {}
+    for case in sorted(set(old) & set(new)):
+        a = dict(_leaves(old[case]))
+        b = dict(_leaves(new[case]))
+        if set(a) != set(b):
+            problems.append(f"{case}: fields differ: {sorted(set(a) ^ set(b))}")
+        for path in sorted(set(a) & set(b)):
+            x, y = a[path], b[path]
+            floats = all(isinstance(v, float) and not isinstance(v, bool) for v in (x, y))
+            if not floats:
+                if x != y:
+                    problems.append(f"{case}{path}: {x!r} -> {y!r}")
+                continue
+            rel = 0.0 if x == y else abs(y - x) / max(abs(x), abs(y))
+            key = _fold(path)
+            if rel > moves.get(key, (0.0,))[0]:
+                moves[key] = (rel, case, x, y)
+            if rel > args.rtol:
+                problems.append(f"{case}{path}: {x!r} -> {y!r} (rel {rel:.3e})")
+    identical = sum(old[c] == new[c] for c in set(old) & set(new))
+    print(f"{identical} of {len(old)} reports identical")
+    for key, (rel, case, x, y) in sorted(moves.items(), key=lambda kv: -kv[1][0]):
+        print(f"{rel:10.3e}  {key}  ({case}: {x!r} -> {y!r})")
+    for p in problems:
+        print("MISMATCH", p)
+    return 1 if problems else 0
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = p.add_subparsers(dest="cmd", required=True)
+    d = sub.add_parser("dump")
+    d.add_argument("out")
+    d.add_argument("--src", default=str(ROOT / "src"))
+    c = sub.add_parser("diff")
+    c.add_argument("old")
+    c.add_argument("new")
+    c.add_argument("--rtol", type=float, default=1e-12)
+    args = p.parse_args(argv)
+    if args.cmd == "dump":
+        return dump(args)
+    return diff(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
