@@ -598,7 +598,7 @@ def interior_small_gain(T, cone, z, rng=None, tol=DEFAULT_TOL, inner_iters=90):
     + eta*z)), run once just below eta, must find nothing; a failure is an
     internal error.  Without a positive inverse (spectral radius >= 1, or
     the solve was refused) eta = 0; the witness is a point feasible at
-    eta = 0, or else the seed with the largest margin of Tx - x.
+    eta = 0, or else the RESOLVENT_POS gate's own witness.
     """
     z = np.asarray(z, dtype=float)
     mz = float(margin(cone, z))
@@ -620,12 +620,12 @@ def interior_small_gain(T, cone, z, rng=None, tol=DEFAULT_TOL, inner_iters=90):
                 return None
         return None
 
-    if not check_resolvent_positivity(T, cone).holds:
-        x, note = feasible(0.0), "Tx >= x, feasible at eta = 0"
-        if x is None:
-            x = seeds[int(np.argmax(margin(cone, seeds @ a.T - seeds)))]
-            note = "no positive (I-T)^{-1}; seed with the largest margin of Tx - x"
-        witness = Witness("cone_vector", x, note=note)
+    gate = check_resolvent_positivity(T, cone)
+    if not gate.holds:
+        x = feasible(0.0)
+        witness = gate.witness if x is None else Witness(
+            "cone_vector", x, note="Tx >= x, feasible at eta = 0"
+        )
         return 0.0, CriterionVerdict("INTERIOR_SG", False, 0.0, witness)
     rz = _resolvent_inverse(T) @ z
     eta = 1.0 / vec_norm(rz, cone.norm)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NoISSEstimateError
 from .norms import batch_vec_norm, vec_norm
-from .operators import geometric_envelope, materialize, power_norms, spectral_radius
+from .operators import _power_table, geometric_envelope, materialize, power_norms, spectral_radius
 
 #: a dyadic block contributing less than this fraction counts as converged
 DYADIC_BLOCK_FRACTION = 0.10
@@ -146,9 +146,17 @@ class ISSEstimate:
 
 
 def iss_constants(T, norm="linf", tail_tol=1e-10, max_k=100000):
-    """Certified ISS constants: a = (upper+1)/2, M from the geometric
-    envelope of the power norms, C = partial sum of ||T^k|| plus the
-    geometric tail bound M a^{K+1} / (1-a)."""
+    """Certified ISS constants of ||x(k)|| <= M a^k ||x(0)|| + C ||u||_inf.
+
+    a = (upper + 1)/2 and M comes from the geometric envelope of the power
+    norms.  C = sum_k ||T^k|| is summed in blocks of length m, the first m
+    with theta = ||T^m|| <= 1/2: by submultiplicativity every block is at
+    most theta times the one before, so the sum past L blocks is at most
+    theta/(1 - theta) times the last block's sum.  L is the first block
+    count whose tail term is <= tail_tol, or the last one within max_k
+    powers (C then stays certified, only looser).  l2 power norms of dense
+    operators are certified upper bounds, so C and M stay upper bounds.
+    """
     est = spectral_radius(T)
     if est.upper >= 1.0:
         raise NoISSEstimateError(
@@ -158,17 +166,25 @@ def iss_constants(T, norm="linf", tail_tol=1e-10, max_k=100000):
     env = geometric_envelope(T, a_rate, norm=norm, max_m=max_k)
     if env is None:
         raise NoISSEstimateError("failed to certify a geometric envelope")
-    m_const, m_len = env
-    # extend the partial sum until the geometric tail is below tolerance
-    k_needed = int(np.ceil(np.log(tail_tol * (1.0 - a_rate) / max(m_const, 1e-300)) / np.log(a_rate)))
-    K = int(np.clip(max(k_needed, m_len, 8), 1, max_k))
-    pn = power_norms(T, K, norm=norm)
-    partial = float(np.sum(pn.values))
-    tail = m_const * a_rate ** (len(pn.values)) / (1.0 - a_rate)
-    m_emp = float(np.max(pn.values / a_rate ** np.arange(len(pn.values))))
-    m_final = max(m_const, m_emp, 1.0)
+    table = _power_table(T, norm)
+    m = next((k for k in range(1, max_k + 1) if table.at(k) <= 0.5), None)
+    if m is None:
+        raise NoISSEstimateError(f"no power ||T^m|| <= 1/2 with m <= {max_k}")
+    theta = table.at(m)
+    L, tail = 0, np.inf
+    while tail > tail_tol and (L + 1) * m <= max_k + 1:
+        L += 1
+        table.at(L * m - 1)
+        tail = theta / (1.0 - theta) * float(np.sum(table.values[(L - 1) * m : L * m]))
+    pn = power_norms(T, L * m - 1, norm).values
+    m_emp = float(np.max(pn / a_rate ** np.arange(len(pn))))
     return ISSEstimate(
-        M=m_final, a=a_rate, C=partial + tail, tail_bound=tail, norm=norm, K=len(pn.values) - 1
+        M=max(env[0], m_emp, 1.0),
+        a=a_rate,
+        C=float(np.sum(pn)) + tail,
+        tail_bound=tail,
+        norm=norm,
+        K=len(pn) - 1,
     )
 
 

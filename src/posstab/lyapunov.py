@@ -5,15 +5,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, NotALatticeError
-from .norms import batch_vec_norm, vec_norm
+from .norms import UNIT_ROUNDOFF, batch_vec_norm, l2_upper_bounds, vec_norm
 from .operators import _power_table, materialize, spectral_radius
 
-STEIN_TERM_TOL = 1e-14
+#: squarings after which solve_stein gives up: 2^64 series terms
+STEIN_MAX_SQUARINGS = 64
+
+#: solve_stein raises when max|T^T Q T - Q + I| exceeds this times n u (1 + max|Q|)^2
+STEIN_RESIDUAL_FACTOR = 1e3
 
 
 @dataclass
 class QuadraticCertificate:
-    """Symmetric Q >= I with T^T Q T - Q = -I; V(x) = x^T Q x decreases by ||x||_2^2."""
+    """Symmetric Q >= I with T^T Q T - Q = -I; V(x) = x^T Q x decreases by ||x||_2^2.
+
+    `n_terms` counts the series terms summed and `tail_bound` bounds the
+    l2 norm of the terms left out.
+    """
 
     Q: np.ndarray
     residual: float
@@ -21,12 +29,18 @@ class QuadraticCertificate:
     n_terms: int
 
 
-def solve_stein(T, term_tol=STEIN_TERM_TOL, max_terms=200000):
-    """Solve T^T Q T - Q = -I by the convergent series Q = sum_k (T^T)^k T^k.
+def solve_stein(T):
+    """Solve T^T Q T - Q = -I by squared Smith iteration (Smith, SIAM J. Appl. Math. 16, 1968).
 
-    The series is truncated once the term norm drops below `term_tol`, and
-    the recorded tail bound extrapolates the observed geometric decay.
-    Growth of the terms raises DivergenceError (spectral radius >= 1).
+    Q = sum_k (T^T)^k T^k is summed by doubling: Q <- Q + A^T Q A, A <- A^2
+    from Q = I, A = T, so after J steps Q holds the first 2^J terms and
+    A = T^(2^J).  The rest of the series is A^T Q A, whose l2 norm is at
+    most ||A||^2 ||Q|| / (1 - ||A||^2) by submultiplicativity; both norms
+    are bounded by min(||.||_F, sqrt(||.||_1 ||.||_inf)), and the iteration
+    stops once that tail is below u ||Q||.  A spectral upper bound >= 1, or
+    no convergence within STEIN_MAX_SQUARINGS, raises DivergenceError.  A
+    residual max|T^T Q T - Q + I| above STEIN_RESIDUAL_FACTOR n u
+    (1 + max|Q|)^2 raises ArithmeticError: it is an internal error.
     """
     est = spectral_radius(T)
     if est.upper >= 1.0:
@@ -35,34 +49,30 @@ def solve_stein(T, term_tol=STEIN_TERM_TOL, max_terms=200000):
         )
     a = materialize(T)
     n = a.shape[0]
-    q = np.eye(n)
-    p = np.eye(n)  # T^k
-    prev_norm = 1.0
-    grow_streak = 0
-    tail_bound = 0.0
-    k = 0
-    for k in range(1, max_terms + 1):
-        p = p @ a
-        term = p.T @ p
-        tn = float(np.max(np.abs(term)))
-        if not np.isfinite(tn) or tn > 1e12:
+    q, p = np.eye(n), a
+    for j in range(1, STEIN_MAX_SQUARINGS + 1):
+        q, p = _smith_step(q, p)
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
             raise DivergenceError("Stein series terms are diverging")
-        q += term
-        if tn > prev_norm:
-            grow_streak += 1
-            if grow_streak > 200:
-                raise DivergenceError("Stein series terms failed to decay")
-        else:
-            grow_streak = 0
-        if tn < term_tol:
-            rho = min(max(tn / max(prev_norm, 1e-300), 0.0), 0.999999)
-            tail_bound = tn * rho / (1.0 - rho) if rho > 0.0 else 0.0
-            prev_norm = tn
+        (p_norm, q_norm), _ = l2_upper_bounds(np.stack([p, q]), max_steps=0)
+        if p_norm**2 <= UNIT_ROUNDOFF * (1.0 - p_norm**2):
+            tail_bound = p_norm**2 * q_norm / (1.0 - p_norm**2)
             break
-        prev_norm = tn
+    else:
+        raise DivergenceError(f"Stein series did not converge in {STEIN_MAX_SQUARINGS} squarings")
     q = 0.5 * (q + q.T)
     residual = float(np.max(np.abs(a.T @ q @ a - q + np.eye(n))))
-    return QuadraticCertificate(Q=q, residual=residual, tail_bound=tail_bound, n_terms=k)
+    bound = STEIN_RESIDUAL_FACTOR * n * UNIT_ROUNDOFF * (1.0 + float(np.max(np.abs(q)))) ** 2
+    if not residual <= bound:
+        raise ArithmeticError(
+            f"Stein residual {residual:.3e} exceeds {bound:.3e}; this is an internal error"
+        )
+    return QuadraticCertificate(Q=q, residual=residual, tail_bound=tail_bound, n_terms=2**j)
+
+
+def _smith_step(q, p):
+    """One doubling: Q holds 2^(J+1) terms instead of 2^J, and A = T^(2^J) is squared."""
+    return q + p.T @ q @ p, p @ p
 
 
 def quadratic_decrease_check(Q, T, samples, tol=1e-8):
@@ -128,7 +138,8 @@ def equivalent_norm(
     Requires s * (spectral upper bound) < 1.  The truncation depth K is
     the first index with s^K ||T^K|| < 1: past it, no term can attain the
     supremum, so the infinite sup collapses to a certified finite max.
-    The norms ||T^k|| come from T's memoized power-norm table.
+    The norms ||T^k|| come from T's memoized power-norm table; under l2
+    they are certified upper bounds, so K is never below the exact depth.
     """
     if s <= 1.0:
         raise ValueError("s must be > 1")

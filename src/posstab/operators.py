@@ -16,7 +16,7 @@ from scipy.linalg import LinAlgError, lu_factor, lu_solve
 
 from .cones import margin
 from .errors import DimensionMismatchError, SpectralProximityError
-from .norms import NORMS, batch_vec_norm, induced_norm
+from .norms import NORMS, batch_induced_norm, batch_vec_norm, induced_norm
 
 #: additive shift that breaks periodicity of the Perron power iteration
 PERRON_SHIFT = 1e-12
@@ -571,7 +571,11 @@ def _neumann_resolvent(T, lam, y, max_terms=60000):
 
 @dataclass
 class PowerNormSequence:
-    """Induced norms ||T^0||..||T^K||; truncated at `overflow_at` on overflow."""
+    """Induced norms ||T^0||..||T^K||; truncated at `overflow_at` on overflow.
+
+    l1 and linf values are exact; l2 values of dense operators are
+    certified upper bounds (see `_PowerNormTable`).
+    """
 
     values: np.ndarray
     norm: str
@@ -584,12 +588,20 @@ class PowerNormSequence:
         return len(self.values)
 
 
+#: entries of the (b, n, n) buffer that extends a dense power table by b powers
+TABLE_BLOCK_ENTRIES = 2**16
+
+
 class _PowerNormTable:
     """||T^0||, ||T^1||, ... in one norm, extended on demand.
 
-    Dense operators keep the newest power, so each entry costs one matmul;
-    diagonal and shift operators use exact closed forms (the power method
-    on clustered spectra would bias l2 norms low).  The table ends at
+    Dense operators keep the newest power and extend the table in blocks:
+    the next b powers come from the same prev @ T chain, written into one
+    buffer of b * n^2 <= TABLE_BLOCK_ENTRIES entries (b doubles with the
+    table up to that cap), and their norms from one `batch_induced_norm`
+    call.  l1/linf entries are exact; l2 entries are certified upper bounds
+    whose power steps start from the previous block's vector.  Diagonal and
+    shift operators use exact closed forms.  The table ends at
     `overflow_at`, the first power whose entries (dense) or norm (closed
     form) exceed 1e300 or are not finite.
     """
@@ -600,7 +612,7 @@ class _PowerNormTable:
         self.norm, self.values, self.overflow_at = norm, array("d", [1.0]), None
         self._matrix = T.matrix if isinstance(T, DenseOperator) else None
         if self._matrix is not None:
-            self._power = np.eye(T.dim)
+            self._power, self._start, self._buffer = np.eye(T.dim), None, None
         elif isinstance(T, DiagonalOperator):
             self._base, self._zero_from = np.max(np.abs(T.entries)), np.inf
         else:
@@ -611,20 +623,35 @@ class _PowerNormTable:
         with np.errstate(over="ignore", invalid="ignore"):
             while len(self.values) <= k and self.overflow_at is None:
                 j = len(self.values)
-                if self._matrix is None:
-                    nm = float(self._base**j) if j < self._zero_from else 0.0
-                    ok = nm <= 1e300  # False for inf and nan
-                else:
-                    p = self._power @ self._matrix
-                    ok = np.all(np.isfinite(p)) and float(np.max(np.abs(p))) <= 1e300
-                    if ok:
-                        nm = induced_norm(p, self.norm)  # may raise: keep power and table in step
-                        self._power = p
-                if ok:
+                if self._matrix is not None:
+                    self._extend(max(j, k + 1 - j))
+                    continue
+                nm = float(self._base**j) if j < self._zero_from else 0.0
+                if nm <= 1e300:  # False for inf and nan
                     self.values.append(nm)
                 else:
                     self.overflow_at = j
         return self.values[k] if k < len(self.values) else np.inf
+
+    def _extend(self, count):
+        """Append the norms of the next min(count, cap) powers, stopping at the first bad one."""
+        n = self._matrix.shape[0]
+        cap = max(1, TABLE_BLOCK_ENTRIES // (n * n))
+        if self._buffer is None:
+            self._buffer = np.empty((cap, n, n))
+        block = self._buffer[: min(count, cap)]
+        prev = self._power
+        for p in block:
+            prev = np.matmul(prev, self._matrix, out=p)
+        ok = np.abs(block).max(axis=(1, 2)) <= 1e300  # False for inf and nan
+        good = len(block) if ok.all() else int(np.argmin(ok))
+        # may raise: nothing below runs, so the power and the table stay in step
+        nms, start = batch_induced_norm(block[:good], self.norm, self._start)
+        if good:
+            self._power, self._start = block[good - 1].copy(), start
+            self.values.frombytes(nms.tobytes())
+        if good < len(block):
+            self.overflow_at = len(self.values)
 
 
 def _power_table(T, norm):
@@ -633,7 +660,11 @@ def _power_table(T, norm):
 
 
 def power_norms(T, K, norm="linf"):
-    """Induced norms ||T^0||..||T^K||, read from T's memoized power-norm table."""
+    """Induced norms ||T^0||..||T^K||, read from T's memoized power-norm table.
+
+    l1/linf values are exact; l2 values of dense operators are certified
+    upper bounds, those of diagonal and shift operators exact.
+    """
     if K < 0:
         raise ValueError("K must be >= 0")
     table = _power_table(T, norm)

@@ -288,6 +288,18 @@ def test_interior_small_gain_identity():
     assert reverify_witness(T, CONE2, v)
 
 
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_interior_small_gain_without_positive_inverse_gives_a_checkable_witness(norm):
+    # a rotation has no Tx >= x on the orthant; the witness is the gate's column of (I-T)^{-1}
+    T = dense([[0.0, -0.9], [0.9, 0.0]])
+    cone = orthant(2, norm)
+    eta, v = interior_small_gain(T, cone, np.ones(2))
+    assert eta == 0.0
+    assert not v.holds
+    assert v.witness.kind == "column"
+    assert reverify_witness(T, cone, v)
+
+
 def test_interior_small_gain_jordan_grid_value():
     # brute-force threshold: eta* = 1/6 for z = (1, 1) under linf
     eta, v = interior_small_gain(UPPER2X2, CONE2, np.ones(2))

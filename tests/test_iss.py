@@ -111,6 +111,45 @@ def test_iss_constants_envelope_bounds_powers():
             assert v <= est.M * est.a**k + 1e-10
 
 
+@pytest.mark.parametrize("norm", ["linf", "l2"])
+def test_iss_constant_bounds_the_numpy_sum_past_its_horizon(norm):
+    # C covers sum_k ||T^k|| with exact norms up to 3 K, past the powers it summed
+    order = {"linf": np.inf, "l2": 2}[norm]
+    rng = np.random.default_rng(11)
+    for n in (3, 5, 8):
+        a = rng.uniform(0.0, 1.0, size=(n, n))
+        a *= 0.99 / float(np.max(np.abs(np.linalg.eigvals(a))))
+        est = iss_constants(dense(a), norm=norm)
+        p, total = np.eye(n), 1.0
+        for _ in range(3 * est.K):
+            p = p @ a
+            total += float(np.linalg.norm(p, order))
+        assert est.C >= total
+        assert est.C <= total * (1.0 + 1e-6)
+
+
+def test_iss_constant_of_the_l2_power_method_counterexample():
+    # T = 0.9 diag(1, sqrt(1.01)) Q^T: the power-method norm made C = 10.236036,
+    # below sum_{k <= 520} ||T^k||_2 = 10.249890
+    q = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+    a = 0.9 * np.diag([1.0, np.sqrt(1.01)]) @ q.T
+    est = iss_constants(dense(a), norm="l2")
+    exact = sum(float(np.linalg.norm(np.linalg.matrix_power(a, k), 2)) for k in range(521))
+    assert exact == pytest.approx(10.249890, abs=1e-6)
+    assert est.C >= 10.249890
+
+
+def test_iss_constants_block_tail_is_submultiplicative():
+    est = iss_constants(UPPER2X2)
+    pn = power_norms(UPPER2X2, est.K, "linf").values
+    m = next(k for k in range(1, len(pn)) if pn[k] <= 0.5)
+    assert (est.K + 1) % m == 0
+    theta = pn[m]
+    assert est.tail_bound == pytest.approx(theta / (1.0 - theta) * np.sum(pn[-m:]), rel=1e-15)
+    assert est.tail_bound <= 1e-10
+    assert est.C == pytest.approx(float(np.sum(pn)) + est.tail_bound, rel=1e-15)
+
+
 def test_iss_constants_unstable_raises():
     with pytest.raises(NoISSEstimateError):
         iss_constants(diagonal([1.5]))

@@ -73,6 +73,44 @@ def test_stein_divergence_for_unstable():
         solve_stein(diagonal([1.5]))
 
 
+def test_stein_matches_kronecker_near_the_boundary():
+    rng = np.random.default_rng(4)
+    a = rng.uniform(0.0, 1.0, size=(6, 6))
+    a *= 0.999 / float(np.max(np.abs(np.linalg.eigvals(a))))
+    cert = solve_stein(dense(a))
+    oracle = kron_stein_oracle(a)
+    assert np.max(np.abs(cert.Q - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+    # 2^J terms with ||T^(2^J)||^2 below the unit roundoff: J = 15 squarings at this radius
+    assert cert.n_terms <= 2**16
+    assert cert.tail_bound <= 1e-15 * np.max(np.abs(cert.Q))
+
+
+@pytest.mark.parametrize("step", [1, 2, 5])
+def test_stein_residual_catches_a_corrupted_doubling_step(monkeypatch, step):
+    import posstab.lyapunov as lyap
+
+    rng = np.random.default_rng(2)
+    a = rng.uniform(0.0, 1.0, size=(5, 5))
+    a *= 0.95 / float(np.max(np.abs(np.linalg.eigvals(a))))
+    T = dense(a)
+    real = lyap._smith_step
+    calls = []
+
+    def corrupted(q, p):
+        q, p = real(q, p)
+        calls.append(1)
+        if len(calls) == step:
+            q = q.copy()
+            q[0, 1] += 1e-6 * float(np.max(np.abs(q)))
+        return q, p
+
+    monkeypatch.setattr(lyap, "_smith_step", corrupted)
+    with pytest.raises(ArithmeticError, match="Stein residual"):
+        solve_stein(T)
+    monkeypatch.setattr(lyap, "_smith_step", real)
+    assert solve_stein(T).residual <= 1e-12
+
+
 # ---------------------------------------------------------------- decrease
 
 def test_quadratic_decrease_scalar_identity():

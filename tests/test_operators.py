@@ -392,16 +392,56 @@ def test_closed_form_power_norms_reject_unknown_norm(name):
 
 
 def test_power_table_survives_a_failed_extension(monkeypatch):
-    # a norm routine that raises midway must not leave the power ahead of the table
+    # a norm routine that raises part-way through a block must not leave the power ahead
     import posstab.operators as ops
 
     T = dense([[0.5, 0.25], [0.125, 0.5]])
-    real = ops.induced_norm
-    monkeypatch.setattr(ops, "induced_norm", lambda *a, **k: 1 / 0)
+    power_norms(T, 2, "linf")  # powers 0..2 stored; the next block holds 3..6
+    real = ops.batch_induced_norm
+    monkeypatch.setattr(ops, "batch_induced_norm", lambda *a, **k: 1 / 0)
     with pytest.raises(ZeroDivisionError):
-        power_norms(T, 3, "linf")
-    monkeypatch.setattr(ops, "induced_norm", real)
-    np.testing.assert_allclose(power_norms(T, 6, "linf").values, dense_oracle_norms(T, 6, "linf"))
+        power_norms(T, 5, "linf")
+    assert len(ops._power_table(T, "linf").values) == 3
+    monkeypatch.setattr(ops, "batch_induced_norm", real)
+    np.testing.assert_allclose(power_norms(T, 9, "linf").values, dense_oracle_norms(T, 9, "linf"))
+
+
+@pytest.mark.parametrize("norm", ["l1", "linf", "l2"])
+def test_dense_power_table_overflows_in_the_middle_of_a_block(norm):
+    # entries of T^k are 2^(k-1) 1e10^k, so T^30 is the first power above 1e300;
+    # the doubling blocks hold powers 16..31, so the overflow falls inside one
+    a = 1e10 * np.ones((2, 2))
+    p, first_bad = np.eye(2), None
+    with np.errstate(over="ignore"):
+        for k in range(1, 64):
+            p = p @ a
+            if not np.max(np.abs(p)) <= 1e300:
+                first_bad = k
+                break
+    assert first_bad == 30
+    pn = power_norms(dense(a), 40, norm)
+    assert pn.overflow_at == first_bad
+    assert len(pn.values) == first_bad
+    assert np.all(np.isfinite(pn.values))
+    # a second request does not extend past the overflow
+    assert power_norms(dense(a), 40, norm).overflow_at == first_bad
+
+
+@pytest.mark.parametrize("norm", ["l1", "linf"])
+@pytest.mark.parametrize("n", [1, 3, 8, 40, 64])
+def test_blocked_table_is_bitwise_equal_to_the_per_power_chain(n, norm):
+    from posstab import induced_norm
+
+    rng = np.random.default_rng(n)
+    for signed in (False, True):
+        a = rng.uniform(-1.0 if signed else 0.0, 1.0, size=(n, n))
+        a *= 0.97 / float(np.max(np.abs(np.linalg.eigvals(a))))
+        K = 150
+        p, chain = np.eye(n), [1.0]
+        for _ in range(K):
+            p = p @ a
+            chain.append(induced_norm(p, norm))
+        np.testing.assert_array_equal(power_norms(dense(a), K, norm).values, chain)
 
 
 def test_geometric_envelope_certifies():
