@@ -105,8 +105,10 @@ class CriterionVerdict:
     constant c.  UNIFORM_SG/INTERIOR_SG: the small-gain margin eta.
     ROBUST_SG/RANK1_SG: eta/2 - eps (certified perturbation headroom).
     RESOLVENT_POS: worst cone-membership margin of the inverse.
-    STRICT_DECAY: 1 - realized contraction factor.  STRONG_STAB/WEAK_ATTR:
-    1 - worst sampled norm ratio over the horizon.
+    STRICT_DECAY: 1 - realized contraction factor.  STRONG_STAB: 1 - the
+    worst norm ratio ||T^k x|| / ||x|| of the sampled starts at the last
+    dyadic time k = 2^J of `quasi_compact_suite`.  WEAK_ATTR: 1 - the worst
+    start's smallest ratio over k = 0, 1, 2, 4, ..., 2^J.
     """
 
     id: str
@@ -225,7 +227,7 @@ def _resolvent_positivity(T, cone, tol):
     )
 
 
-def mbi_constant(T, cone, rng=None, n_trials=1000):
+def mbi_constant(T, cone, rng=None):
     """Monotone bounded invertibility: (I-T)x <= y forces ||x|| <= c ||y||.
 
     Returns c = C * ||(I-T)^{-1}|| in the cone's norm; a randomized
@@ -241,13 +243,13 @@ def mbi_constant(T, cone, rng=None, n_trials=1000):
     a = materialize(T)
     n = cone.dim
     amb = np.eye(n) - a
-    X = random_points(cone, rng, n_trials)
+    X = random_points(cone, rng, 1000)
     # rows y = w + z + s r, built in place over w = (I - T) x: w + z is the
     # positive part of w (decompose), r is cone noise, so y >= w and y is in the cone
     Y = X @ amb.T
     Y += decompose(cone, Y)[1]
-    scales = rng.uniform(0.0, 1.0, size=(n_trials, 1))
-    Y += scales * random_points(cone, rng, n_trials)
+    scales = rng.uniform(0.0, 1.0, size=(len(X), 1))
+    Y += scales * random_points(cone, rng, len(X))
     nx = batch_vec_norm(X, cone.norm)
     ny = batch_vec_norm(Y, cone.norm)
     bad = np.nonzero(nx > c * ny + 1e-9)[0]
@@ -284,29 +286,67 @@ def _usg_seeds(T, cone, rng, n_starts):
                 ray[0] = 1.0
                 ray[i] = s
                 seeds.append(ray)
-    est = spectral_radius(T)
-    if est.perron_vector is not None:
-        seeds.append(np.maximum(est.perron_vector, 0.0))
-    else:
-        # no Perron pair (operator not entrywise nonnegative): seed with the
-        # resolvent-built positive approximate eigenvector instead, which
-        # concentrates on the Krein-Rutman direction even when complex
-        # eigenvalues tie the spectral radius in modulus; USG and ISG share it
-        def make():
-            seq = approximate_positive_eigenvector(T, cone, n_steps=22)
-            return seq[-1].x if seq else None
-
-        x = _memo(T, ("usg_seed", cone), make)
-        if x is not None:
-            seeds.append(x)
+    found = _positive_eigenvector(T, cone)
+    if found is not None:
+        seeds.append(found[0])
     seeds = np.array(seeds)
     rand = random_points(cone, rng, n_starts)
     return np.vstack([seeds, rand])
 
 
-def uniform_small_gain_margin(
-    T, cone, rng=None, n_starts=64, descent_iters=50, polish_rounds=240, tol=DEFAULT_TOL
-):
+def _positive_eigenvector(T, cone):
+    """(x, name): the clipped Perron vector, else the last iterate of
+    `approximate_positive_eigenvector` (memoized per cone), or None.
+
+    The USG and ISG searches seed with x, and `_growth_vector` checks it.
+    """
+    est = spectral_radius(T)
+    if est.perron_vector is not None:
+        return np.maximum(est.perron_vector, 0.0), "Perron vector"
+
+    def make():
+        seq = approximate_positive_eigenvector(T, cone, n_steps=22)
+        return seq[-1].x if seq else None
+
+    x = _memo(T, ("usg_seed", cone), make)
+    return None if x is None else (x, "approximate positive eigenvector")
+
+
+def _growth_vector(T, cone):
+    """`_positive_eigenvector` if it passes `_is_growth` within the decision
+    tolerance, else None; once per (T, cone).  It is the witness of every
+    criterion that fails at spectral radius >= 1.
+    """
+
+    def make():
+        found = _positive_eigenvector(T, cone)
+        tol = _decision_tol(spectral_radius(T), DEFAULT_TOL)
+        return found if found is not None and _is_growth(T, cone, found[0], tol) else None
+
+    return _memo(T, ("growth", cone), make)
+
+
+def _is_growth(T, cone, x, tol):
+    """Is x a nonzero cone vector with dist(Tx - x, K) <= tol (a growth vector)?"""
+    nonzero = contains(cone, x, DEFAULT_TOL) and np.any(x != 0.0)
+    return bool(nonzero) and distance(cone, apply(T, x) - x) <= tol
+
+
+def _growth_witness(T, cone, holds, note, negate=False):
+    """None if `holds`; else the `_growth_vector` (negated for SUBFIXED_POS) with
+    `note` formatted by its name, or a flag when there is none."""
+    if holds:
+        return None
+    found = _growth_vector(T, cone)
+    if found is None:
+        est = spectral_radius(T)
+        note = f"no cone vector with Tx >= x found; spectral bracket [{est.lower}, {est.upper}]"
+        return Witness(kind="flag", note=note)
+    x, name = found
+    return Witness(kind="cone_vector", vector=-x if negate else x.copy(), note=note.format(name))
+
+
+def uniform_small_gain_margin(T, cone, rng=None):
     """Uniform small-gain margin eta = inf dist((T - I)x, cone) over unit cone vectors.
 
     Closed form on the orthant when R = (I - T)^{-1} is positive: eta =
@@ -324,16 +364,16 @@ def uniform_small_gain_margin(
     def f(X):
         return batch_distance(cone, X @ amI.T)
 
-    X = _cone_unit_rows(cone, _usg_seeds(T, cone, rng, n_starts))
+    X = _cone_unit_rows(cone, _usg_seeds(T, cone, rng, 64))
     vals = f(X)
     gate = cone.kind == "orthant" and check_resolvent_positivity(T, cone).holds
     closed = _orthant_usg(cone, _resolvent_inverse(T), f, vals) if gate else None
     if closed is not None:
         best_v, best_x = closed
     else:
-        best_v, best_x = _usg_search(cone, f, X, vals, rng, descent_iters, polish_rounds)
+        best_v, best_x = _usg_search(cone, f, X, vals, rng)
     eta_emp = max(best_v, 0.0)
-    holds = eta_emp > _decision_tol(spectral_radius(T), tol)
+    holds = eta_emp > _decision_tol(spectral_radius(T), DEFAULT_TOL)
     witness = None if holds else Witness("cone_vector", best_x, note="dist((T-I)x, cone) ~ 0")
     return eta_emp, CriterionVerdict("UNIFORM_SG", holds, eta_emp, witness)
 
@@ -363,7 +403,7 @@ def _orthant_usg(cone, inv, f, seed_vals):
     return eta, x
 
 
-def _usg_search(cone, f, X, vals, rng, descent_iters, polish_rounds):
+def _usg_search(cone, f, X, vals, rng):
     """(best value, best x) of the seeded descent and polish over unit cone vectors."""
     n = cone.dim
     best_i = int(np.argmin(vals))
@@ -372,7 +412,7 @@ def _usg_search(cone, f, X, vals, rng, descent_iters, polish_rounds):
     if n <= 16:
         h = 1e-6
         step = 0.2
-        for it in range(descent_iters):
+        for _ in range(50):
             G = np.zeros_like(X)
             for j in range(n):
                 E = np.zeros(n)
@@ -389,7 +429,7 @@ def _usg_search(cone, f, X, vals, rng, descent_iters, polish_rounds):
 
     # local polish: shrinking random perturbations around the best point
     radius = 0.2
-    for _ in range(polish_rounds):
+    for _ in range(240):
         C = _cone_unit_rows(cone, best_x + radius * rng.normal(size=(24, n)))
         if C.size:
             vals = f(C)
@@ -400,27 +440,27 @@ def _usg_search(cone, f, X, vals, rng, descent_iters, polish_rounds):
     return best_v, best_x
 
 
-def small_gain_certificate(T, cone, rng=None):
+def small_gain_certificate(T, cone):
     """Certified lower bound eta >= 1/(c*M) from the MBI constant, or None."""
-    c, verdict = mbi_constant(T, cone, rng=rng)
+    c, verdict = mbi_constant(T, cone)
     if not verdict.holds or not np.isfinite(c) or c <= 0.0:
         return None
     m = cone_constants(cone).decomposition_M
     return 1.0 / (c * m)
 
 
-def approximate_positive_eigenvector(T, cone, n_steps=30, start=None):
+def approximate_positive_eigenvector(T, cone, n_steps=30):
     """Positive approximate eigenvector sequence via resolvent solves.
 
     Shifts follow the geometric schedule r_k = upper + 2^{-k} down towards
     the spectral bracket; every iterate is a positive unit vector and the
     reported residual measures ||(upper*I - T) x_k||.  The sequence stops
     early when the shift numerically enters the bracket.  If the resolvent
-    norms fail to grow (they must for a start inside the cone) the start
+    norms fail to grow (they must for the interior start) the start
     vector is swapped for a perturbed one once.
     """
     upper = spectral_radius(T).upper
-    v = interior_point(cone) if start is None else np.asarray(start, dtype=float)
+    v = interior_point(cone)
     Step = namedtuple("ApproxEigStep", "r x residual")
 
     def run(v0):
@@ -477,7 +517,7 @@ def _dual_functional(cone, x):
     return x.copy()
 
 
-def rank_one_destabilizer(T, cone, n_steps=34):
+def rank_one_destabilizer(T, cone):
     """Rank-one positive P with ||P|| <= M' ||z|| and (T+P)x >= x.
 
     Built from an approximate positive eigenvector x: split
@@ -491,7 +531,7 @@ def rank_one_destabilizer(T, cone, n_steps=34):
     if est.upper < 1.0:
         return None
     candidates = []
-    seq = approximate_positive_eigenvector(T, cone, n_steps=n_steps)
+    seq = approximate_positive_eigenvector(T, cone, n_steps=34)
     if seq:
         candidates.append(seq[-1].x)
     if est.perron_vector is not None and contains(cone, est.perron_vector, 1e-12):
@@ -520,7 +560,7 @@ def rank_one_destabilizer(T, cone, n_steps=34):
     return RankOneDestabilizer(P, x, norm_p, zp, z)
 
 
-def robust_small_gain(T, cone, eps, eta_emp=None, rng=None, tol=1e-10):
+def robust_small_gain(T, cone, eps, eta_emp=None):
     """(T+P)x >= x impossible for every positive ||P|| <= eps?
 
     Holds when eps <= eta / 2 (distance argument): certified where eta is
@@ -530,14 +570,14 @@ def robust_small_gain(T, cone, eps, eta_emp=None, rng=None, tol=1e-10):
     violating pair (P, x), and the verdict fails exactly when one is found.
     """
     if eta_emp is None:
-        eta_emp, _ = uniform_small_gain_margin(T, cone, rng=rng)
+        eta_emp, _ = uniform_small_gain_margin(T, cone)
     decision = _decision_tol(spectral_radius(T), DEFAULT_TOL)
     if eta_emp > decision and eps <= 0.5 * eta_emp:
         return CriterionVerdict("ROBUST_SG", True, 0.5 * eta_emp - eps, None)
     cand = rank_one_destabilizer(T, cone)
-    if cand is not None and cand.norm_p <= eps + tol:
+    if cand is not None and cand.norm_p <= eps + 1e-10:
         lhs = apply(T, cand.x) + cand.matrix @ cand.x - cand.x
-        if contains(cone, lhs, tol):
+        if contains(cone, lhs, 1e-10):
             return CriterionVerdict(
                 "ROBUST_SG",
                 False,
@@ -588,7 +628,7 @@ def dual_small_gain(T, cone):
     return CriterionVerdict("DUAL_SG", holds, 1.0 - value, witness)
 
 
-def interior_small_gain(T, cone, z, rng=None, tol=DEFAULT_TOL, inner_iters=90):
+def interior_small_gain(T, cone, z, rng=None):
     """Largest eta such that no unit cone vector x satisfies Tx >= x - eta ||x|| z.
 
     Closed form when R = (I - T)^{-1} is positive: (I - T)x <= eta z forces
@@ -610,7 +650,7 @@ def interior_small_gain(T, cone, z, rng=None, tol=DEFAULT_TOL, inner_iters=90):
 
     def feasible(eta):
         X = seeds.copy()
-        for _ in range(inner_iters):
+        for _ in range(90):
             W = X @ a.T + eta * z
             hit = np.nonzero(margin(cone, W - X) >= -1e-12)[0]
             if hit.size:
@@ -637,16 +677,16 @@ def interior_small_gain(T, cone, z, rng=None, tol=DEFAULT_TOL, inner_iters=90):
         raise ArithmeticError(f"Rz/||Rz|| is not feasible at eta = {eta!r}; internal error")
     if feasible(eta - slack / mz) is not None:
         raise ArithmeticError(f"a feasibility probe succeeds below eta = {eta!r}; internal error")
-    holds = eta > tol
+    holds = eta > DEFAULT_TOL
     witness = None if holds else Witness("cone_vector", x, note="feasible x at vanishing eta")
     return eta, CriterionVerdict("INTERIOR_SG", holds, eta, witness)
 
 
-def strict_decay_point(T, cone, lam, y, tol=1e-10):
+def strict_decay_point(T, cone, lam, y):
     """Point of strict decay z = (lam*I - T)^{-1} y with verified certificate.
 
     Verifies (a) z >= y / lam, (b) the realized contraction factor
-    max over the cone order of Tz against z stays <= lam + tol, and
+    max over the cone order of Tz against z stays <= lam + 1e-10, and
     (c) the interiority margin of z.
     """
     est = spectral_radius(T)
@@ -662,13 +702,13 @@ def strict_decay_point(T, cone, lam, y, tol=1e-10):
     if not inside:
         raise ValueError("y must be an interior point of the cone")
     z = resolvent_apply(T, lam, y)
-    if not contains(cone, z - y / lam, tol):
+    if not contains(cone, z - y / lam, 1e-10):
         raise ArithmeticError("certificate failed: z >= y/lam does not hold; internal error")
     tz = apply(T, z)
     if cone.kind == "orthant":
         realized = float(np.max(tz / z))  # z is interior, entrywise positive
     else:
-        lo_b, hi_b = 0.0, lam + tol
+        lo_b, hi_b = 0.0, lam + 1e-10
         for _ in range(60):
             mid = 0.5 * (lo_b + hi_b)
             if contains(cone, mid * z - tz, 0.0):
@@ -676,86 +716,65 @@ def strict_decay_point(T, cone, lam, y, tol=1e-10):
             else:
                 lo_b = mid
         realized = hi_b
-    if realized > lam + tol:
+    if realized > lam + 1e-10:
         raise ArithmeticError("certificate failed: Tz <= lam*z does not hold; internal error")
     _, margin = is_interior(cone, z)
     return StrictDecayCertificate(z=z, lam=lam, realized_lambda=realized, interior_margin=margin)
 
 
-def quasi_compact_suite(T, cone, rng=None, n_starts=32):
+def quasi_compact_suite(T, cone, rng=None):
     """Finite-dimensional instances of the quasi-compact criteria.
 
-    SIMPLE_SG and SUBFIXED_POS are decided through the Perron pair (every
-    finite-dimensional operator is quasi-compact, so the Krein-Rutman
-    eigenvector argument applies).  The attractivity verdicts sample 32
-    cone starts over a horizon derived from the certified geometric
-    envelope of the power norms.
+    In finite dimension SIMPLE_SG and SUBFIXED_POS follow from the Perron
+    pair, and strong stability and weak attractivity are uniform
+    exponential stability: both hold iff `geometric_envelope` certifies
+    ||T^k|| <= M a^k, a = (upper + 1)/2 < 1, from the ISS power-norm table.
+    Failing verdicts carry the shared `_growth_vector`.  Falsification:
+    32 unit interior starts at k = 1, 2, 4, ..., 2^J by squaring, up to
+    the first M a^(2^J) <= 1e-9 (2^8 when failing) or a sample above 1e280
+    or not finite; a start above 1e-6 at 2^J under an envelope, or a
+    growth vector while every start decays, is an internal error.
     """
     est = spectral_radius(T)
     rng = np.random.default_rng(0) if rng is None else rng
-    a = materialize(T)
-    value = est.point
-    simple_holds = (value < 1.0) if est.perron_value is not None else est.upper < 1.0
-    margin = 1.0 - value
-    verdicts = []
-    wit = wit_sub = None
-    if not simple_holds:
-        if est.perron_vector is not None:
-            xp = np.maximum(est.perron_vector, 0.0)
-            wit = Witness(kind="cone_vector", vector=xp, note="Perron vector with Tx >= x")
-            wit_sub = Witness(
-                kind="cone_vector",
-                vector=-xp,
-                note="sub-fixed vector T(-x) <= -x that is not positive",
-            )
-        else:
-            note = f"certified spectral lower bound {est.lower} >= 1"
-            wit = Witness(kind="flag", note=note)
-            wit_sub = Witness(kind="flag", note=note)
-    verdicts.append(CriterionVerdict("SIMPLE_SG", simple_holds, margin, wit))
-    verdicts.append(CriterionVerdict("SUBFIXED_POS", simple_holds, margin, wit_sub))
-
-    # sampled attractivity over a horizon certified from the power norms
-    if est.upper < 1.0:
-        a_env = 0.5 * (est.upper + 1.0)
-        env = geometric_envelope(T, a_env, cone.norm)
-        m_env = env[0] if env is not None else 1.0
-        k_hor = int(np.ceil((np.log(1e-9) - np.log(max(m_env, 1e-300))) / np.log(a_env)))
-        k_hor = int(np.clip(k_hor, 32, 30000))
-    else:
-        k_hor = 256
-    X = random_points(cone, rng, n_starts, interior=True)
-    n0 = batch_vec_norm(X, cone.norm)
-    X = X / n0[:, None]
-    frac = np.ones(n_starts)
-    minfrac = np.ones(n_starts)
-    for _ in range(k_hor):
-        X = X @ a.T
-        frac = batch_vec_norm(X, cone.norm)
-        minfrac = np.minimum(minfrac, frac)
-        peak = float(frac.max())
-        if not np.isfinite(peak) or peak > 1e280:
-            break
-        if peak <= 1e-13:
-            break
-    worst_final = int(np.argmax(frac))
-    strong_holds = bool(np.all(frac <= 1e-6))
-    weak_holds = bool(np.all(minfrac <= 1e-6))
-    wit_strong = None if strong_holds else Witness(
-        kind="cone_vector", vector=X[worst_final], note="trajectory did not decay over the horizon"
-    )
-    wit_weak = None if weak_holds else Witness(
-        kind="cone_vector",
-        vector=X[int(np.argmax(minfrac))],
-        note="inf_k ||T^k x|| stayed bounded away from 0",
-    )
-    verdicts.append(
-        CriterionVerdict("STRONG_STAB", strong_holds, 1.0 - float(frac.max()), wit_strong)
-    )
-    verdicts.append(
-        CriterionVerdict("WEAK_ATTR", weak_holds, 1.0 - float(minfrac.max()), wit_weak)
-    )
-    return verdicts
+    simple = (est.point < 1.0) if est.perron_value is not None else est.upper < 1.0
+    sub_note = "sub-fixed vector T(-x) <= -x that is not positive"
+    simple_wit = _growth_witness(T, cone, simple, "{} with Tx >= x")
+    sub_wit = _growth_witness(T, cone, simple, sub_note, negate=True)
+    verdicts = [
+        CriterionVerdict("SIMPLE_SG", simple, 1.0 - est.point, simple_wit),
+        CriterionVerdict("SUBFIXED_POS", simple, 1.0 - est.point, sub_wit),
+    ]
+    a_env = 0.5 * (est.upper + 1.0)
+    env = geometric_envelope(T, a_env, cone.norm)
+    holds, last = env is not None, 8
+    if holds:
+        last, r = 0, a_env  # r = a^(2^J); J <= 64 for every float a < 1 and finite M
+        while env[0] * r > 1e-9 and last < 64:
+            last, r = last + 1, r * r
+    X = random_points(cone, rng, 32, interior=True)
+    X /= batch_vec_norm(X, cone.norm)[:, None]
+    P = materialize(T)
+    least = np.ones(len(X))  # k = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(last + 1):
+            P = P @ P if j else P
+            frac = np.nan_to_num(batch_vec_norm(X @ P.T, cone.norm), nan=np.inf)
+            least = np.minimum(least, frac)
+            if not frac.max() <= 1e280:
+                break
+    worst = float(frac.max())
+    if (worst > 1e-6) if holds else (worst <= 1e-6 and _growth_vector(T, cone) is not None):
+        raise ArithmeticError(
+            f"envelope verdict holds={holds}, but the worst sampled start keeps {worst!r} "
+            f"of its norm at k = {2**j}; internal error"
+        )
+    strong_wit = _growth_witness(T, cone, holds, "{} with Tx >= x: T^k x does not decay")
+    weak_wit = _growth_witness(T, cone, holds, "{} with Tx >= x: inf_k ||T^k x|| > 0")
+    return verdicts + [
+        CriterionVerdict("STRONG_STAB", holds, 1.0 - worst, strong_wit),
+        CriterionVerdict("WEAK_ATTR", holds, 1.0 - float(least.max()), weak_wit),
+    ]
 
 
 def consensus_of(verdicts, spr_hat, band=0.02):
@@ -780,7 +799,6 @@ def consensus_of(verdicts, spr_hat, band=0.02):
 class CrossCheckConfig:
     tol: float = DEFAULT_TOL
     boundary_band: float = 0.02
-    eps: float | None = None
     seed: int = 0
     include_lyapunov: bool = True
     include_iss: bool = True
@@ -836,18 +854,8 @@ def cross_check(T, cone, config=None, extra_notes=()):
     notes = list(extra_notes)
     positive, pos_witness = is_positive(T, cone, rng=rngs[0])
     spr_holds = bool(est.upper < 1.0)
-    spr_witness = None
-    if not spr_holds:
-        if est.perron_vector is not None:
-            spr_witness = Witness(
-                kind="cone_vector",
-                vector=np.maximum(est.perron_vector, 0.0),
-                note="Perron vector: T x >= x up to the reported residual",
-            )
-        else:
-            spr_witness = Witness(
-                kind="flag", note=f"certified spectral lower bound {est.lower} >= 1"
-            )
+    spr_note = "{}: T x >= x up to the reported residual"
+    spr_witness = _growth_witness(T, cone, spr_holds, spr_note)
     verdicts = [CriterionVerdict("SPR", spr_holds, 1.0 - spr_hat, spr_witness)]
 
     if positive:
@@ -865,31 +873,19 @@ def cross_check(T, cone, config=None, extra_notes=()):
             eta_cert = 1.0 / (c_mbi * cone_constants(cone).decomposition_M)
             notes.append(f"eta certified >= {eta_cert:.6e} (= 1/(c*M)); eta empirical = {eta_emp:.6e}")
         decision = _decision_tol(est, cfg.tol)
-        eps = cfg.eps if cfg.eps is not None else (0.5 * eta_emp if eta_emp > decision else 1e-3)
+        eps = 0.5 * eta_emp if eta_emp > decision else 1e-3
         # RANK1_SG is decided by the same rank-one construction as ROBUST_SG
         robust_v = robust_small_gain(T, cone, eps, eta_emp=eta_emp)
         rank1_v = replace(robust_v, id="RANK1_SG")
         try:
-            lam_sd = 0.5 * (est.upper + 1.0)
-            cert = strict_decay_point(T, cone, lam_sd, interior_point(cone))
-            sd_v = CriterionVerdict(
-                "STRICT_DECAY",
-                True,
-                1.0 - cert.realized_lambda,
-                Witness(
-                    kind="strict_decay_pair",
-                    vector=cert.z,
-                    lam=cert.realized_lambda,
-                    note="interior z with Tz <= lam*z",
-                ),
-            )
+            cert = strict_decay_point(T, cone, 0.5 * (est.upper + 1.0), interior_point(cone))
+            lam = cert.realized_lambda
+            note = "interior z with Tz <= lam*z"
+            sd_wit = Witness("strict_decay_pair", cert.z, lam=lam, note=note)
+            sd_v = CriterionVerdict("STRICT_DECAY", True, 1.0 - lam, sd_wit)
         except (SpectralProximityError, ValueError, ArithmeticError):
-            sd_v = CriterionVerdict(
-                "STRICT_DECAY",
-                False,
-                1.0 - est.upper,
-                Witness(kind="flag", note="no admissible lambda below 1"),
-            )
+            sd_wit = Witness(kind="flag", note="no admissible lambda below 1")
+            sd_v = CriterionVerdict("STRICT_DECAY", False, 1.0 - est.upper, sd_wit)
         verdicts.extend([res_v, mbi_v, usg_v, robust_v, rank1_v, dual_v, isg_v, sd_v])
         verdicts.extend(quasi_v)
     else:
@@ -900,20 +896,14 @@ def cross_check(T, cone, config=None, extra_notes=()):
 
     consensus = consensus_of(verdicts, spr_hat, cfg.boundary_band)
 
-    lyapunov_section = None
-    iss_section = None
+    lyapunov_section = iss_section = None
     if est.upper < 1.0:
         if cfg.include_lyapunov:
             stein = lyap_mod.solve_stein(T)
-            s = float(np.sqrt(1.0 / max(est.upper, 1e-6)))
-            s = min(s, 1e3)
+            s = min(float(np.sqrt(1.0 / max(est.upper, 1e-6))), 1e3)
+            lattice = cone.kind == "orthant"
             norm_cert = lyap_mod.equivalent_norm(
-                T,
-                s,
-                lattice=(cone.kind == "orthant"),
-                cone=cone,
-                rng=rngs[5],
-                norm=cone.norm,
+                T, s, lattice=lattice, cone=cone, rng=rngs[5], norm=cone.norm
             )
             lyapunov_section = {
                 "stein_residual": float(stein.residual),
@@ -927,8 +917,7 @@ def cross_check(T, cone, config=None, extra_notes=()):
                 },
             }
         if cfg.include_iss:
-            iss_est = iss_mod.iss_constants(T, norm=cone.norm)
-            iss_section = iss_est.to_dict()
+            iss_section = iss_mod.iss_constants(T, norm=cone.norm).to_dict()
 
     return CertificateReport(
         operator=operator_to_dict(T),
@@ -943,28 +932,28 @@ def cross_check(T, cone, config=None, extra_notes=()):
     )
 
 
-def reverify_witness(T, cone, verdict, tol=1e-9):
+def reverify_witness(T, cone, verdict):
     """Independently re-check the witness of a failing verdict.
 
     Returns True when the witness reproduces the claimed violation; used
-    by the test-suite and callers that audit reports.
+    by the test-suite and callers that audit reports.  Accepted unchecked:
+    MBI's falsification pair, `flag` and `strict_decay_pair` witnesses.
     """
-    w = verdict.witness
+    w, tol = verdict.witness, DEFAULT_TOL
     if w is None or verdict.holds:
         return True
     if w.kind == "cone_vector" and w.vector is not None:
         x = np.asarray(w.vector, dtype=float)
-        if verdict.id in ("UNIFORM_SG", "SIMPLE_SG", "INTERIOR_SG"):
-            if cone.kind == "orthant":
-                x = np.abs(x)
-            elif not (contains(cone, x, tol) and np.any(x != 0.0)):
-                return False  # the Lorentz cone has no lattice |x| to fall back on
-            s = apply(T, x) - x
-            return contains(cone, s, tol) or distance(cone, s) <= max(tol, 1e-6)
-        if verdict.id == "SUBFIXED_POS":
-            # x is the negated Perron vector: T x <= x yet x not in cone
-            return contains(cone, x - apply(T, x), tol) and not contains(cone, x, 0.0)
-        return True
+        if verdict.id in ("SUBFIXED_POS", "RESOLVENT_POS"):
+            # (I - T)x in K while x is not: x is the negated growth vector, or
+            # (Lorentz) the image of a cone ray under (I - T)^{-1}
+            slack = tol * (1.0 + float(np.max(np.abs(x))))
+            return contains(cone, x - apply(T, x), slack) and not contains(cone, x, 0.0)
+        if verdict.id == "MBI":
+            return True
+        # SPR, SIMPLE_SG, UNIFORM_SG, INTERIOR_SG, STRONG_STAB, WEAK_ATTR: Tx >= x
+        # up to 1e-6, checked as x, not |x|, so a negated witness fails
+        return _is_growth(T, cone, x, 1e-6)
     if w.kind == "dual_functional" and w.functional is not None:
         # both supported cones are self-dual, so the dual order is `contains`
         xp = np.asarray(w.functional, dtype=float)

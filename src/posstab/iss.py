@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NoISSEstimateError
 from .norms import batch_vec_norm, vec_norm
-from .operators import _power_table, geometric_envelope, materialize, power_norms, spectral_radius
+from .operators import POWER_HORIZON, _power_table, geometric_envelope, materialize
+from .operators import power_norms, spectral_radius
 
 #: a dyadic block contributing less than this fraction counts as converged
 DYADIC_BLOCK_FRACTION = 0.10
@@ -145,7 +146,7 @@ class ISSEstimate:
         }
 
 
-def iss_constants(T, norm="linf", tail_tol=1e-10, max_k=100000):
+def iss_constants(T, norm="linf", tail_tol=1e-10):
     """Certified ISS constants of ||x(k)|| <= M a^k ||x(0)|| + C ||u||_inf.
 
     a = (upper + 1)/2 and M comes from the geometric envelope of the power
@@ -153,9 +154,10 @@ def iss_constants(T, norm="linf", tail_tol=1e-10, max_k=100000):
     with theta = ||T^m|| <= 1/2: by submultiplicativity every block is at
     most theta times the one before, so the sum past L blocks is at most
     theta/(1 - theta) times the last block's sum.  L is the first block
-    count whose tail term is <= tail_tol, or the last one within max_k
-    powers (C then stays certified, only looser).  l2 power norms of dense
-    operators are certified upper bounds, so C and M stay upper bounds.
+    count whose tail term is <= tail_tol, or the last one within
+    POWER_HORIZON powers (C then stays certified, only looser).  l2 power
+    norms of dense operators are certified upper bounds, so C and M stay
+    upper bounds.
     """
     est = spectral_radius(T)
     if est.upper >= 1.0:
@@ -163,16 +165,16 @@ def iss_constants(T, norm="linf", tail_tol=1e-10, max_k=100000):
             f"no ISS estimate: spectral upper bound {est.upper} >= 1"
         )
     a_rate = 0.5 * (est.upper + 1.0)
-    env = geometric_envelope(T, a_rate, norm=norm, max_m=max_k)
+    env = geometric_envelope(T, a_rate, norm=norm)
     if env is None:
         raise NoISSEstimateError("failed to certify a geometric envelope")
     table = _power_table(T, norm)
-    m = next((k for k in range(1, max_k + 1) if table.at(k) <= 0.5), None)
+    m = next((k for k in range(1, POWER_HORIZON + 1) if table.at(k) <= 0.5), None)
     if m is None:
-        raise NoISSEstimateError(f"no power ||T^m|| <= 1/2 with m <= {max_k}")
+        raise NoISSEstimateError(f"no power ||T^m|| <= 1/2 with m <= {POWER_HORIZON}")
     theta = table.at(m)
     L, tail = 0, np.inf
-    while tail > tail_tol and (L + 1) * m <= max_k + 1:
+    while tail > tail_tol and (L + 1) * m <= POWER_HORIZON + 1:
         L += 1
         table.at(L * m - 1)
         tail = theta / (1.0 - theta) * float(np.sum(table.values[(L - 1) * m : L * m]))

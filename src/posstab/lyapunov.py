@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import DivergenceError, NotALatticeError
 from .norms import UNIT_ROUNDOFF, batch_vec_norm, l2_upper_bounds, vec_norm
-from .operators import _power_table, materialize, spectral_radius
+from .operators import POWER_HORIZON, _power_table, materialize, spectral_radius
 
 #: squarings after which solve_stein gives up: 2^64 series terms
 STEIN_MAX_SQUARINGS = 64
@@ -131,7 +131,6 @@ def equivalent_norm(
     n_check=1000,
     rng=None,
     norm="linf",
-    max_k=200000,
 ):
     """Equivalent norm that turns T into a strict contraction.
 
@@ -151,7 +150,7 @@ def equivalent_norm(
             f"s * spectral_upper = {s * est.upper} >= 1: the equivalent norm sup may diverge"
         )
     table = _power_table(T, norm)
-    for K in range(1, max_k + 1):
+    for K in range(1, POWER_HORIZON + 1):
         if (s**K) * table.at(K) < 1.0:
             break
     else:

@@ -27,6 +27,9 @@ BRACKET_WIDTH = 1e-8
 #: step cap of the Perron power iteration inside spectral_radius
 PERRON_MAX_ITER = 20000
 
+#: largest power k that any search over the ||T^k|| table reads
+POWER_HORIZON = 200000
+
 
 @dataclass(frozen=True)
 class DenseOperator:
@@ -673,19 +676,22 @@ def power_norms(T, K, norm="linf"):
     return PowerNormSequence(np.array(table.values[: K + 1]), norm, overflow_at)
 
 
-def geometric_envelope(T, a_env, norm="linf", max_m=4096):
+def geometric_envelope(T, a_env, norm="linf"):
     """Certified (M, m) with ||T^k|| <= M * a_env^k for every k >= 0.
 
     Searches for the first m with ||T^m|| <= a_env^m; submultiplicativity
     over blocks of length m then gives M = max_{r<m} ||T^r|| / a_env^r.
-    Returns None when no such m exists within the cap (a_env below the
-    spectral radius) or the powers overflow first.
+    Returns None when no such m <= POWER_HORIZON exists (a_env below the
+    spectral radius) or the powers overflow first, and for a_env >= 1,
+    which certifies no decay (the search could run to the cap).
     """
     if a_env <= 0.0:
         raise ValueError("a_env must be positive")
+    if a_env >= 1.0:
+        return None
     table = _power_table(T, norm)
     best_ratio = 1.0  # k = 0 term
-    for m in range(1, max_m + 1):
+    for m in range(1, POWER_HORIZON + 1):
         nm = table.at(m)
         if nm == np.inf:
             return None

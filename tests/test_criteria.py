@@ -16,6 +16,7 @@ from posstab import (
     diagonal,
     distance,
     dual_small_gain,
+    gallery_build,
     geometric_envelope,
     interior_small_gain,
     lorentz,
@@ -385,6 +386,44 @@ def test_quasi_suite_identity_fails_with_witness():
     assert reverify_witness(diagonal([1.0]), orthant(1, "linf"), sub)
 
 
+@pytest.mark.parametrize(
+    "T, cone",
+    [(gallery_build("multiplication").operator, orthant(8, "linf")), (diagonal([0.999]), orthant(1, "linf"))],
+)
+def test_quasi_suite_near_one_decays_past_the_old_horizon(T, cone):
+    # rho = 1 - e^{-7} and 0.999: the certified horizon 2^J lies past 30,000 steps
+    verdicts = {v.id: v for v in quasi_compact_suite(T, cone)}
+    for cid in ("STRONG_STAB", "WEAK_ATTR"):
+        assert verdicts[cid].holds and verdicts[cid].witness is None
+        assert verdicts[cid].margin == pytest.approx(1.0, abs=1e-9)
+    a_env = 0.5 * (spectral_radius(T).upper + 1.0)
+    M, _ = geometric_envelope(T, a_env, "linf")
+    assert np.log(1e-9 / M) / np.log(a_env) > 30000
+
+
+def test_quasi_suite_catches_a_planted_envelope(monkeypatch):
+    # a "certified" envelope for an unstable operator: the sampled starts do
+    # not decay by the horizon it implies, which is an internal error
+    import posstab.criteria as crit
+
+    T = diagonal([1.2, 0.5])
+    assert geometric_envelope(T, 1.1, "linf") is None
+    monkeypatch.setattr(crit, "geometric_envelope", lambda T, a_env, norm: (1.0, 1))
+    with pytest.raises(ArithmeticError, match="holds=True, but the worst sampled start"):
+        quasi_compact_suite(T, orthant(2, "linf"))
+
+
+def test_quasi_suite_catches_a_growth_vector_that_decays(monkeypatch):
+    # the reverse fault: a verified growth vector while every start decays
+    import posstab.criteria as crit
+
+    T = diagonal([0.5, 0.25])
+    monkeypatch.setattr(crit, "geometric_envelope", lambda T, a_env, norm: None)
+    monkeypatch.setattr(crit, "_growth_vector", lambda T, cone: (np.ones(2), "planted vector"))
+    with pytest.raises(ArithmeticError, match="holds=False, but the worst sampled start"):
+        quasi_compact_suite(T, orthant(2, "linf"))
+
+
 def test_quasi_suite_multiplication_margin_shrinks():
     margins = []
     for n in (4, 6, 8):
@@ -438,6 +477,12 @@ def test_random_unstable_witnesses_reverify():
         for v in rep.criteria:
             assert v.witness is not None, v.id
             assert reverify_witness(T, cone, v), v.id
+        # the growth witnesses are checked as x, not |x|: a negated one fails
+        for cid in ("SPR", "SIMPLE_SG", "SUBFIXED_POS", "STRONG_STAB", "WEAK_ATTR"):
+            v = rep.verdict(cid)
+            assert v.witness.kind == "cone_vector", cid
+            negated = replace(v, witness=replace(v.witness, vector=-v.witness.vector))
+            assert not reverify_witness(T, cone, negated), cid
 
 
 def test_cross_check_boundary_band():
@@ -653,15 +698,27 @@ def test_lorentz_cone_vector_witnesses_reverify(n):
     T = dense(_lorentz_positive(np.random.default_rng(0), n, 1.05))
     cone = lorentz(n, "l2")
     rep = cross_check(T, cone)
-    found = [
-        v for v in rep.criteria
-        if v.id in ("UNIFORM_SG", "INTERIOR_SG", "SIMPLE_SG") and v.witness.kind == "cone_vector"
-    ]
-    assert {"UNIFORM_SG", "INTERIOR_SG"} <= {v.id for v in found}
+    ids = {"SPR", "UNIFORM_SG", "INTERIOR_SG", "SIMPLE_SG", "SUBFIXED_POS", "STRONG_STAB", "WEAK_ATTR"}
+    assert spectral_radius(T).perron_vector is None
+    found = [v for v in rep.criteria if v.id in ids and v.witness.kind == "cone_vector"]
+    assert {v.id for v in found} == ids
     for v in found:
         assert reverify_witness(T, cone, v), v.id
         negated = replace(v, witness=replace(v.witness, vector=-v.witness.vector))
         assert not reverify_witness(T, cone, negated), v.id
+
+
+def test_lorentz_resolvent_witness_reverify():
+    # the image v of a cone ray under (I - T)^{-1}: v outside K, (I - T)v inside
+    T = dense(_lorentz_positive(np.random.default_rng(0), 16, 1.5))
+    cone = lorentz(16, "l2")
+    v = check_resolvent_positivity(T, cone)
+    assert not v.holds and v.witness.kind == "cone_vector"
+    assert reverify_witness(T, cone, v)
+    image = v.witness.vector
+    for planted in (-image, image - apply(T, image), 0.5 * image + np.eye(16)[1]):
+        wrong = replace(v, witness=replace(v.witness, vector=planted))
+        assert not reverify_witness(T, cone, wrong)
 
 
 def test_lorentz_cross_check_builds_the_no_perron_seed_once(monkeypatch):
@@ -672,10 +729,10 @@ def test_lorentz_cross_check_builds_the_no_perron_seed_once(monkeypatch):
     real = crit.approximate_positive_eigenvector
     seed_calls = []
 
-    def counting(T, cone, n_steps=30, start=None):
+    def counting(T, cone, n_steps=30):
         if n_steps == 22:
             seed_calls.append(cone)
-        return real(T, cone, n_steps=n_steps, start=start)
+        return real(T, cone, n_steps=n_steps)
 
     monkeypatch.setattr(crit, "approximate_positive_eigenvector", counting)
     for n in (8, 32):
