@@ -622,8 +622,9 @@ def dual_small_gain(T, cone):
         else:
             witness = Witness(
                 kind="flag",
-                note=f"adjoint spectral lower bound {est_adj.lower} >= 1; "
-                "no Perron functional available for this representation",
+                note=f"adjoint spectral bracket [{est_adj.lower}, {est_adj.upper}]: "
+                "its upper end is not below 1; no Perron functional available "
+                "for this representation",
             )
     return CriterionVerdict("DUAL_SG", holds, 1.0 - value, witness)
 

@@ -5,6 +5,7 @@ import pytest
 
 from posstab import (
     CrossCheckConfig,
+    adjoint,
     approximate_positive_eigenvector,
     apply,
     check_resolvent_positivity,
@@ -690,6 +691,18 @@ def _lorentz_positive(rng, n, rho):
 
     a = points().T @ points()
     return a * (rho / float(np.max(np.abs(np.linalg.eigvals(a)))))
+
+
+def test_dual_small_gain_flag_quotes_the_adjoint_bracket():
+    # no Perron pair: the verdict fails on the bracket's upper end, while its
+    # lower end (0.88 here) is below 1
+    T = dense(_lorentz_positive(np.random.default_rng(0), 16, 1.05))
+    v = dual_small_gain(T, lorentz(16, "l2"))
+    est = spectral_radius(adjoint(T))
+    assert est.perron_vector is None and est.lower < 1.0 <= est.upper
+    assert not v.holds and v.witness.kind == "flag"
+    assert f"[{est.lower}, {est.upper}]" in v.witness.note
+    assert "upper end is not below 1" in v.witness.note
 
 
 @pytest.mark.parametrize("n", [16, 32])

@@ -1,8 +1,13 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import posstab.iss as iss
 from posstab import (
     InputSignal,
+    ISSEstimate,
     NoISSEstimateError,
     datko_test,
     dense,
@@ -17,6 +22,8 @@ from posstab import (
     spectral_radius,
     verify_iss_bound,
 )
+from posstab.iss import _convolution_states
+from posstab.norms import batch_vec_norm
 
 UPPER2X2 = dense([[0.5, 1.0], [0.0, 0.5]])
 
@@ -73,6 +80,97 @@ def test_simulate_dimension_checks():
         simulate(UPPER2X2, [1.0, 2.0], np.ones((3, 1)))
     with pytest.raises(ValueError):
         simulate(UPPER2X2, np.zeros(2), np.ones((3, 2)), K=5)
+
+
+def _scaled(a, rho):
+    return a * (rho / float(np.max(np.abs(np.linalg.eigvals(a)))))
+
+
+def _route_operators():
+    rng = np.random.default_rng(8)
+    n = 6
+    return {
+        "positive": _scaled(rng.uniform(0.0, 1.0, size=(n, n)), 0.95),
+        "signed": _scaled(rng.normal(size=(n, n)), 1.02),
+        "jordan": 0.9 * np.eye(n) + np.diag(np.ones(n - 1), 1),
+    }
+
+
+def _solution_formula(a, x0, uv, K):
+    """Reference: x(k) = T^k x0 + sum_{j<k} T^{k-1-j} u(j), O(K^2) matvecs."""
+    powers = [np.eye(len(x0))]
+    for _ in range(K):
+        powers.append(a @ powers[-1])
+    out = [x0]
+    for k in range(1, K + 1):
+        x = powers[k] @ x0
+        for j in range(k):
+            x = x + powers[k - 1 - j] @ uv[j]
+        out.append(x)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind", ["positive", "signed", "jordan"])
+@pytest.mark.parametrize("K", [0, 1, 2, 31, 32, 33, 97, 200])
+def test_convolution_route_matches_the_explicit_solution_formula(kind, K):
+    a = _route_operators()[kind]
+    rng = np.random.default_rng(K)
+    x0 = rng.normal(size=a.shape[0])
+    uv = rng.normal(size=(K + 3, a.shape[0]))  # rows past K must not be read
+    got = _convolution_states(a, x0, uv, K)
+    ref = _solution_formula(a, x0, uv, K)
+    assert got.shape == (K + 1, a.shape[0])
+    gaps = np.linalg.norm(got - ref, axis=1)
+    assert np.all(gaps <= 1e-12 * (1.0 + np.linalg.norm(ref, axis=1)))
+
+
+def _simulate_case(n=16, K=100):
+    rng = np.random.default_rng(9)
+    a = _scaled(rng.uniform(0.0, 1.0, size=(n, n)), 0.95)
+    return dense(a), rng.uniform(0.0, 1.0, size=n), rng.uniform(-1.0, 1.0, size=(K, n))
+
+
+@pytest.mark.parametrize("j", [0, 31, 32, 70])
+def test_simulate_catches_a_corrupted_convolution_term(monkeypatch, j):
+    # u(j) perturbed where only the convolution route sees it: first seen at step j + 1
+    T, x0, u = _simulate_case()
+    real = iss._convolution_states
+
+    def planted(a, x0, uv, K):
+        uv = uv.copy()
+        uv[j, 0] += 1e-8
+        return real(a, x0, uv, K)
+
+    monkeypatch.setattr(iss, "_convolution_states", planted)
+    with pytest.raises(ArithmeticError, match=rf"at step {j + 1} \("):
+        simulate(T, x0, u)
+
+
+@pytest.mark.parametrize("k", [1, 32, 33, 100])
+def test_simulate_catches_a_corrupted_state(monkeypatch, k):
+    T, x0, u = _simulate_case()
+    real = iss._convolution_states
+
+    def planted(a, x0, uv, K):
+        out = real(a, x0, uv, K).copy()
+        out[k] *= 1.0 + 1e-8
+        return out
+
+    monkeypatch.setattr(iss, "_convolution_states", planted)
+    with pytest.raises(ArithmeticError, match=rf"at step {k} \("):
+        simulate(T, x0, u)
+
+
+def test_simulate_memory_is_bounded_at_long_horizons():
+    # the K + 1 stored dense powers of an unblocked route take 52 MB here
+    T, x0, u = _simulate_case(n=64, K=1600)
+    tracemalloc.start()
+    try:
+        simulate(T, x0, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
 
 
 # ---------------------------------------------------------------- iss constants
@@ -178,6 +276,21 @@ def test_verify_iss_bound_homogeneous_decay():
 def test_verify_iss_bound_random_trials():
     est = iss_constants(UPPER2X2)
     assert verify_iss_bound(UPPER2X2, est, trials=100, rng=np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_verify_iss_bound_input_norms_match_the_per_trial_values(norm):
+    rng = np.random.default_rng(6)
+    K, trials, n = 100, 100, 7
+    U = rng.uniform(-1.0, 1.0, size=(K, trials, n))
+    per_trial = np.array([np.max(batch_vec_norm(U[:, t, :], norm)) for t in range(trials)])
+    assert np.array_equal(batch_vec_norm(U, norm).max(axis=0), per_trial)
+    # T = 0 makes x(k) = u(k-1) exactly, so with C = 1 and tol = 0 the bound
+    # holds only if ||u||_inf per trial is the exact maximum of those norms
+    est = ISSEstimate(M=1e6, a=1e-200, C=1.0, tail_bound=0.0, norm=norm, K=0)
+    assert verify_iss_bound(diagonal(np.zeros(n)), est, rng=np.random.default_rng(6), tol=0.0)
+    low = replace(est, C=1.0 - 1e-15)
+    assert not verify_iss_bound(diagonal(np.zeros(n)), low, rng=np.random.default_rng(6), tol=0.0)
 
 
 # ---------------------------------------------------------------- response classes

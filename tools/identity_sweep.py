@@ -8,15 +8,18 @@ the 5 gallery entries, 60 dense orthant cases (l1/l2/linf,
 n in {3, 8, 16, 32, 48}, rho in {0.5, 0.9, 0.97, 1.05}), 12 Lorentz-l2
 cases (n in {3, 4, 8, 16}, rho in {0.5, 0.9, 1.05}), 21 diagonal/shift
 cases and the ops of `certbench/inputs.build_ops("lorentz", s)` for
-s in {0, 1}, and writes one JSON object keyed by case name.  `--src`
-picks the `posstab` source tree to import (default: this repository's
-`src`), so one script can dump two checkouts.
+s in {0, 1}.  For each op of `build_ops("simulate", s)`, s in {0, 1}, it
+records the SHA-256 of `simulate(T, x0, u, K).states.tobytes()` and
+`iss_constants(T).to_dict()`.  It writes one JSON object keyed by case
+name.  `--src` picks the `posstab` source tree to import (default: this
+repository's `src`), so one script can dump two checkouts.
 
-`diff` compares two dumps.  Verdicts, consensus, witness kinds and every
-other non-float field (the text of notes included) must match exactly;
-floats, also those inside notes, may move by `--rtol` relative.  It
-prints the largest relative move per key (list positions and case names
-folded), then every mismatch, and exits with status 1 on any mismatch.
+`diff` compares two dumps.  Verdicts, consensus, witness kinds, state
+hashes and every other non-float field (the text of notes included) must
+match exactly; floats, also those inside notes, may move by `--rtol`
+relative.  It prints the largest relative move per key (list positions
+and case names folded), then every mismatch, and exits with status 1 on
+any mismatch.
 """
 
 import os
@@ -26,6 +29,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import hashlib  # noqa: E402
 import json  # noqa: E402
 import re  # noqa: E402
 import sys  # noqa: E402
@@ -80,6 +84,14 @@ def dump(args):
     for name, T, cone, notes in cases(np, inputs, ps):
         cfg = ps.CrossCheckConfig(seed=SEED)
         out[name] = ps.cross_check(T, cone, cfg, extra_notes=notes).to_dict()
+    for s in (0, 1):
+        for op in inputs.build_ops("simulate", s):
+            T = ps.dense(op.matrix)
+            states = ps.simulate(T, op.x0, op.u, op.K).states
+            out[f"certbench-simulate/s{s}/{op.name}"] = {
+                "states_sha256": hashlib.sha256(states.tobytes()).hexdigest(),
+                "iss": ps.iss_constants(T).to_dict(),
+            }
     Path(args.out).write_text(json.dumps(out, sort_keys=True))
     print(f"{len(out)} reports -> {args.out}")
 
@@ -96,7 +108,7 @@ def _leaves(obj, path=""):
         for i, v in enumerate(obj):
             key = v["id"] if isinstance(v, dict) and "id" in v else i
             yield from _leaves(v, f"{path}[{key}]")
-    elif isinstance(obj, str):
+    elif isinstance(obj, str) and not path.endswith("sha256"):
         # numbers inside text (notes) are compared as floats, the rest exactly
         yield f"{path}#text", _NUMBER.sub("<num>", obj)
         for i, tok in enumerate(_NUMBER.findall(obj)):
