@@ -157,7 +157,7 @@ class RankOneDestabilizer:
 def _decision_tol(est, tol):
     """Smallest trustworthy small-gain margin.
 
-    Near an unstable Perron direction the searched margin bottoms out at
+    Near an unstable Perron direction the seeded margin bottoms out at
     the eigen-residual rather than 0, so the holds-decision threshold
     scales with it; without a Perron pair the residual is undefined and
     the plain tolerance applies.
@@ -232,7 +232,8 @@ def mbi_constant(T, cone, rng=None):
 
     Returns c = C * ||(I-T)^{-1}|| in the cone's norm; a randomized
     falsification search over cone pairs confirms the bound before the
-    verdict is issued.  MBI needs a positive inverse, so it fails with the
+    verdict is issued.  A violating pair is the witness: x in `vector`, y
+    in `z`.  MBI needs a positive inverse, so it fails with the
     RESOLVENT_POS verdict when that fails.
     """
     base = check_resolvent_positivity(T, cone)
@@ -259,7 +260,7 @@ def mbi_constant(T, cone, rng=None):
             "MBI",
             False,
             c,
-            Witness(kind="cone_vector", vector=X[i], note="falsification pair violates ||x|| <= c ||y||"),
+            Witness("cone_vector", X[i], z=Y[i], note="falsification pair violates ||x|| <= c ||y||"),
         )
     return c, CriterionVerdict("MBI", True, c, None)
 
@@ -298,7 +299,7 @@ def _positive_eigenvector(T, cone):
     """(x, name): the clipped Perron vector, else the last iterate of
     `approximate_positive_eigenvector` (memoized per cone), or None.
 
-    The USG and ISG searches seed with x, and `_growth_vector` checks it.
+    The USG and ISG seeds include x, and `_growth_vector` checks it.
     """
     est = spectral_radius(T)
     if est.perron_vector is not None:
@@ -313,15 +314,21 @@ def _positive_eigenvector(T, cone):
 
 
 def _growth_vector(T, cone):
-    """`_positive_eigenvector` if it passes `_is_growth` within the decision
-    tolerance, else None; once per (T, cone).  It is the witness of every
-    criterion that fails at spectral radius >= 1.
+    """`_positive_eigenvector`, else the `_monotone_point` of the seeds, if it
+    passes `_is_growth` within the decision tolerance, else None; once per
+    (T, cone).  It is the witness of every criterion that fails at spectral
+    radius >= 1.
     """
 
     def make():
         found = _positive_eigenvector(T, cone)
         tol = _decision_tol(spectral_radius(T), DEFAULT_TOL)
-        return found if found is not None and _is_growth(T, cone, found[0], tol) else None
+        if found is not None and _is_growth(T, cone, found[0], tol):
+            return found
+        # no random starts: the vector must not depend on which criterion asks first
+        seeds = _cone_unit_rows(cone, _usg_seeds(T, cone, np.random.default_rng(0), 0))
+        x = _monotone_point(materialize(T), cone, seeds)
+        return (x, "monotone iterate") if x is not None and _is_growth(T, cone, x, tol) else None
 
     return _memo(T, ("growth", cone), make)
 
@@ -349,48 +356,55 @@ def _growth_witness(T, cone, holds, note, negate=False):
 def uniform_small_gain_margin(T, cone, rng=None):
     """Uniform small-gain margin eta = inf dist((T - I)x, cone) over unit cone vectors.
 
-    Closed form on the orthant when R = (I - T)^{-1} is positive: eta =
-    1/||R||, the 1/(c*M) of `small_gain_certificate` (C = M = 1), attained
-    at x = Rv/||Rv|| for a positive v with ||Rv|| = ||R|| ||v||.  The
-    objective must equal eta at x, and no search seed may go below it.
-    Otherwise (the Lorentz cone, no positive inverse, or an l2 norm that a
-    seed shows too low) eta is a search value and upper-bounds the infimum:
-    the cone's extreme rays, the Perron vector, random starts, a projected
-    descent with numeric gradients (n <= 16) and a shrinking polish.
+    Certified closed form when R = (I - T)^{-1} is positive: for y = (I - T)x
+    on a self-dual cone, dist((T - I)x, K) = ||P_K y|| (Moreau) and x <= R P_K y,
+    so with C = 1, eta = 1/||R||, attained at x = Rv/||Rv|| for a cone vector
+    v attaining ||R|| (`_resolvent_usg`).  Otherwise eta is the lower of the
+    lowest seed and the point with Tx >= x of `_monotone_point`, an upper
+    bound on the infimum.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    amI = materialize(T) - np.eye(cone.dim)
+    a = materialize(T)
+    amI = a - np.eye(cone.dim)
 
     def f(X):
         return batch_distance(cone, X @ amI.T)
 
     X = _cone_unit_rows(cone, _usg_seeds(T, cone, rng, 64))
     vals = f(X)
-    gate = cone.kind == "orthant" and check_resolvent_positivity(T, cone).holds
-    closed = _orthant_usg(cone, _resolvent_inverse(T), f, vals) if gate else None
-    if closed is not None:
-        best_v, best_x = closed
-    else:
-        best_v, best_x = _usg_search(cone, f, X, vals, rng)
+    gate = check_resolvent_positivity(T, cone).holds
+    closed = _resolvent_usg(cone, _resolvent_inverse(T), f, vals) if gate else None
+    i = int(np.argmin(vals))
+    best_v, best_x = closed if closed is not None else (float(vals[i]), X[i].copy())
+    if not gate:
+        x = _monotone_point(a, cone, X)
+        at = np.inf if x is None else float(f(x[None, :])[0])
+        if at < best_v:
+            best_v, best_x = at, x
     eta_emp = max(best_v, 0.0)
     holds = eta_emp > _decision_tol(spectral_radius(T), DEFAULT_TOL)
     witness = None if holds else Witness("cone_vector", best_x, note="dist((T-I)x, cone) ~ 0")
     return eta_emp, CriterionVerdict("UNIFORM_SG", holds, eta_emp, witness)
 
 
-def _orthant_usg(cone, inv, f, seed_vals):
+def _resolvent_usg(cone, inv, f, seed_vals):
     """(1/||R||, the unit x = Rv/||Rv|| attaining it), checked at x and on the seeds.
 
     v is a column of R (l1), the ones vector (linf) or the power-method
-    vector of R^T R (l2).  That power method can stop low when the top
-    singular values cluster, so under l2 a lower seed returns None.
+    vector of R^T R (l2) from the interior point: R^T R maps K into K, so
+    every iterate, and the top eigenvector, lies in K.  Under l2 ||R|| is the
+    larger of that run's estimate and `induced_norm`'s (equal on the orthant,
+    whose interior point is one of its starts); both can stop low when the
+    top singular values cluster, so a lower seed returns None.
     """
-    eta = 1.0 / induced_norm(inv, cone.norm)
+    norm = induced_norm(inv, cone.norm)
     v = np.ones(cone.dim)
     if cone.norm == "l1":
         v = np.eye(cone.dim)[int(np.argmax(np.abs(inv).sum(axis=0)))]
     elif cone.norm == "l2":
-        v = _l2_induced(inv)[1]
+        top, v = _l2_induced(inv, start=interior_point(cone))
+        norm = max(norm, top)
+    eta = 1.0 / norm
     x = inv @ v
     x /= vec_norm(x, cone.norm)
     at = float(f(x[None, :])[0])
@@ -403,41 +417,18 @@ def _orthant_usg(cone, inv, f, seed_vals):
     return eta, x
 
 
-def _usg_search(cone, f, X, vals, rng):
-    """(best value, best x) of the seeded descent and polish over unit cone vectors."""
-    n = cone.dim
-    best_i = int(np.argmin(vals))
-    best_x, best_v = X[best_i].copy(), float(vals[best_i])
-
-    if n <= 16:
-        h = 1e-6
-        step = 0.2
-        for _ in range(50):
-            G = np.zeros_like(X)
-            for j in range(n):
-                E = np.zeros(n)
-                E[j] = h
-                G[:, j] = (f(X + E) - f(X - E)) / (2.0 * h)
-            X = _cone_unit_rows(cone, X - step * G)
-            if X.size == 0:
-                break
-            vals = f(X)
-            i = int(np.argmin(vals))
-            if vals[i] < best_v:
-                best_v, best_x = float(vals[i]), X[i].copy()
-            step *= 0.92
-
-    # local polish: shrinking random perturbations around the best point
-    radius = 0.2
-    for _ in range(240):
-        C = _cone_unit_rows(cone, best_x + radius * rng.normal(size=(24, n)))
-        if C.size:
-            vals = f(C)
-            i = int(np.argmin(vals))
-            if vals[i] < best_v:
-                best_v, best_x = float(vals[i]), C[i].copy()
-        radius *= 0.92
-    return best_v, best_x
+def _monotone_point(a, cone, X, w=0.0):
+    """First row x with ax + w - x in the cone (within 1e-12) of up to 90 steps
+    of x <- normalize(project(ax + w)) on the unit cone rows X, or None."""
+    for _ in range(90):
+        W = X @ a.T + w
+        hit = np.nonzero(margin(cone, W - X) >= -1e-12)[0]
+        if hit.size:
+            return X[int(hit[0])].copy()
+        X = _cone_unit_rows(cone, W)
+        if X.size == 0:
+            return None
+    return None
 
 
 def small_gain_certificate(T, cone):
@@ -563,9 +554,9 @@ def rank_one_destabilizer(T, cone):
 def robust_small_gain(T, cone, eps, eta_emp=None):
     """(T+P)x >= x impossible for every positive ||P|| <= eps?
 
-    Holds when eps <= eta / 2 (distance argument): certified where eta is
-    the closed-form 1/||(I - T)^{-1}|| (orthant), heuristic where it is a
-    search value that can sit above the true margin (Lorentz cone).
+    Holds when eps <= eta / 2 (distance argument): certified on both cones
+    when (I - T)^{-1} is positive, where eta is the closed-form
+    1/||(I - T)^{-1}|| of `uniform_small_gain_margin`.
     Otherwise an adversarial rank-one construction searches for a verified
     violating pair (P, x), and the verdict fails exactly when one is found.
     """
@@ -636,8 +627,8 @@ def interior_small_gain(T, cone, z, rng=None):
     x <= eta Rz, so with normality constant C = 1 (every supported pair)
     eta = 1/||Rz||, attained at x = Rz/||Rz||.  Independent route: x must
     be feasible at eta, and the monotone iteration x <- normalize(project(Tx
-    + eta*z)), run once just below eta, must find nothing; a failure is an
-    internal error.  Without a positive inverse (spectral radius >= 1, or
+    + eta*z)) of `_monotone_point`, run once just below eta, must find
+    nothing; a failure is an internal error.  Without a positive inverse (spectral radius >= 1, or
     the solve was refused) eta = 0; the witness is a point feasible at
     eta = 0, or else the RESOLVENT_POS gate's own witness.
     """
@@ -648,22 +639,9 @@ def interior_small_gain(T, cone, z, rng=None):
     rng = np.random.default_rng(0) if rng is None else rng
     a = materialize(T)
     seeds = _cone_unit_rows(cone, _usg_seeds(T, cone, rng, 16))
-
-    def feasible(eta):
-        X = seeds.copy()
-        for _ in range(90):
-            W = X @ a.T + eta * z
-            hit = np.nonzero(margin(cone, W - X) >= -1e-12)[0]
-            if hit.size:
-                return X[int(hit[0])].copy()
-            X = _cone_unit_rows(cone, W)
-            if X.size == 0:
-                return None
-        return None
-
     gate = check_resolvent_positivity(T, cone)
     if not gate.holds:
-        x = feasible(0.0)
+        x = _monotone_point(a, cone, seeds)
         witness = gate.witness if x is None else Witness(
             "cone_vector", x, note="Tx >= x, feasible at eta = 0"
         )
@@ -672,11 +650,11 @@ def interior_small_gain(T, cone, z, rng=None):
     eta = 1.0 / vec_norm(rz, cone.norm)
     x = eta * rz
     # margin measures against e = ones or the axis, and e <= z / margin(z):
-    # a margin slack s is an eta slack s / margin(z); 1e-12 is feasible()'s own
+    # a margin slack s is an eta slack s / margin(z); 1e-12 is _monotone_point's own
     slack = 1e-6 * eta * mz + 1e-12
     if margin(cone, a @ x - x + eta * z) < -slack:
         raise ArithmeticError(f"Rz/||Rz|| is not feasible at eta = {eta!r}; internal error")
-    if feasible(eta - slack / mz) is not None:
+    if _monotone_point(a, cone, seeds, (eta - slack / mz) * z) is not None:
         raise ArithmeticError(f"a feasibility probe succeeds below eta = {eta!r}; internal error")
     holds = eta > DEFAULT_TOL
     witness = None if holds else Witness("cone_vector", x, note="feasible x at vanishing eta")
@@ -938,20 +916,25 @@ def reverify_witness(T, cone, verdict):
 
     Returns True when the witness reproduces the claimed violation; used
     by the test-suite and callers that audit reports.  Accepted unchecked:
-    MBI's falsification pair, `flag` and `strict_decay_pair` witnesses.
+    `flag` and `strict_decay_pair` witnesses.
     """
     w, tol = verdict.witness, DEFAULT_TOL
     if w is None or verdict.holds:
         return True
     if w.kind == "cone_vector" and w.vector is not None:
         x = np.asarray(w.vector, dtype=float)
-        if verdict.id in ("SUBFIXED_POS", "RESOLVENT_POS"):
+        if verdict.id == "MBI" and w.z is not None:
+            # falsification pair: x, y and y - (I - T)x in K, yet ||x|| > c ||y||
+            y = np.asarray(w.z, dtype=float)
+            slack = tol * (1.0 + float(np.max(np.abs(x))) + float(np.max(np.abs(y))))
+            ordered = all(contains(cone, v, slack) for v in (x, y, y - x + apply(T, x)))
+            return ordered and vec_norm(x, cone.norm) > verdict.margin * vec_norm(y, cone.norm)
+        if verdict.id in ("SUBFIXED_POS", "RESOLVENT_POS", "MBI"):
             # (I - T)x in K while x is not: x is the negated growth vector, or
-            # (Lorentz) the image of a cone ray under (I - T)^{-1}
+            # (Lorentz) the image of a cone ray under (I - T)^{-1}, which MBI
+            # carries when the positivity gate fails
             slack = tol * (1.0 + float(np.max(np.abs(x))))
             return contains(cone, x - apply(T, x), slack) and not contains(cone, x, 0.0)
-        if verdict.id == "MBI":
-            return True
         # SPR, SIMPLE_SG, UNIFORM_SG, INTERIOR_SG, STRONG_STAB, WEAK_ATTR: Tx >= x
         # up to 1e-6, checked as x, not |x|, so a negated witness fails
         return _is_growth(T, cone, x, 1e-6)

@@ -124,15 +124,17 @@ def l2_upper_bounds(P, start=None, max_steps=64):
     return np.ldexp(np.sqrt(best * (1.0 + _gamma(8))), exponent), v
 
 
-def _l2_induced(a, iters=200, rtol=1e-12):
-    """(estimate of ||A||_2, the unit power-method vector v with ||Av||_2 equal to it)."""
+def _l2_induced(a, iters=200, rtol=1e-12, start=None):
+    """(estimate of ||A||_2, the unit power-method vector v with ||Av||_2 equal to it),
+    the larger over a graded and a flat positive start, or from `start` alone."""
     n = a.shape[1]
     if not np.any(a):
         return 0.0, np.ones(n) / np.sqrt(n)
     b = a.T @ a
     # graded deterministic start; generic against symmetric invariant subspaces
     best, best_v = 0.0, None
-    for v in (1.0 + 1e-3 * np.arange(n), np.ones(n)):
+    starts = (1.0 + 1e-3 * np.arange(n), np.ones(n)) if start is None else (start,)
+    for v in starts:
         v = v / np.linalg.norm(v)
         lam = 0.0
         for _ in range(iters):

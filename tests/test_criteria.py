@@ -542,11 +542,10 @@ def test_uniform_small_gain_lorentz_scaled_identity():
     assert eta == pytest.approx(0.5, abs=1e-9)
 
 
-def test_lorentz_consensus_fuzz():
-    # boosts composed with spatial rotations: Lorentz-positive, usually with
-    # negative entries, rescaled to both sides of the stability threshold
-    from posstab import is_positive, lorentz
-
+def _boost_rotation_maps():
+    """(i, a, target): boosts composed with spatial rotations, Lorentz-positive,
+    usually with negative entries, rescaled to both sides of the stability
+    threshold."""
     rng = np.random.default_rng(12)
     for i in range(12):
         n = int(rng.integers(2, 5))
@@ -563,8 +562,14 @@ def test_lorentz_consensus_fuzz():
         a = boost @ rot
         spr0 = float(np.max(np.abs(np.linalg.eigvals(a))))
         target = [0.5, 0.8, 1.3, 2.0][i % 4]
-        a = a * (target / spr0)
-        cone = lorentz(n, "l2")
+        yield i, a * (target / spr0), target
+
+
+def test_lorentz_consensus_fuzz():
+    from posstab import is_positive
+
+    for i, a, target in _boost_rotation_maps():
+        cone = lorentz(len(a), "l2")
         ok, _ = is_positive(dense(a), cone, rng=np.random.default_rng(i))
         assert ok
         rep = cross_check(dense(a), cone, CrossCheckConfig(seed=i))
@@ -572,6 +577,23 @@ def test_lorentz_consensus_fuzz():
         assert rep.consensus != "INCONSISTENT"
         for v in rep.criteria:
             assert v.holds == expect, (i, target, v.id, v.margin)
+
+
+@pytest.mark.parametrize("i", [3, 10])
+def test_lorentz_fuzz_growth_witnesses_without_a_perron_pair(i):
+    # rho = 2 and 1.3: the approximate eigenvector is no growth vector, and
+    # the seeds of the USG search stay above 0; the monotone iteration finds x
+    a = next(b for j, b, _ in _boost_rotation_maps() if j == i)
+    T, cone = dense(a), lorentz(len(a), "l2")
+    rep = cross_check(T, cone, CrossCheckConfig(seed=i))
+    assert rep.consensus == "UNSTABLE"
+    usg = rep.verdict("UNIFORM_SG")
+    assert not usg.holds and usg.margin <= 1e-12
+    assert reverify_witness(T, cone, usg)
+    for cid in ("SPR", "SIMPLE_SG", "SUBFIXED_POS", "STRONG_STAB", "WEAK_ATTR"):
+        v = rep.verdict(cid)
+        assert v.witness.kind == "cone_vector", cid
+        assert reverify_witness(T, cone, v), cid
 
 
 def test_scale_invariance_of_norm_free_verdicts():
@@ -784,17 +806,32 @@ def test_interior_small_gain_equals_resolvent_image_oracle(kind, norm, n):
     assert eta == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
+# orthant ids are the bare norm, so that the orthant cases keep their test ids
+_USG_CONES = [
+    pytest.param(kind, norm, id=norm if kind == "orthant" else f"{kind}-{norm}")
+    for kind, norm in _CLOSED_FORM_CONES
+]
+
+
 @pytest.mark.parametrize("n", [4, 16, 64])
-@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
-def test_orthant_uniform_small_gain_equals_inverse_norm_oracle(norm, n):
-    # l1/linf norms are exact sums, l2 is induced_norm's power method (1e-12)
-    a = _stable_positive("orthant", n, seed=100 + n)
-    T, cone = dense(a), orthant(n, norm)
+@pytest.mark.parametrize("kind,norm", _USG_CONES)
+def test_orthant_uniform_small_gain_equals_inverse_norm_oracle(kind, norm, n):
+    # eta_USG = 1/||(I - T)^{-1}|| on both cones; l1/linf norms are exact
+    # sums, l2 is induced_norm's power method (1e-12)
+    a = _stable_positive(kind, n, seed=100 + n)
+    cone = orthant(n, norm) if kind == "orthant" else lorentz(n, norm)
+    T = dense(a)
     eta, v = uniform_small_gain_margin(T, cone)
     oracle = 1.0 / np.linalg.norm(np.linalg.inv(np.eye(n) - a), _ORD[norm])
     assert v.holds
     assert eta == pytest.approx(oracle, rel=1e-12, abs=0.0)
-    assert eta == small_gain_certificate(T, cone)
+    # small_gain_certificate is 1/(c*M): M = 1 on the orthant, 1 + sqrt(2) on the Lorentz cone
+    cert = small_gain_certificate(T, cone)
+    if kind == "orthant":
+        assert eta == cert
+    else:
+        assert cert < eta
+        assert eta == pytest.approx((1.0 + np.sqrt(2.0)) * cert, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("name", ["upper2x2", "shift2R", "multiplication", "diag_strong_stable", "lorentz_demo"])
@@ -837,14 +874,52 @@ def test_interior_small_gain_catches_planted_inverse(kind, norm, factor, caught_
         interior_small_gain(T, cone, z)
 
 
-@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("kind,norm", _USG_CONES)
 @pytest.mark.parametrize("factor", [0.99, 1.01])
-def test_orthant_uniform_small_gain_catches_planted_inverse(norm, factor):
+def test_orthant_uniform_small_gain_catches_planted_inverse(kind, norm, factor):
     # the objective at x = Rv/||Rv|| is 1/||R_true||, not the planted 1/||R||
     n = 16
-    T = _with_planted_inverse(_stable_positive("orthant", n, seed=5), factor)
+    T = _with_planted_inverse(_stable_positive(kind, n, seed=5), factor)
+    cone = orthant(n, norm) if kind == "orthant" else lorentz(n, norm)
+    assert check_resolvent_positivity(T, cone).holds
     with pytest.raises(ArithmeticError, match="is not attained"):
-        uniform_small_gain_margin(T, orthant(n, norm))
+        uniform_small_gain_margin(T, cone)
+
+
+def test_lorentz_uniform_small_gain_makes_two_distance_calls(monkeypatch):
+    # one call on the seeds and one at x = Rv/||Rv||: the closed form runs no search
+    import posstab.criteria as crit
+
+    n = 16
+    calls = []
+    real = crit.batch_distance
+
+    def counting(cone, X):
+        calls.append(np.shape(X))
+        return real(cone, X)
+
+    monkeypatch.setattr(crit, "batch_distance", counting)
+    T, cone = dense(_stable_positive("lorentz", n, seed=5)), lorentz(n, "l2")
+    assert check_resolvent_positivity(T, cone).holds
+    eta, v = uniform_small_gain_margin(T, cone)
+    assert v.holds
+    assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("kind", ["orthant", "lorentz"])
+def test_mbi_falsification_pair_reverifies(kind):
+    # R*0.2 makes c five times too small: the falsification search fires, and
+    # its pair (x, y) is checked: x, y, y - (I - T)x in K and ||x|| > c ||y||
+    n = 16
+    T = _with_planted_inverse(_stable_positive(kind, n, seed=7), 0.2)
+    cone = orthant(n, "l2") if kind == "orthant" else lorentz(n, "l2")
+    c, v = mbi_constant(T, cone)
+    assert not v.holds and v.witness.kind == "cone_vector" and v.witness.z is not None
+    assert reverify_witness(T, cone, v)
+    scaled = replace(v, witness=replace(v.witness, z=10.0 * v.witness.z))
+    assert not reverify_witness(T, cone, scaled)
+    outside = replace(v, witness=replace(v.witness, vector=-v.witness.vector))
+    assert not reverify_witness(T, cone, outside)
 
 
 def test_interior_small_gain_makes_at_most_one_probe(monkeypatch):

@@ -8,7 +8,11 @@ the 5 gallery entries, 60 dense orthant cases (l1/l2/linf,
 n in {3, 8, 16, 32, 48}, rho in {0.5, 0.9, 0.97, 1.05}), 12 Lorentz-l2
 cases (n in {3, 4, 8, 16}, rho in {0.5, 0.9, 1.05}), 21 diagonal/shift
 cases and the ops of `certbench/inputs.build_ops("lorentz", s)` for
-s in {0, 1}.  For each op of `build_ops("simulate", s)`, s in {0, 1}, it
+s in {0, 1}, and the 12 boost-rotation Lorentz maps i = 0..11 of
+`tests/test_criteria.py::test_lorentz_consensus_fuzz`, each with its
+`CrossCheckConfig(seed=i)`; maps 3 and 10 are the only ones of the sweep
+where (I - T)^{-1} is not positive while every uniform small-gain seed
+stays above 0.  For each op of `build_ops("simulate", s)`, s in {0, 1}, it
 records the SHA-256 of `simulate(T, x0, u, K).states.tobytes()` and
 `iss_constants(T).to_dict()`.  It writes one JSON object keyed by case
 name.  `--src` picks the `posstab` source tree to import (default: this
@@ -49,40 +53,61 @@ def _import(src):
     return np, inputs, posstab
 
 
+def boost_rotation_maps(np):
+    """(i, a): the maps of `_boost_rotation_maps` in tests/test_criteria.py."""
+    rng = np.random.default_rng(12)
+    for i in range(12):
+        n = int(rng.integers(2, 5))
+        t = rng.uniform(-1.5, 1.5)
+        boost = np.eye(n)
+        boost[0, 0] = boost[1, 1] = np.cosh(t)
+        boost[0, 1] = boost[1, 0] = np.sinh(t)
+        rot = np.eye(n)
+        if n >= 3:
+            th = rng.uniform(0, 2 * np.pi)
+            rot[1, 1], rot[1, 2] = np.cos(th), -np.sin(th)
+            rot[2, 1], rot[2, 2] = np.sin(th), np.cos(th)
+        a = boost @ rot
+        target = [0.5, 0.8, 1.3, 2.0][i % 4]
+        yield i, a * (target / float(np.max(np.abs(np.linalg.eigvals(a)))))
+
+
 def cases(np, inputs, ps):
-    """(name, operator, cone, extra_notes) for every case of the sweep."""
+    """(name, operator, cone, extra_notes, seed) for every case of the sweep."""
     for name in ps.gallery_names():
         entry = ps.gallery_build(name)
         notes = (entry.pathology,) if entry.pathology else ()
-        yield f"gallery/{name}", entry.operator, entry.cone, notes
+        yield f"gallery/{name}", entry.operator, entry.cone, notes, SEED
     rng = np.random.default_rng(SEED)
     for norm in ("l1", "l2", "linf"):
         for n in (3, 8, 16, 32, 48):
             for rho in (0.5, 0.9, 0.97, 1.05):
                 a = inputs.dense_positive(rng, n, rho)
-                yield f"orthant/{norm}/n{n}/rho{rho}", ps.dense(a), ps.orthant(n, norm), ()
+                yield f"orthant/{norm}/n{n}/rho{rho}", ps.dense(a), ps.orthant(n, norm), (), SEED
     for n in (3, 4, 8, 16):
         for rho in (0.5, 0.9, 1.05):
             a = inputs.lorentz_positive(rng, n, rho)
-            yield f"lorentz/n{n}/rho{rho}", ps.dense(a), ps.lorentz(n, "l2"), ()
+            yield f"lorentz/n{n}/rho{rho}", ps.dense(a), ps.lorentz(n, "l2"), (), SEED
     for norm in ("l1", "l2", "linf"):
         for rho in (0.5, 0.9, 0.97, 1.05):
             d = rng.uniform(0.0, rho, size=6)
             d[0] = rho
-            yield f"diagonal/{norm}/rho{rho}", ps.diagonal(d), ps.orthant(6, norm), ()
+            yield f"diagonal/{norm}/rho{rho}", ps.diagonal(d), ps.orthant(6, norm), (), SEED
         for factor in (0.7, 1.3, 1.6):
-            yield f"shift/{norm}/f{factor}", ps.shift(6, factor), ps.orthant(6, norm), ()
+            yield f"shift/{norm}/f{factor}", ps.shift(6, factor), ps.orthant(6, norm), (), SEED
     for s in (0, 1):
         for op in inputs.build_ops("lorentz", s):
             cone = ps.lorentz(op.dim, op.norm)
-            yield f"certbench-lorentz/s{s}/{op.name}", ps.dense(op.matrix), cone, ()
+            yield f"certbench-lorentz/s{s}/{op.name}", ps.dense(op.matrix), cone, (), SEED
+    for i, a in boost_rotation_maps(np):
+        yield f"lorentz-fuzz/i{i}", ps.dense(a), ps.lorentz(len(a), "l2"), (), i
 
 
 def dump(args):
     np, inputs, ps = _import(args.src)
     out = {}
-    for name, T, cone, notes in cases(np, inputs, ps):
-        cfg = ps.CrossCheckConfig(seed=SEED)
+    for name, T, cone, notes, seed in cases(np, inputs, ps):
+        cfg = ps.CrossCheckConfig(seed=seed)
         out[name] = ps.cross_check(T, cone, cfg, extra_notes=notes).to_dict()
     for s in (0, 1):
         for op in inputs.build_ops("simulate", s):
