@@ -316,8 +316,10 @@ def _positive_eigenvector(T, cone):
 def _growth_vector(T, cone):
     """`_positive_eigenvector`, else the `_monotone_point` of the seeds, if it
     passes `_is_growth` within the decision tolerance, else None; once per
-    (T, cone).  It is the witness of every criterion that fails at spectral
-    radius >= 1.
+    (T, cone).  It is the only producer of growth witnesses: SPR, SIMPLE_SG,
+    SUBFIXED_POS, STRONG_STAB and WEAK_ATTR carry it (`_growth_witness`),
+    UNIFORM_SG and INTERIOR_SG when (I - T)^{-1} is not positive, ROBUST_SG and
+    RANK1_SG through `rank_one_destabilizer`, and DUAL_SG on `adjoint(T)`.
     """
 
     def make():
@@ -331,6 +333,12 @@ def _growth_vector(T, cone):
         return (x, "monotone iterate") if x is not None and _is_growth(T, cone, x, tol) else None
 
     return _memo(T, ("growth", cone), make)
+
+
+def _unit_growth_vector(T, cone):
+    """The `_growth_vector` scaled to unit norm, or None."""
+    found = _growth_vector(T, cone)
+    return None if found is None else found[0] / vec_norm(found[0], cone.norm)
 
 
 def _is_growth(T, cone, x, tol):
@@ -360,12 +368,11 @@ def uniform_small_gain_margin(T, cone, rng=None):
     on a self-dual cone, dist((T - I)x, K) = ||P_K y|| (Moreau) and x <= R P_K y,
     so with C = 1, eta = 1/||R||, attained at x = Rv/||Rv|| for a cone vector
     v attaining ||R|| (`_resolvent_usg`).  Otherwise eta is the lower of the
-    lowest seed and the point with Tx >= x of `_monotone_point`, an upper
-    bound on the infimum.
+    lowest seed and the value at the unit `_growth_vector`, an upper bound on
+    the infimum; the growth vector is then the witness.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    a = materialize(T)
-    amI = a - np.eye(cone.dim)
+    amI = materialize(T) - np.eye(cone.dim)
 
     def f(X):
         return batch_distance(cone, X @ amI.T)
@@ -376,9 +383,9 @@ def uniform_small_gain_margin(T, cone, rng=None):
     closed = _resolvent_usg(cone, _resolvent_inverse(T), f, vals) if gate else None
     i = int(np.argmin(vals))
     best_v, best_x = closed if closed is not None else (float(vals[i]), X[i].copy())
-    if not gate:
-        x = _monotone_point(a, cone, X)
-        at = np.inf if x is None else float(f(x[None, :])[0])
+    x = None if gate else _unit_growth_vector(T, cone)
+    if x is not None:
+        at = float(f(x[None, :])[0])
         if at < best_v:
             best_v, best_x = at, x
     eta_emp = max(best_v, 0.0)
@@ -509,39 +516,19 @@ def _dual_functional(cone, x):
 
 
 def rank_one_destabilizer(T, cone):
-    """Rank-one positive P with ||P|| <= M' ||z|| and (T+P)x >= x.
+    """Rank-one positive P with ||P|| <= M' ||z|| and (T+P)x >= x, or None.
 
-    Built from an approximate positive eigenvector x: split
-    (T - s*I)x = y - z with s = max(1, upper); take the dual functional z'
-    of x and set P v = <z', v> z.  Then (T+P)x - x >= y >= 0 holds exactly,
-    regardless of how approximate x is; only ||P|| (= ||z'|| ||z||) shrinks
-    as x improves.  Returns None when the spectral upper bound is < 1: no
-    small-norm destabilizer needs to exist there.
+    Built from the unit `_growth_vector` x: split (T - I)x = y - z
+    (`decompose`), take the dual functional z' of x and set P v = <z', v> z.
+    Then (T+P)x - x = y + z(<z', x> - 1) >= 0 holds exactly, because
+    <z', x> >= 1, and ||P|| (= ||z'|| ||z||) is as small as the residual of
+    x.  Returns None when the spectral upper bound is < 1 (no small-norm
+    destabilizer needs to exist there) or when there is no growth vector.
     """
-    est = spectral_radius(T)
-    if est.upper < 1.0:
+    x = None if spectral_radius(T).upper < 1.0 else _unit_growth_vector(T, cone)
+    if x is None:
         return None
-    candidates = []
-    seq = approximate_positive_eigenvector(T, cone, n_steps=34)
-    if seq:
-        candidates.append(seq[-1].x)
-    if est.perron_vector is not None and contains(cone, est.perron_vector, 1e-12):
-        candidates.append(np.maximum(est.perron_vector, 0.0))
-    if not candidates:
-        candidates.append(interior_point(cone))
-    s_star = max(1.0, est.upper)
-    best = None
-    for x in candidates:
-        nx = vec_norm(x, cone.norm)
-        if nx <= 0.0:
-            continue
-        x = x / nx
-        w = apply(T, x) - s_star * x
-        _, z = decompose(cone, w)
-        zn = vec_norm(z, cone.norm)
-        if best is None or zn < best[1]:
-            best = (x, zn, z)
-    x, _, z = best
+    _, z = decompose(cone, apply(T, x) - x)
     zp = _dual_functional(cone, x)
     P = np.outer(z, zp)
     norm_p = vec_norm(zp, dual_norm(cone.norm)) * vec_norm(z, cone.norm)
@@ -557,8 +544,8 @@ def robust_small_gain(T, cone, eps, eta_emp=None):
     Holds when eps <= eta / 2 (distance argument): certified on both cones
     when (I - T)^{-1} is positive, where eta is the closed-form
     1/||(I - T)^{-1}|| of `uniform_small_gain_margin`.
-    Otherwise an adversarial rank-one construction searches for a verified
-    violating pair (P, x), and the verdict fails exactly when one is found.
+    Otherwise the verdict fails exactly when `rank_one_destabilizer` builds
+    a verified pair (P, x) from the shared growth vector with ||P|| <= eps.
     """
     if eta_emp is None:
         eta_emp, _ = uniform_small_gain_margin(T, cone)
@@ -567,21 +554,19 @@ def robust_small_gain(T, cone, eps, eta_emp=None):
         return CriterionVerdict("ROBUST_SG", True, 0.5 * eta_emp - eps, None)
     cand = rank_one_destabilizer(T, cone)
     if cand is not None and cand.norm_p <= eps + 1e-10:
-        lhs = apply(T, cand.x) + cand.matrix @ cand.x - cand.x
-        if contains(cone, lhs, 1e-10):
-            return CriterionVerdict(
-                "ROBUST_SG",
-                False,
-                0.5 * eta_emp - eps,
-                Witness(
-                    kind="rank_one_perturbation",
-                    vector=cand.x,
-                    z_prime=cand.z_prime,
-                    z=cand.z,
-                    perturbation_norm=cand.norm_p,
-                    note="(T+P)x >= x verified componentwise",
-                ),
-            )
+        return CriterionVerdict(
+            "ROBUST_SG",
+            False,
+            0.5 * eta_emp - eps,
+            Witness(
+                kind="rank_one_perturbation",
+                vector=cand.x,
+                z_prime=cand.z_prime,
+                z=cand.z,
+                perturbation_norm=cand.norm_p,
+                note="(T+P)x >= x verified componentwise",
+            ),
+        )
     return CriterionVerdict(
         "ROBUST_SG", True, 0.5 * eta_emp - eps, Witness(kind="flag", note="no violation found")
     )
@@ -590,34 +575,35 @@ def robust_small_gain(T, cone, eps, eta_emp=None):
 def dual_small_gain(T, cone):
     """T'x' >= x' impossible for every nonzero positive functional x'?
 
-    Decided through the Perron pair of the adjoint (the spectral radius is
-    an eigenvalue of the dual operator with a positive eigenfunctional on
-    cones with interior); the witness is that eigenfunctional.
+    Holds iff the adjoint's spectral upper bound is below 1.  Otherwise the
+    witness is the `_growth_vector` of `adjoint(T)` on `cone` (both supported
+    cones are self-dual), scaled to unit l1: the clipped Perron functional
+    when the adjoint has a Perron pair, else its approximate positive
+    eigenvector or monotone iterate.  It is emitted only if T'x' - x' lies
+    in the cone within the default tolerance; else the witness is a flag
+    that quotes the adjoint's bracket.
     """
     adj = adjoint(T)
     est_adj = spectral_radius(adj)
-    value = est_adj.point
     holds = est_adj.upper < 1.0
     witness = None
     if not holds:
-        if est_adj.perron_vector is not None:
-            xp = np.maximum(est_adj.perron_vector, 0.0)
-            s = float(np.sum(np.abs(xp)))
-            if s > 0:
-                xp = xp / s
-            witness = Witness(
-                kind="dual_functional",
-                functional=xp,
-                note="Perron functional of the adjoint: T'x' >= x'",
-            )
-        else:
+        found = _growth_vector(adj, cone)
+        if found is not None:
+            xp, name = found
+            xp = xp / float(np.sum(np.abs(xp)))
+            if contains(cone, apply(adj, xp) - xp, DEFAULT_TOL):
+                name = "Perron functional" if name == "Perron vector" else name
+                note = f"{name} of the adjoint: T'x' >= x'"
+                witness = Witness(kind="dual_functional", functional=xp, note=note)
+        if witness is None:
             witness = Witness(
                 kind="flag",
                 note=f"adjoint spectral bracket [{est_adj.lower}, {est_adj.upper}]: "
-                "its upper end is not below 1; no Perron functional available "
-                "for this representation",
+                "its upper end is not below 1; no positive functional with "
+                "T'x' >= x' found",
             )
-    return CriterionVerdict("DUAL_SG", holds, 1.0 - value, witness)
+    return CriterionVerdict("DUAL_SG", holds, 1.0 - est_adj.point, witness)
 
 
 def interior_small_gain(T, cone, z, rng=None):
@@ -627,25 +613,26 @@ def interior_small_gain(T, cone, z, rng=None):
     x <= eta Rz, so with normality constant C = 1 (every supported pair)
     eta = 1/||Rz||, attained at x = Rz/||Rz||.  Independent route: x must
     be feasible at eta, and the monotone iteration x <- normalize(project(Tx
-    + eta*z)) of `_monotone_point`, run once just below eta, must find
-    nothing; a failure is an internal error.  Without a positive inverse (spectral radius >= 1, or
-    the solve was refused) eta = 0; the witness is a point feasible at
-    eta = 0, or else the RESOLVENT_POS gate's own witness.
+    + eta*z)) of `_monotone_point` on 16 seeds, run once just below eta, must
+    find nothing; a failure is an internal error.  Without a positive
+    inverse (spectral radius >= 1, or the solve was refused) eta = 0; the
+    witness is the unit `_growth_vector`, feasible at eta = 0, or else the
+    RESOLVENT_POS gate's own witness.
     """
     z = np.asarray(z, dtype=float)
     mz = float(margin(cone, z))
     if not mz > 0.0:
         raise ValueError("z must be an interior point of the cone")
-    rng = np.random.default_rng(0) if rng is None else rng
-    a = materialize(T)
-    seeds = _cone_unit_rows(cone, _usg_seeds(T, cone, rng, 16))
     gate = check_resolvent_positivity(T, cone)
     if not gate.holds:
-        x = _monotone_point(a, cone, seeds)
+        x = _unit_growth_vector(T, cone)
         witness = gate.witness if x is None else Witness(
             "cone_vector", x, note="Tx >= x, feasible at eta = 0"
         )
         return 0.0, CriterionVerdict("INTERIOR_SG", False, 0.0, witness)
+    rng = np.random.default_rng(0) if rng is None else rng
+    a = materialize(T)
+    seeds = _cone_unit_rows(cone, _usg_seeds(T, cone, rng, 16))
     rz = _resolvent_inverse(T) @ z
     eta = 1.0 / vec_norm(rz, cone.norm)
     x = eta * rz
@@ -779,8 +766,6 @@ class CrossCheckConfig:
     tol: float = DEFAULT_TOL
     boundary_band: float = 0.02
     seed: int = 0
-    include_lyapunov: bool = True
-    include_iss: bool = True
 
 
 @dataclass
@@ -877,26 +862,24 @@ def cross_check(T, cone, config=None, extra_notes=()):
 
     lyapunov_section = iss_section = None
     if est.upper < 1.0:
-        if cfg.include_lyapunov:
-            stein = lyap_mod.solve_stein(T)
-            s = min(float(np.sqrt(1.0 / max(est.upper, 1e-6))), 1e3)
-            lattice = cone.kind == "orthant"
-            norm_cert = lyap_mod.equivalent_norm(
-                T, s, lattice=lattice, cone=cone, rng=rngs[5], norm=cone.norm
-            )
-            lyapunov_section = {
-                "stein_residual": float(stein.residual),
-                "stein_tail_bound": float(stein.tail_bound),
-                "Q": [[float(v) for v in row] for row in stein.Q],
-                "equivalent_norm": {
-                    "s": float(norm_cert.s),
-                    "K": int(norm_cert.K),
-                    "contraction_factor": float(norm_cert.contraction_factor),
-                    "lattice": bool(norm_cert.lattice),
-                },
-            }
-        if cfg.include_iss:
-            iss_section = iss_mod.iss_constants(T, norm=cone.norm).to_dict()
+        stein = lyap_mod.solve_stein(T)
+        s = min(float(np.sqrt(1.0 / max(est.upper, 1e-6))), 1e3)
+        lattice = cone.kind == "orthant"
+        norm_cert = lyap_mod.equivalent_norm(
+            T, s, lattice=lattice, cone=cone, rng=rngs[5], norm=cone.norm
+        )
+        lyapunov_section = {
+            "stein_residual": float(stein.residual),
+            "stein_tail_bound": float(stein.tail_bound),
+            "Q": [[float(v) for v in row] for row in stein.Q],
+            "equivalent_norm": {
+                "s": float(norm_cert.s),
+                "K": int(norm_cert.K),
+                "contraction_factor": float(norm_cert.contraction_factor),
+                "lattice": bool(norm_cert.lattice),
+            },
+        }
+        iss_section = iss_mod.iss_constants(T, norm=cone.norm).to_dict()
 
     return CertificateReport(
         operator=operator_to_dict(T),

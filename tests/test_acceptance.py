@@ -96,7 +96,7 @@ def test_acceptance_2_equivalence_consensus_sweep(sweep):
         rep = cross_check(
             dense(materialize(T)),
             orthant(T.dim, "linf"),
-            CrossCheckConfig(seed=i, include_lyapunov=False, include_iss=False),
+            CrossCheckConfig(seed=i),
         )
         expect = target < 1.0
         for v in rep.criteria:

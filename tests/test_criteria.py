@@ -18,6 +18,7 @@ from posstab import (
     distance,
     dual_small_gain,
     gallery_build,
+    gallery_names,
     geometric_envelope,
     interior_small_gain,
     lorentz,
@@ -715,16 +716,19 @@ def _lorentz_positive(rng, n, rho):
     return a * (rho / float(np.max(np.abs(np.linalg.eigvals(a)))))
 
 
-def test_dual_small_gain_flag_quotes_the_adjoint_bracket():
-    # no Perron pair: the verdict fails on the bracket's upper end, while its
-    # lower end (0.88 here) is below 1
+def test_dual_small_gain_reads_the_adjoint_growth_vector():
+    # no Perron pair, and the adjoint bracket's lower end (0.88 here) is below
+    # 1: the witness is the adjoint's growth vector, checked as T'x' >= x'
     T = dense(_lorentz_positive(np.random.default_rng(0), 16, 1.05))
-    v = dual_small_gain(T, lorentz(16, "l2"))
+    cone = lorentz(16, "l2")
+    v = dual_small_gain(T, cone)
     est = spectral_radius(adjoint(T))
     assert est.perron_vector is None and est.lower < 1.0 <= est.upper
-    assert not v.holds and v.witness.kind == "flag"
-    assert f"[{est.lower}, {est.upper}]" in v.witness.note
-    assert "upper end is not below 1" in v.witness.note
+    assert not v.holds and v.witness.kind == "dual_functional"
+    assert np.sum(np.abs(v.witness.functional)) == pytest.approx(1.0, abs=1e-12)
+    assert reverify_witness(T, cone, v)
+    negated = replace(v, witness=replace(v.witness, functional=-v.witness.functional))
+    assert not reverify_witness(T, cone, negated)
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -777,6 +781,71 @@ def test_lorentz_cross_check_builds_the_no_perron_seed_once(monkeypatch):
         rep = cross_check(T, lorentz(n, "l2"))
         assert rep.consensus == "STABLE"
         assert len(seed_calls) == 1
+
+
+def _count_calls(monkeypatch, name):
+    """Patch posstab.criteria.<name> to record the operator of every call."""
+    import posstab.criteria as crit
+
+    real, seen = getattr(crit, name), []
+
+    def counting(T, *args, **kwargs):
+        seen.append(T)
+        return real(T, *args, **kwargs)
+
+    monkeypatch.setattr(crit, name, counting)
+    return seen
+
+
+def test_unstable_cross_check_runs_no_private_eigenvector_search(monkeypatch):
+    # every criterion that fails reads the memoized growth vector: on the
+    # orthant it is the Perron vector, so no resolvent schedule runs
+    eig_calls = _count_calls(monkeypatch, "approximate_positive_eigenvector")
+    solves = _count_calls(monkeypatch, "resolvent_apply")
+    T = dense(_stable_positive("orthant", 16, seed=5, rho=1.05))
+    rep = cross_check(T, orthant(16, "l2"))
+    assert rep.consensus == "UNSTABLE"
+    assert eig_calls == [] and solves == []
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_lorentz_cross_check_searches_once_per_operator(monkeypatch, n):
+    # one approximate eigenvector for T (shared by every growth witness) and
+    # one for T' (DUAL_SG); the rank-one destabilizer adds none
+    eig_calls = _count_calls(monkeypatch, "approximate_positive_eigenvector")
+    T = dense(_lorentz_positive(np.random.default_rng(1), n, 1.5))
+    cross_check(T, lorentz(n, "l2"))
+    assert 1 <= len(eig_calls) <= 2
+    assert len({id(op) for op in eig_calls}) == len(eig_calls)
+
+
+def _unstable_witness_cases():
+    for name in gallery_names():
+        entry = gallery_build(name)
+        yield f"gallery/{name}", entry.operator, entry.cone, 0
+    for norm in ("l1", "l2", "linf"):
+        yield f"orthant/{norm}", dense(_stable_positive("orthant", 8, 3, 1.05)), orthant(8, norm), 0
+    for n in (8, 16):
+        for rho in (1.05, 1.5):
+            a = _lorentz_positive(np.random.default_rng(n), n, rho)
+            yield f"lorentz/n{n}/rho{rho}", dense(a), lorentz(n, "l2"), 0
+    for i, a, _ in _boost_rotation_maps():
+        if i in (3, 7, 10):
+            yield f"lorentz-fuzz/i{i}", dense(a), lorentz(len(a), "l2"), i
+
+
+def test_failing_witnesses_reverify_and_dual_sg_carries_no_flag():
+    checked = 0
+    for name, T, cone, seed in _unstable_witness_cases():
+        rep = cross_check(T, cone, CrossCheckConfig(seed=seed))
+        for v in rep.criteria:
+            if v.holds or v.witness is None:
+                continue
+            assert not (v.id == "DUAL_SG" and v.witness.kind == "flag"), name
+            if v.witness.kind != "flag":
+                assert reverify_witness(T, cone, v), (name, v.id)
+                checked += 1
+    assert checked >= 100
 
 
 # ------------------------------------------------- closed-form small-gain margins
