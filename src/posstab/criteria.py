@@ -278,67 +278,40 @@ def _usg_seeds(T, cone, rng, n_starts):
     if cone.kind == "orthant":
         seeds.extend(np.eye(n))
     else:
-        axis = np.zeros(n)
-        axis[0] = 1.0
-        seeds.append(axis)
+        seeds.append(interior_point(cone))
         for i in range(1, n):
             for s in (1.0, -1.0):
                 ray = np.zeros(n)
                 ray[0] = 1.0
                 ray[i] = s
                 seeds.append(ray)
-    found = _positive_eigenvector(T, cone)
-    if found is not None:
-        seeds.append(found[0])
+    v = spectral_radius(T).perron_vector
+    if v is not None:
+        seeds.append(project(cone, v))
     seeds = np.array(seeds)
     rand = random_points(cone, rng, n_starts)
     return np.vstack([seeds, rand])
 
 
-def _positive_eigenvector(T, cone):
-    """(x, name): the clipped Perron vector, else the last iterate of
-    `approximate_positive_eigenvector` (memoized per cone), or None.
-
-    The USG and ISG seeds include x, and `_growth_vector` checks it.
+def _growth_vector(T, cone):
+    """The Perron vector projected onto the cone, if it passes `_is_growth`
+    within the decision tolerance, else None.  It is the only producer of
+    growth witnesses: SPR, SIMPLE_SG, SUBFIXED_POS, STRONG_STAB and WEAK_ATTR
+    carry it (`_growth_witness`), UNIFORM_SG and INTERIOR_SG when (I - T)^{-1}
+    is not positive, ROBUST_SG and RANK1_SG through `rank_one_destabilizer`,
+    and DUAL_SG on `adjoint(T)`.
     """
     est = spectral_radius(T)
-    if est.perron_vector is not None:
-        return np.maximum(est.perron_vector, 0.0), "Perron vector"
-
-    def make():
-        seq = approximate_positive_eigenvector(T, cone, n_steps=22)
-        return seq[-1].x if seq else None
-
-    x = _memo(T, ("usg_seed", cone), make)
-    return None if x is None else (x, "approximate positive eigenvector")
-
-
-def _growth_vector(T, cone):
-    """`_positive_eigenvector`, else the `_monotone_point` of the seeds, if it
-    passes `_is_growth` within the decision tolerance, else None; once per
-    (T, cone).  It is the only producer of growth witnesses: SPR, SIMPLE_SG,
-    SUBFIXED_POS, STRONG_STAB and WEAK_ATTR carry it (`_growth_witness`),
-    UNIFORM_SG and INTERIOR_SG when (I - T)^{-1} is not positive, ROBUST_SG and
-    RANK1_SG through `rank_one_destabilizer`, and DUAL_SG on `adjoint(T)`.
-    """
-
-    def make():
-        found = _positive_eigenvector(T, cone)
-        tol = _decision_tol(spectral_radius(T), DEFAULT_TOL)
-        if found is not None and _is_growth(T, cone, found[0], tol):
-            return found
-        # no random starts: the vector must not depend on which criterion asks first
-        seeds = _cone_unit_rows(cone, _usg_seeds(T, cone, np.random.default_rng(0), 0))
-        x = _monotone_point(materialize(T), cone, seeds)
-        return (x, "monotone iterate") if x is not None and _is_growth(T, cone, x, tol) else None
-
-    return _memo(T, ("growth", cone), make)
+    if est.perron_vector is None:
+        return None
+    x = project(cone, est.perron_vector)
+    return x if _is_growth(T, cone, x, _decision_tol(est, DEFAULT_TOL)) else None
 
 
 def _unit_growth_vector(T, cone):
     """The `_growth_vector` scaled to unit norm, or None."""
-    found = _growth_vector(T, cone)
-    return None if found is None else found[0] / vec_norm(found[0], cone.norm)
+    x = _growth_vector(T, cone)
+    return None if x is None else x / vec_norm(x, cone.norm)
 
 
 def _is_growth(T, cone, x, tol):
@@ -349,16 +322,15 @@ def _is_growth(T, cone, x, tol):
 
 def _growth_witness(T, cone, holds, note, negate=False):
     """None if `holds`; else the `_growth_vector` (negated for SUBFIXED_POS) with
-    `note` formatted by its name, or a flag when there is none."""
+    `note`, or a flag when there is none."""
     if holds:
         return None
-    found = _growth_vector(T, cone)
-    if found is None:
+    x = _growth_vector(T, cone)
+    if x is None:
         est = spectral_radius(T)
         note = f"no cone vector with Tx >= x found; spectral bracket [{est.lower}, {est.upper}]"
         return Witness(kind="flag", note=note)
-    x, name = found
-    return Witness(kind="cone_vector", vector=-x if negate else x.copy(), note=note.format(name))
+    return Witness(kind="cone_vector", vector=-x if negate else x, note=note)
 
 
 def uniform_small_gain_margin(T, cone, rng=None):
@@ -367,9 +339,9 @@ def uniform_small_gain_margin(T, cone, rng=None):
     Certified closed form when R = (I - T)^{-1} is positive: for y = (I - T)x
     on a self-dual cone, dist((T - I)x, K) = ||P_K y|| (Moreau) and x <= R P_K y,
     so with C = 1, eta = 1/||R||, attained at x = Rv/||Rv|| for a cone vector
-    v attaining ||R|| (`_resolvent_usg`).  Otherwise eta is the lower of the
-    lowest seed and the value at the unit `_growth_vector`, an upper bound on
-    the infimum; the growth vector is then the witness.
+    v attaining ||R|| (`_resolvent_usg`).  Otherwise eta is the lowest seed
+    value, an upper bound on the infimum, and that seed is the witness; the
+    seeds include the Perron vector, which is the `_growth_vector`.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     amI = materialize(T) - np.eye(cone.dim)
@@ -383,11 +355,6 @@ def uniform_small_gain_margin(T, cone, rng=None):
     closed = _resolvent_usg(cone, _resolvent_inverse(T), f, vals) if gate else None
     i = int(np.argmin(vals))
     best_v, best_x = closed if closed is not None else (float(vals[i]), X[i].copy())
-    x = None if gate else _unit_growth_vector(T, cone)
-    if x is not None:
-        at = float(f(x[None, :])[0])
-        if at < best_v:
-            best_v, best_x = at, x
     eta_emp = max(best_v, 0.0)
     holds = eta_emp > _decision_tol(spectral_radius(T), DEFAULT_TOL)
     witness = None if holds else Witness("cone_vector", best_x, note="dist((T-I)x, cone) ~ 0")
@@ -424,7 +391,7 @@ def _resolvent_usg(cone, inv, f, seed_vals):
     return eta, x
 
 
-def _monotone_point(a, cone, X, w=0.0):
+def _monotone_point(a, cone, X, w):
     """First row x with ax + w - x in the cone (within 1e-12) of up to 90 steps
     of x <- normalize(project(ax + w)) on the unit cone rows X, or None."""
     for _ in range(90):
@@ -575,26 +542,23 @@ def robust_small_gain(T, cone, eps, eta_emp=None):
 def dual_small_gain(T, cone):
     """T'x' >= x' impossible for every nonzero positive functional x'?
 
-    Holds iff the adjoint's spectral upper bound is below 1.  Otherwise the
-    witness is the `_growth_vector` of `adjoint(T)` on `cone` (both supported
-    cones are self-dual), scaled to unit l1: the clipped Perron functional
-    when the adjoint has a Perron pair, else its approximate positive
-    eigenvector or monotone iterate.  It is emitted only if T'x' - x' lies
-    in the cone within the default tolerance; else the witness is a flag
-    that quotes the adjoint's bracket.
+    Holds iff the adjoint's spectral upper bound, which is T's (`adjoint`
+    shares the bracket), is below 1.  Otherwise the witness is the
+    `_growth_vector` of `adjoint(T)` on `cone` (both supported cones are
+    self-dual), the adjoint's Perron functional scaled to unit l1.  It is
+    emitted only if T'x' - x' lies in the cone within the default
+    tolerance; else the witness is a flag that quotes the adjoint's bracket.
     """
     adj = adjoint(T)
     est_adj = spectral_radius(adj)
     holds = est_adj.upper < 1.0
     witness = None
     if not holds:
-        found = _growth_vector(adj, cone)
-        if found is not None:
-            xp, name = found
+        xp = _growth_vector(adj, cone)
+        if xp is not None:
             xp = xp / float(np.sum(np.abs(xp)))
             if contains(cone, apply(adj, xp) - xp, DEFAULT_TOL):
-                name = "Perron functional" if name == "Perron vector" else name
-                note = f"{name} of the adjoint: T'x' >= x'"
+                note = "Perron functional of the adjoint: T'x' >= x'"
                 witness = Witness(kind="dual_functional", functional=xp, note=note)
         if witness is None:
             witness = Witness(
@@ -705,7 +669,7 @@ def quasi_compact_suite(T, cone, rng=None):
     rng = np.random.default_rng(0) if rng is None else rng
     simple = (est.point < 1.0) if est.perron_value is not None else est.upper < 1.0
     sub_note = "sub-fixed vector T(-x) <= -x that is not positive"
-    simple_wit = _growth_witness(T, cone, simple, "{} with Tx >= x")
+    simple_wit = _growth_witness(T, cone, simple, "Perron vector with Tx >= x")
     sub_wit = _growth_witness(T, cone, simple, sub_note, negate=True)
     verdicts = [
         CriterionVerdict("SIMPLE_SG", simple, 1.0 - est.point, simple_wit),
@@ -735,8 +699,8 @@ def quasi_compact_suite(T, cone, rng=None):
             f"envelope verdict holds={holds}, but the worst sampled start keeps {worst!r} "
             f"of its norm at k = {2**j}; internal error"
         )
-    strong_wit = _growth_witness(T, cone, holds, "{} with Tx >= x: T^k x does not decay")
-    weak_wit = _growth_witness(T, cone, holds, "{} with Tx >= x: inf_k ||T^k x|| > 0")
+    strong_wit = _growth_witness(T, cone, holds, "Perron vector with Tx >= x: T^k x does not decay")
+    weak_wit = _growth_witness(T, cone, holds, "Perron vector with Tx >= x: inf_k ||T^k x|| > 0")
     return verdicts + [
         CriterionVerdict("STRONG_STAB", holds, 1.0 - worst, strong_wit),
         CriterionVerdict("WEAK_ATTR", holds, 1.0 - float(least.max()), weak_wit),
@@ -811,20 +775,25 @@ def cross_check(T, cone, config=None, extra_notes=()):
     from . import lyapunov as lyap_mod
 
     cfg = config or CrossCheckConfig()
+    # stream 0 is unused: positivity samples the fixed rays that gate the
+    # spectral bracket, so both agree; the other streams keep their seeds
     streams = np.random.SeedSequence(cfg.seed).spawn(6)
     rngs = [np.random.default_rng(s) for s in streams]
     est = spectral_radius(T)
     spr_hat = est.point
     notes = list(extra_notes)
-    positive, pos_witness = is_positive(T, cone, rng=rngs[0])
+    positive, pos_witness = is_positive(T, cone)
     spr_holds = bool(est.upper < 1.0)
-    spr_note = "{}: T x >= x up to the reported residual"
+    spr_note = "Perron vector: T x >= x up to the reported residual"
     spr_witness = _growth_witness(T, cone, spr_holds, spr_note)
     verdicts = [CriterionVerdict("SPR", spr_holds, 1.0 - spr_hat, spr_witness)]
 
     if positive:
         if cone.kind == "lorentz":
-            notes.append("positivity on the Lorentz cone is a randomized certificate")
+            notes.append(
+                "positivity on the Lorentz cone, and therefore the spectral bracket, "
+                "is a randomized certificate"
+            )
 
         res_v = check_resolvent_positivity(T, cone, tol=1e-10)
         c_mbi, mbi_v = mbi_constant(T, cone, rng=rngs[1])

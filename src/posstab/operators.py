@@ -3,18 +3,18 @@
 Operators come in three variants (dense matrix, diagonal, truncated right
 shift).  Spectral radii are certified by bracketing: Collatz-Wielandt
 bounds from a Perron power iteration, Gelfand bounds from log-scaled
-repeated squaring, and (for entrywise-nonnegative matrices) a bisection
-on the resolvent-positivity test that tightens the bracket to the target
-width.  No general eigensolver is used anywhere.
+repeated squaring, and (for maps positive on the orthant or the Lorentz
+cone) a bisection on the resolvent-positivity test that tightens the
+bracket to the target width.  No general eigensolver is used anywhere.
 """
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, lu_factor, lu_solve
 
-from .cones import margin
+from .cones import interior_point, lorentz, margin, orthant, project
 from .errors import DimensionMismatchError, SpectralProximityError
 from .norms import NORMS, batch_induced_norm, batch_vec_norm, induced_norm
 
@@ -131,12 +131,26 @@ def apply(T, x):
 
 
 def adjoint(T):
-    """Transpose representation; adjoint(adjoint(T)) acts like T."""
-    if isinstance(T, DenseOperator):
-        return DenseOperator(T.matrix.T.copy())
+    """Transpose representation, built once per T; adjoint(adjoint(T)) acts like T.
+
+    It shares T's spectral bracket (rho(T') = rho(T)), with a Perron pair of
+    its own from `_perron_pair` on T' when T has one.
+    """
     if isinstance(T, DiagonalOperator):
         return T
-    return DenseOperator(materialize(T).T.copy())
+    return _memo(T, "adjoint", lambda: _transpose(T))
+
+
+def _transpose(T):
+    adj = DenseOperator(materialize(T).T.copy())
+    est = spectral_radius(T)
+    if est.perron_vector is not None:
+        # both cones are self-dual, so T' is positive on the cone that T is
+        cone = orthant(T.dim) if np.all(adj.matrix >= 0.0) else lorentz(T.dim)
+        est = _perron_pair(adj.matrix, interior_point(cone), est, cone)
+    # the estimate, not T: the memo must not refer back to T
+    _memo(adj, "spectral", lambda: est)
+    return adj
 
 
 def operator_to_dict(T):
@@ -213,9 +227,9 @@ class SpectralEstimate:
     """Certified bracket [lower, upper] for the spectral radius.
 
     perron_value/perron_vector are present when the operator is
-    entrywise nonnegative; `residual` is ||T v - perron_value v||_inf for
-    the reported vector.  `converged` is False when the iteration caps
-    were reached before the bracket hit the target width.  Frozen, with a
+    entrywise nonnegative, or dense with n >= 2 and positive on the Lorentz
+    cone by `is_positive`; the vector then lies in that cone.  `residual`
+    is ||T v - perron_value v||_inf for the reported vector.  Frozen, with a
     read-only vector: one instance per operator is shared by every caller.
     """
 
@@ -224,7 +238,6 @@ class SpectralEstimate:
     perron_value: float | None = None
     perron_vector: np.ndarray | None = None
     iterations: int = 0
-    converged: bool = True
     residual: float = float("inf")
 
     def __post_init__(self):
@@ -235,6 +248,11 @@ class SpectralEstimate:
     @property
     def width(self):
         return self.upper - self.lower
+
+    @property
+    def converged(self):
+        """False when the iteration caps were reached before the bracket hit the target width."""
+        return self.width <= BRACKET_WIDTH * max(1.0, self.upper)
 
     @property
     def point(self):
@@ -338,12 +356,13 @@ def _collatz_wielandt(a):
     return lo, hi, v, it
 
 
-def _semipositivity(a, lam):
-    """M-matrix test for lam*I - T, T nonnegative.
+def _semipositivity(a, lam, cone):
+    """Resolvent-positivity test for lam*I - T, T positive on `cone`.
 
-    Returns True when a vector z >= 0 with (lam*I - T) z = 1 is found
-    (certifies lam > spr), False when the solve is singular or z has a
-    clearly negative entry (certifies lam <= spr), None when ambiguous.
+    Returns True when z in the cone with (lam*I - T) z = e, e the cone's
+    interior point, is found (certifies lam > spr), False when the solve is
+    singular or z is clearly outside the cone (certifies lam <= spr), None
+    when ambiguous.
     """
     n = a.shape[0]
     m = lam * np.eye(n) - a
@@ -351,17 +370,19 @@ def _semipositivity(a, lam):
         lu = lu_factor(m)
     except LinAlgError:
         return False
-    ones = np.ones(n)
+    e = interior_point(cone)
     with np.errstate(all="ignore"):
-        z = lu_solve(lu, ones)
+        z = lu_solve(lu, e)
         if not np.all(np.isfinite(z)):
             return False
-        z = z + lu_solve(lu, ones - m @ z)
+        z = z + lu_solve(lu, e - m @ z)
     if not np.all(np.isfinite(z)):
         return False
-    resid = float(np.max(np.abs(m @ z - ones)))
+    resid = float(np.max(np.abs(m @ z - e)))
     err = 10.0 * max(resid, 1e-14 * n * float(np.max(np.abs(z))))
-    zmin = float(z.min())
+    if cone.kind == "lorentz":
+        err *= 1.0 + np.sqrt(n - 1)  # an entrywise error err moves x0 - ||x_rest|| this far
+    zmin = float(margin(cone, z))
     if zmin > err:
         return True
     if zmin < -err:
@@ -369,13 +390,13 @@ def _semipositivity(a, lam):
     return None
 
 
-def _bisect_bracket(a, lo, hi, max_steps=120):
+def _bisect_bracket(a, lo, hi, cone, max_steps=120):
     steps = 0
     while hi - lo > BRACKET_WIDTH * max(1.0, hi) and steps < max_steps:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        verdict = _semipositivity(a, mid)
+        verdict = _semipositivity(a, mid, cone)
         if verdict is True:
             hi = mid
         elif verdict is False:
@@ -386,8 +407,8 @@ def _bisect_bracket(a, lo, hi, max_steps=120):
     return lo, hi, steps
 
 
-def _polish_perron(a, v, lam_shift, rounds=4):
-    """Inverse iteration at a shift just above the bracket."""
+def _polish_perron(a, v, lam_shift, cone, rounds=4):
+    """Inverse iteration at a shift just above the bracket, projected onto the cone."""
     n = a.shape[0]
     m = lam_shift * np.eye(n) - a
     try:
@@ -400,7 +421,7 @@ def _polish_perron(a, v, lam_shift, rounds=4):
             w = w + lu_solve(lu, v - m @ w)
         if not np.all(np.isfinite(w)):
             break
-        w = np.maximum(w, 0.0)
+        w = project(cone, w)
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             break
@@ -421,11 +442,13 @@ def spectral_radius(T):
     (min and max of (Tv)_i / v_i certify the radius from both sides for
     strictly positive v); (b) Gelfand bracketing ||T^(2^j)||^(1/2^j) with
     row/column-sum norms; (c) a bisection on the resolvent-positivity
-    test, which solves (lam*I - T) z = 1 and accepts lam as an upper bound
-    exactly when z >= 0 -- this closes the bracket to the target width even
-    for reducible or periodic matrices where the power iteration stalls.
-    For operators that are not entrywise nonnegative only route (b) plus a
-    trace-based lower bound is available and no Perron pair is reported.
+    test, which solves (lam*I - T) z = e, e interior, and accepts lam as an
+    upper bound exactly when z lies in the cone -- this closes the bracket
+    to the target width even where the power iteration stalls.  A signed
+    map that `is_positive` finds positive on the Lorentz cone (a randomized
+    certificate) runs (c) on that cone from (b) and a trace lower bound;
+    on both cones inverse iteration above the bracket gives a Perron pair.
+    Any other signed map gets (b) and the trace bound, no Perron pair.
     The bracket is computed once per operator and shared by every caller.
     """
     return _memo(T, "spectral", lambda: _spectral_bracket(T))
@@ -446,24 +469,32 @@ def _spectral_bracket(T):
         return SpectralEstimate(0.0, 0.0, perron_value=0.0, perron_vector=v, residual=0.0)
 
     a = materialize(T)
-    nonneg = bool(np.all(a >= 0.0))
+    n = a.shape[0]
     upper = _gelfand_upper(a)
-    if not nonneg:
-        lower = min(_power_lower(a, lambda p: abs(float(np.trace(p))) / len(p), 16), upper)
-        converged = upper - lower <= BRACKET_WIDTH * max(1.0, upper)
-        return SpectralEstimate(lower, upper, converged=converged)
-
-    lower = _power_lower(a, lambda p: float(np.max(np.diag(p))), min(24, 2 * a.shape[0]))
-    cw_lo, cw_hi, v, iterations = _collatz_wielandt(a)
-    lower = max(lower, cw_lo)
-    upper = min(upper, cw_hi)
+    if np.all(a >= 0.0):
+        cone = orthant(n)
+        lower = _power_lower(a, lambda p: float(np.max(np.diag(p))), min(24, 2 * n))
+        cw_lo, cw_hi, v, iterations = _collatz_wielandt(a)
+        lower = max(lower, cw_lo)
+        upper = min(upper, cw_hi)
+    else:
+        cone = lorentz(n) if n >= 2 and is_positive(T, lorentz(n))[0] else None
+        lower = _power_lower(a, lambda p: abs(float(np.trace(p))) / len(p), 16)
+        v, iterations = (None if cone is None else interior_point(cone)), 0
     lower = min(lower, upper)  # guards fp dust in the certified bounds
-    lower, upper, bis_steps = _bisect_bracket(a, lower, upper)
-    iterations += bis_steps
+    if cone is None:
+        return SpectralEstimate(lower, upper)
+    lower, upper, bis_steps = _bisect_bracket(a, lower, upper, cone)
+    return _perron_pair(a, v, SpectralEstimate(lower, upper, iterations=iterations + bis_steps), cone)
 
+
+def _perron_pair(a, v, est, cone):
+    """`est` with a Perron pair of `a`: the better of the cone vector v and its
+    `_polish_perron` iterate, l2-normalized, its value clamped into the bracket."""
+    lower, upper = est.lower, est.upper
     shift_gap = max((upper - lower), 1e-12 * max(1.0, upper), 1e-300)
     v_best, res_best = v, _perron_residual(a, v, min(max(0.5 * (lower + upper), lower), upper))
-    v_pol = _polish_perron(a, v, upper + shift_gap)
+    v_pol = _polish_perron(a, v, upper + shift_gap, cone)
     lam_pol = min(max(float(v_pol @ (a @ v_pol)) if v_pol @ v_pol > 0 else lower, lower), upper)
     res_pol = _perron_residual(a, v_pol, lam_pol)
     if res_pol < res_best:
@@ -472,9 +503,8 @@ def _spectral_bracket(T):
     v_best = v_best / nv if nv > 0 else v_best
     lam = float(v_best @ (a @ v_best))
     lam = min(max(lam, lower), upper)
-    converged = upper - lower <= BRACKET_WIDTH * max(1.0, upper)
     residual = _perron_residual(a, v_best, lam)
-    return SpectralEstimate(lower, upper, lam, v_best, iterations, converged, residual)
+    return replace(est, perron_value=lam, perron_vector=v_best, residual=residual)
 
 
 def resolvent_apply(T, lam, y, rtol=1e-10, cross_check=True):

@@ -421,7 +421,7 @@ def test_quasi_suite_catches_a_growth_vector_that_decays(monkeypatch):
 
     T = diagonal([0.5, 0.25])
     monkeypatch.setattr(crit, "geometric_envelope", lambda T, a_env, norm: None)
-    monkeypatch.setattr(crit, "_growth_vector", lambda T, cone: (np.ones(2), "planted vector"))
+    monkeypatch.setattr(crit, "_growth_vector", lambda T, cone: np.ones(2))
     with pytest.raises(ArithmeticError, match="holds=False, but the worst sampled start"):
         quasi_compact_suite(T, orthant(2, "linf"))
 
@@ -582,8 +582,9 @@ def test_lorentz_consensus_fuzz():
 
 @pytest.mark.parametrize("i", [3, 10])
 def test_lorentz_fuzz_growth_witnesses_without_a_perron_pair(i):
-    # rho = 2 and 1.3: the approximate eigenvector is no growth vector, and
-    # the seeds of the USG search stay above 0; the monotone iteration finds x
+    # rho = 2 and 1.3, with negative entries, so no orthant Perron pair and
+    # (I - T)^{-1} is not positive: every growth witness is the Perron vector
+    # of the Lorentz bracket, and it takes the uniform margin to 0
     a = next(b for j, b, _ in _boost_rotation_maps() if j == i)
     T, cone = dense(a), lorentz(len(a), "l2")
     rep = cross_check(T, cone, CrossCheckConfig(seed=i))
@@ -717,14 +718,14 @@ def _lorentz_positive(rng, n, rho):
 
 
 def test_dual_small_gain_reads_the_adjoint_growth_vector():
-    # no Perron pair, and the adjoint bracket's lower end (0.88 here) is below
-    # 1: the witness is the adjoint's growth vector, checked as T'x' >= x'
+    # the witness is the adjoint's Perron functional, checked as T'x' >= x'
     T = dense(_lorentz_positive(np.random.default_rng(0), 16, 1.05))
     cone = lorentz(16, "l2")
     v = dual_small_gain(T, cone)
     est = spectral_radius(adjoint(T))
-    assert est.perron_vector is None and est.lower < 1.0 <= est.upper
+    assert est.perron_vector is not None and 1.0 < est.lower
     assert not v.holds and v.witness.kind == "dual_functional"
+    assert v.witness.note == "Perron functional of the adjoint: T'x' >= x'"
     assert np.sum(np.abs(v.witness.functional)) == pytest.approx(1.0, abs=1e-12)
     assert reverify_witness(T, cone, v)
     negated = replace(v, witness=replace(v.witness, functional=-v.witness.functional))
@@ -738,7 +739,7 @@ def test_lorentz_cone_vector_witnesses_reverify(n):
     cone = lorentz(n, "l2")
     rep = cross_check(T, cone)
     ids = {"SPR", "UNIFORM_SG", "INTERIOR_SG", "SIMPLE_SG", "SUBFIXED_POS", "STRONG_STAB", "WEAK_ATTR"}
-    assert spectral_radius(T).perron_vector is None
+    assert spectral_radius(T).perron_vector is not None
     found = [v for v in rep.criteria if v.id in ids and v.witness.kind == "cone_vector"]
     assert {v.id for v in found} == ids
     for v in found:
@@ -760,27 +761,22 @@ def test_lorentz_resolvent_witness_reverify():
         assert not reverify_witness(T, cone, wrong)
 
 
-def test_lorentz_cross_check_builds_the_no_perron_seed_once(monkeypatch):
-    # USG and ISG seed their searches with the same approximate eigenvector
-    # when T has no Perron pair; it is computed once per (T, cone)
+def test_lorentz_cross_check_seeds_with_the_perron_vector(monkeypatch):
+    # USG and ISG seed their searches with the Lorentz Perron vector of the
+    # spectral bracket; no approximate eigenvector is searched for
     import posstab.criteria as crit
 
-    real = crit.approximate_positive_eigenvector
-    seed_calls = []
-
-    def counting(T, cone, n_steps=30):
-        if n_steps == 22:
-            seed_calls.append(cone)
-        return real(T, cone, n_steps=n_steps)
-
-    monkeypatch.setattr(crit, "approximate_positive_eigenvector", counting)
+    eig_calls = _count_calls(monkeypatch, "approximate_positive_eigenvector")
     for n in (8, 32):
         T = dense(_lorentz_positive(np.random.default_rng(1), n, 0.9))
-        assert spectral_radius(T).perron_vector is None
-        seed_calls.clear()
-        rep = cross_check(T, lorentz(n, "l2"))
+        cone = lorentz(n, "l2")
+        v = spectral_radius(T).perron_vector
+        assert v is not None and contains(cone, v, 0.0)
+        seeds = crit._usg_seeds(T, cone, np.random.default_rng(0), 0)
+        assert any(np.array_equal(row, v) for row in seeds)
+        rep = cross_check(T, cone)
         assert rep.consensus == "STABLE"
-        assert len(seed_calls) == 1
+    assert eig_calls == []
 
 
 def _count_calls(monkeypatch, name):
@@ -797,6 +793,15 @@ def _count_calls(monkeypatch, name):
     return seen
 
 
+def _count_brackets(monkeypatch):
+    """Patch posstab.operators._spectral_bracket to record the operator of every run."""
+    import posstab.operators as ops
+
+    real, seen = ops._spectral_bracket, []
+    monkeypatch.setattr(ops, "_spectral_bracket", lambda T: seen.append(T) or real(T))
+    return seen
+
+
 def test_unstable_cross_check_runs_no_private_eigenvector_search(monkeypatch):
     # every criterion that fails reads the memoized growth vector: on the
     # orthant it is the Perron vector, so no resolvent schedule runs
@@ -810,13 +815,76 @@ def test_unstable_cross_check_runs_no_private_eigenvector_search(monkeypatch):
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_lorentz_cross_check_searches_once_per_operator(monkeypatch, n):
-    # one approximate eigenvector for T (shared by every growth witness) and
-    # one for T' (DUAL_SG); the rank-one destabilizer adds none
+    # one spectral bracket for T, whose Perron vector every growth witness
+    # reads; T' (DUAL_SG) shares it, and no eigenvector search runs
     eig_calls = _count_calls(monkeypatch, "approximate_positive_eigenvector")
+    brackets = _count_brackets(monkeypatch)
     T = dense(_lorentz_positive(np.random.default_rng(1), n, 1.5))
-    cross_check(T, lorentz(n, "l2"))
-    assert 1 <= len(eig_calls) <= 2
-    assert len({id(op) for op in eig_calls}) == len(eig_calls)
+    rep = cross_check(T, lorentz(n, "l2"))
+    assert rep.consensus == "UNSTABLE"
+    assert eig_calls == [] and brackets == [T]
+
+
+def test_lorentz_maps_above_one_report_unstable():
+    # the Lorentz bisection closes the bracket around rho = 1.05, and the
+    # consensus reads rho from the Perron value, outside the boundary band
+    for seed in range(10):
+        rep = cross_check(dense(_lorentz_positive(np.random.default_rng(seed), 8, 1.05)), lorentz(8, "l2"))
+        assert rep.consensus == "UNSTABLE", seed
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+@pytest.mark.parametrize("rho", [0.5, 0.9, 1.05, 1.5])
+def test_lorentz_bracket_contains_rho_at_target_width(n, rho):
+    a = _lorentz_positive(np.random.default_rng(n), n, rho)
+    est = spectral_radius(dense(a))
+    true = float(np.max(np.abs(np.linalg.eigvals(a))))  # test-only oracle
+    assert est.lower <= true <= est.upper
+    assert est.converged and est.width <= 1e-8 * max(1.0, est.upper)
+    v = est.perron_vector
+    assert contains(lorentz(n, "l2"), v, 0.0) and est.residual <= 1e-12
+    assert np.max(np.abs(a @ v - est.perron_value * v)) <= 1e-12
+
+
+def test_signed_maps_off_the_lorentz_cone_keep_the_trace_gelfand_bracket():
+    from posstab.operators import _gelfand_upper, _power_lower
+
+    theta = np.pi / 8
+    rotation = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    for rows in ([[0.5, 0.0], [-0.1, 0.5]], rotation):
+        a = np.array(rows)
+        est = spectral_radius(dense(a))
+        upper = _gelfand_upper(a)
+        lower = min(_power_lower(a, lambda p: abs(float(np.trace(p))) / len(p), 16), upper)
+        assert (est.lower, est.upper, est.iterations) == (lower, upper, 0)
+        assert est.perron_value is None and est.perron_vector is None
+        # the report's positivity samples the rays that gate the bracket
+        assert not cross_check(dense(a), lorentz(2, "l2")).positive
+
+
+def _adjoint_cases():
+    yield dense(_stable_positive("orthant", 16, seed=5, rho=1.05)), orthant(16, "l2")
+    yield dense(_lorentz_positive(np.random.default_rng(3), 16, 1.05)), lorentz(16, "l2")
+
+
+def test_adjoint_is_built_once_and_shares_the_bracket():
+    for T, _ in _adjoint_cases():
+        adj = adjoint(T)
+        assert adj is adjoint(T)
+        est, est_adj = spectral_radius(T), spectral_radius(adj)
+        assert (est_adj.lower, est_adj.upper) == (est.lower, est.upper)
+        v = est_adj.perron_vector
+        assert est_adj.residual <= 1e-12
+        assert np.max(np.abs(T.matrix.T @ v - est_adj.perron_value * v)) <= 1e-12
+
+
+def test_cross_check_computes_one_spectral_bracket(monkeypatch):
+    brackets = _count_brackets(monkeypatch)
+    for T, cone in _adjoint_cases():
+        brackets.clear()
+        rep = cross_check(T, cone)
+        assert rep.consensus == "UNSTABLE" and rep.positive
+        assert brackets == [T]
 
 
 def _unstable_witness_cases():

@@ -10,9 +10,9 @@ cases (n in {3, 4, 8, 16}, rho in {0.5, 0.9, 1.05}), 21 diagonal/shift
 cases and the ops of `certbench/inputs.build_ops("lorentz", s)` for
 s in {0, 1}, and the 12 boost-rotation Lorentz maps i = 0..11 of
 `tests/test_criteria.py::test_lorentz_consensus_fuzz`, each with its
-`CrossCheckConfig(seed=i)`; maps 3 and 10 are the only ones of the sweep
-where (I - T)^{-1} is not positive while every uniform small-gain seed
-stays above 0.  For each op of `build_ops("simulate", s)`, s in {0, 1}, it
+`CrossCheckConfig(seed=i)`; on maps 3 and 10 (I - T)^{-1} is not positive
+and the only uniform small-gain seed that reaches 0 is the Perron
+vector.  For each op of `build_ops("simulate", s)`, s in {0, 1}, it
 records the SHA-256 of `simulate(T, x0, u, K).states.tobytes()` and
 `iss_constants(T).to_dict()`.  It writes one JSON object keyed by case
 name.  `--src` picks the `posstab` source tree to import (default: this
@@ -21,9 +21,11 @@ repository's `src`), so one script can dump two checkouts.
 `diff` compares two dumps.  Verdicts, consensus, witness kinds, state
 hashes and every other non-float field (the text of notes included) must
 match exactly; floats, also those inside notes, may move by `--rtol`
-relative.  It prints the largest relative move per key (list positions
-and case names folded), then every mismatch, and exits with status 1 on
-any mismatch.
+relative.  It prints one line per case family (the name before the first
+`/`) with its counts of identical, mismatched and within-`--rtol`
+reports, the largest relative move per key (list positions and case
+names folded), then every mismatch, and exits with status 1 on any
+mismatch.
 """
 
 import os
@@ -154,7 +156,9 @@ def diff(args):
     if set(old) != set(new):
         problems.append(f"case sets differ: {sorted(set(old) ^ set(new))}")
     moves = {}
+    families = {}  # family -> [identical, mismatched, other]
     for case in sorted(set(old) & set(new)):
+        before = len(problems)
         a = dict(_leaves(old[case]))
         b = dict(_leaves(new[case]))
         if set(a) != set(b):
@@ -172,8 +176,12 @@ def diff(args):
                 moves[key] = (rel, case, x, y)
             if rel > args.rtol:
                 problems.append(f"{case}{path}: {x!r} -> {y!r} (rel {rel:.3e})")
+        counts = families.setdefault(case.split("/")[0], [0, 0, 0])
+        counts[0 if old[case] == new[case] else 1 if len(problems) > before else 2] += 1
     identical = sum(old[c] == new[c] for c in set(old) & set(new))
     print(f"{identical} of {len(old)} reports identical")
+    for family, (same, bad, moved) in sorted(families.items()):
+        print(f"{family}: {same} identical, {bad} mismatched, {moved} within --rtol")
     for key, (rel, case, x, y) in sorted(moves.items(), key=lambda kv: -kv[1][0]):
         print(f"{rel:10.3e}  {key}  ({case}: {x!r} -> {y!r})")
     for p in problems:
