@@ -118,13 +118,14 @@ def materialize(T):
 
 
 def apply(T, x):
+    """T x for a vector of shape (n,), or column by column for a block (n, k)."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (T.dim,):
-        raise DimensionMismatchError(f"expected vector of shape ({T.dim},)")
+    if x.ndim not in (1, 2) or x.shape[0] != T.dim:
+        raise DimensionMismatchError(f"expected shape ({T.dim},) or ({T.dim}, k)")
     if isinstance(T, DenseOperator):
         return T.matrix @ x
     if isinstance(T, DiagonalOperator):
-        return T.entries * x
+        return (T.entries * x.T).T
     out = np.zeros_like(x)
     out[1:] = T.factor * x[:-1]
     return out
@@ -286,7 +287,9 @@ def _gelfand_upper(a, max_squarings=46):
         b2 = b @ b
         nu = induced_norm(b2, "linf")
         if nu == 0.0:
-            return 0.0
+            # b2 may be 0 only because b's small entries underflowed: trust
+            # nilpotency only from the pattern, whose powers cannot underflow
+            return 0.0 if _nilpotent_pattern(a) else best
         logc = 2.0 * logc + np.log(nu)
         b = b2 / nu
         k = float(2**j)
@@ -295,6 +298,14 @@ def _gelfand_upper(a, max_squarings=46):
         if n1 > 0.0:
             best = min(best, float(np.exp((logc + np.log(n1)) / k)))
     return best
+
+
+def _nilpotent_pattern(a):
+    """True when the zero pattern of a forces a^n = 0, from 0/1 pattern squarings."""
+    p = (a != 0.0).astype(float)
+    for _ in range(max(1, (len(a) - 1).bit_length())):
+        p = np.minimum(p @ p, 1.0)
+    return not p.any()
 
 
 def _power_lower(a, stat, k_max):
@@ -514,11 +525,10 @@ def resolvent_apply(T, lam, y, rtol=1e-10, cross_check=True):
     block shares one factorization and one iterative refinement, and each
     column must meet the residual test ||(lam*I - T) z_j - y_j|| <=
     rtol*||y_j||.  Requires lam outside the certified spectral bracket; for
-    lam above the bracket the solution is cross-checked against a truncated
-    Neumann series built from `apply` (skipped when upper/lam > 0.995, where
-    the series is too slow).  A vector is checked on y itself, a block on a
-    fixed probe: the all-ones and one seeded positive combination of its
-    columns, pushed through the assembled solution.
+    lam above the bracket it is checked against the Neumann series from
+    `apply`, summed by doubling (skipped at upper/lam > 0.995, where it may
+    not converge within 2^16 terms).  A vector is checked on y itself, a
+    block in one series on a probe: all-ones and a seeded positive mix.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2) or y.shape[0] != T.dim:
@@ -556,15 +566,13 @@ def resolvent_apply(T, lam, y, rtol=1e-10, cross_check=True):
         )
     if cross_check and lam > est.upper + guard and est.upper / lam <= 0.995:
         c = _probe(b.shape[1]) if y.ndim == 2 else np.ones((1, 1))
-        for yp, zp in zip((b @ c).T, (z @ c).T):
-            zn = _neumann_resolvent(T, lam, yp)
-            if zn is not None:
-                gap = float(np.linalg.norm(zp - zn))
-                if gap > 1e-7 * (1.0 + float(np.linalg.norm(zp))):
-                    raise ArithmeticError(
-                        "LU and Neumann resolvent routes disagree "
-                        f"(gap {gap:.3e}); this is an internal error"
-                    )
+        zp, zn = z @ c, _neumann_resolvent(T, lam, b @ c)
+        gap = 0.0 if zn is None else np.linalg.norm(zp - zn, axis=0)
+        if np.any(gap > 1e-7 * (1.0 + np.linalg.norm(zp, axis=0))):
+            raise ArithmeticError(
+                "LU and Neumann resolvent routes disagree "
+                f"(gap {np.max(gap):.3e}); this is an internal error"
+            )
     return z.reshape(y.shape)
 
 
@@ -587,18 +595,20 @@ def _probe(k):
     return np.column_stack([np.ones(k), np.random.default_rng(0).uniform(0.5, 1.5, k)])
 
 
-def _neumann_resolvent(T, lam, y, max_terms=60000):
-    """sum_k T^k y / lam^(k+1), with T applied through `apply`, not the LU's matrix."""
-    term = y / lam
-    total = term.copy()
-    tol = 1e-13 * max(float(np.linalg.norm(y)), 1e-300)
-    for _ in range(max_terms):
-        term = apply(T, term) / lam
-        total += term
+def _neumann_resolvent(T, lam, y):
+    """sum_k T^k y / lam^(k+1) for a block y; None if not finite within 2^16 terms.
+
+    Doubling from s = y/lam, P = T/lam (`apply`, not the LU's matrix): s += P s, P = P^2."""
+    p, total = apply(T, np.eye(T.dim)) / lam, y / lam
+    tol = 1e-13 * np.maximum(np.linalg.norm(y, axis=0), 1e-300)
+    for _ in range(16):
+        chunk = np.matmul(p, total)
+        total = total + chunk
         if not np.all(np.isfinite(total)):
             return None
-        if float(np.linalg.norm(term)) <= tol:
+        if np.all(np.linalg.norm(chunk, axis=0) <= tol):
             return total
+        p = np.matmul(p, p)
     return None
 
 

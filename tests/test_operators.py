@@ -10,6 +10,7 @@ from posstab import (
     SpectralProximityError,
     adjoint,
     apply,
+    cross_check,
     dense,
     diagonal,
     geometric_envelope,
@@ -43,6 +44,16 @@ def test_apply_shift():
 def test_apply_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         apply(UPPER2X2, [1.0, 2.0, 3.0])
+    with pytest.raises(DimensionMismatchError):
+        apply(UPPER2X2, np.ones((2, 2, 1)))
+
+
+@pytest.mark.parametrize("T", [dense(np.arange(16.0).reshape(4, 4) - 5.0),
+                               diagonal([0.5, -2.0, 3.0, 0.0]), shift(4, 1.5)],
+                         ids=["dense", "diagonal", "shift"])
+def test_apply_block_matches_columns(T):
+    X = np.random.default_rng(2).integers(-5, 6, size=(4, 3)).astype(float)  # exact products
+    np.testing.assert_array_equal(apply(T, X), np.column_stack([apply(T, x) for x in X.T]))
 
 
 # ---------------------------------------------------------------- adjoint
@@ -154,6 +165,32 @@ def test_spectral_radius_nilpotent_shift():
     # oracle: the materialized 8th power vanishes
     m = np.linalg.matrix_power(materialize(shift(8, 2.0)), 8)
     assert not m.any()
+
+
+def jordan(n, rho, c=0.5):
+    """rho * (I + c N), N the superdiagonal shift: spectral radius rho, far from normal."""
+    return dense(rho * (np.eye(n) + c * np.eye(n, k=1)))
+
+
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("rho", [0.9, 1.1])
+def test_gelfand_bracket_survives_underflowing_squares(n, rho):
+    # the normalized squares of a large Jordan-like block flush their
+    # diagonal to 0 and turn exactly nilpotent; that is no proof that T is
+    T = jordan(n, rho)
+    est = spectral_radius(T)
+    assert est.lower - 1e-15 <= rho <= est.upper <= rho * (1.0 + 1e-6)
+    report = cross_check(T, orthant(n, "linf"))
+    if rho < 1.0:
+        assert report.verdict("SPR").holds
+    else:
+        assert report.consensus == "UNSTABLE"
+
+
+@pytest.mark.parametrize("n", [6, 24])
+def test_materialized_nilpotent_shift_keeps_zero_bracket(n):
+    est = spectral_radius(dense(materialize(shift(n, 1.3))))
+    assert est.lower == est.upper == 0.0
 
 
 def test_spectral_radius_bracket_width_and_agreement():
@@ -316,6 +353,99 @@ def test_resolvent_planted_wrong_matrix_caught_by_neumann(monkeypatch, rhs):
     monkeypatch.setattr(ops, "materialize", lambda _: wrong)
     with pytest.raises(ArithmeticError, match="Neumann"):
         resolvent_apply(T, 1.0, y)
+
+
+def _signed(n=6, rho=0.7, seed=9):
+    a = np.random.default_rng(seed).normal(size=(n, n))
+    return dense(a * rho / float(np.max(np.abs(np.linalg.eigvals(a)))))
+
+
+NEUMANN_OPERATORS = {
+    "positive": _stable_positive(),
+    "signed": _signed(),
+    "jordan": jordan(4, 0.9),  # larger blocks fail the LU residual test at 0.995
+    "diagonal": diagonal([0.93, -0.41, 0.77]),
+    "shift": shift(7, 1.3),
+}
+
+
+@pytest.mark.parametrize("ratio", [0.5, 0.9, 0.99, 0.995])
+@pytest.mark.parametrize("name", sorted(NEUMANN_OPERATORS))
+def test_doubling_neumann_matches_lu(name, ratio):
+    from posstab.operators import _neumann_resolvent
+
+    T = NEUMANN_OPERATORS[name]
+    # the shift's bracket is [0, 0]; its factor sets the scale instead
+    scale = spectral_radius(T).upper or T.factor
+    lam = scale / ratio
+    y = np.random.default_rng(1).uniform(0.5, 1.5, size=(T.dim, 2))
+    z = resolvent_apply(T, lam, y, cross_check=False)
+    zn = _neumann_resolvent(T, lam, y)
+    assert zn is not None
+    assert np.all(np.linalg.norm(zn - z, axis=0) <= 1e-10 * np.linalg.norm(z, axis=0))
+
+
+def test_doubling_neumann_gives_up_after_2_16_terms_or_on_overflow():
+    from posstab.operators import _neumann_resolvent
+
+    y = np.ones((1, 1))
+    np.testing.assert_allclose(_neumann_resolvent(diagonal([0.99]), 1.0, y), [[100.0]])
+    assert _neumann_resolvent(diagonal([0.9999]), 1.0, y) is None  # ~3e5 terms needed
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _neumann_resolvent(diagonal([2.0]), 1.0, y) is None
+
+
+def test_resolvent_planted_entry_seen_by_second_probe_column_only(monkeypatch):
+    # the wrong entry (0, j) changes (I - T)^{-1} b c only through entry j of
+    # X c, X = (I - T)^{-1} b; row j of X is (1, -1), so the all-ones probe
+    # column misses the fault and only the seeded one can raise
+    import posstab.operators as ops
+
+    T, j = _stable_positive(), 2
+    spectral_radius(T)
+    X = np.random.default_rng(3).uniform(0.5, 1.5, size=(T.dim, 2))
+    X[j] = [1.0, -1.0]
+    b = (np.eye(T.dim) - T.matrix) @ X
+    wrong = np.array(T.matrix)
+    wrong[0, j] += 0.05
+    c = ops._probe(2)
+    gaps = np.linalg.norm(np.linalg.solve(np.eye(T.dim) - wrong, b) @ c - X @ c, axis=0)
+    assert gaps[0] < 1e-12 < 1e-3 < gaps[1]
+    resolvent_apply(T, 1.0, b)
+    monkeypatch.setattr(ops, "materialize", lambda _: wrong)
+    with pytest.raises(ArithmeticError, match="Neumann"):
+        resolvent_apply(T, 1.0, b)
+
+
+class _SquaringCounter:
+    """numpy, with a count of the matmuls of an array with itself."""
+
+    def __init__(self):
+        self.squarings = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, x1, x2, *args, **kwargs):
+        self.squarings += x1 is x2
+        return np.matmul(x1, x2, *args, **kwargs)
+
+
+@pytest.mark.parametrize("rhs", sorted(RHS))
+def test_neumann_check_is_one_apply_and_few_squarings(monkeypatch, rhs):
+    # upper/lam = 0.99 needs about 3,000 series terms: one apply builds
+    # T/lam, and doubling reaches them in 12 squarings (the cap is 16)
+    import posstab.operators as ops
+
+    T = _stable_positive(n=16, rho=0.99)
+    assert spectral_radius(T).upper <= 0.995
+    applies, counter = [], _SquaringCounter()
+    real_apply = ops.apply
+    monkeypatch.setattr(ops, "apply", lambda *a: applies.append(1) or real_apply(*a))
+    monkeypatch.setattr(ops, "np", counter)
+    resolvent_apply(T, 1.0, RHS[rhs](T.dim))
+    assert len(applies) == 1
+    assert 1 <= counter.squarings <= 16
 
 
 # ---------------------------------------------------------------- power norms

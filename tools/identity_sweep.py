@@ -12,11 +12,15 @@ s in {0, 1}, and the 12 boost-rotation Lorentz maps i = 0..11 of
 `tests/test_criteria.py::test_lorentz_consensus_fuzz`, each with its
 `CrossCheckConfig(seed=i)`; on maps 3 and 10 (I - T)^{-1} is not positive
 and the only uniform small-gain seed that reaches 0 is the Perron
-vector.  For each op of `build_ops("simulate", s)`, s in {0, 1}, it
-records the SHA-256 of `simulate(T, x0, u, K).states.tobytes()` and
-`iss_constants(T).to_dict()`.  It writes one JSON object keyed by case
-name.  `--src` picks the `posstab` source tree to import (default: this
-repository's `src`), so one script can dump two checkouts.
+vector.  Then 4 Jordan-like orthant-linf cases rho * (I + 0.5 N), N the
+superdiagonal shift, n in {8, 16}, rho in {0.9, 1.1}: from n = 16 on,
+the Gelfand squares of these maps underflow.  For each op of
+`build_ops("simulate", s)`, s in {0, 1}, it records the SHA-256 of
+`simulate(T, x0, u, K).states.tobytes()` and `iss_constants(T).to_dict()`.
+A case that raises is recorded as {"error": "<Type>: <message>"}.  It
+writes one JSON object keyed by case name.  `--src` picks the `posstab`
+source tree to import (default: this repository's `src`), so one script
+can dump two checkouts.
 
 `diff` compares two dumps.  Verdicts, consensus, witness kinds, state
 hashes and every other non-float field (the text of notes included) must
@@ -103,6 +107,27 @@ def cases(np, inputs, ps):
             yield f"certbench-lorentz/s{s}/{op.name}", ps.dense(op.matrix), cone, (), SEED
     for i, a in boost_rotation_maps(np):
         yield f"lorentz-fuzz/i{i}", ps.dense(a), ps.lorentz(len(a), "l2"), (), i
+    for n in (8, 16):
+        for rho in (0.9, 1.1):
+            a = rho * (np.eye(n) + 0.5 * np.eye(n, k=1))
+            yield f"jordan/n{n}/rho{rho}", ps.dense(a), ps.orthant(n, "linf"), (), SEED
+
+
+def _record(report):
+    """report(), or {"error": "<Type>: <message>"} when it raises."""
+    try:
+        return report()
+    except Exception as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _simulate_report(ps, op):
+    T = ps.dense(op.matrix)
+    states = ps.simulate(T, op.x0, op.u, op.K).states
+    return {
+        "states_sha256": hashlib.sha256(states.tobytes()).hexdigest(),
+        "iss": ps.iss_constants(T).to_dict(),
+    }
 
 
 def dump(args):
@@ -110,15 +135,10 @@ def dump(args):
     out = {}
     for name, T, cone, notes, seed in cases(np, inputs, ps):
         cfg = ps.CrossCheckConfig(seed=seed)
-        out[name] = ps.cross_check(T, cone, cfg, extra_notes=notes).to_dict()
+        out[name] = _record(lambda: ps.cross_check(T, cone, cfg, extra_notes=notes).to_dict())
     for s in (0, 1):
         for op in inputs.build_ops("simulate", s):
-            T = ps.dense(op.matrix)
-            states = ps.simulate(T, op.x0, op.u, op.K).states
-            out[f"certbench-simulate/s{s}/{op.name}"] = {
-                "states_sha256": hashlib.sha256(states.tobytes()).hexdigest(),
-                "iss": ps.iss_constants(T).to_dict(),
-            }
+            out[f"certbench-simulate/s{s}/{op.name}"] = _record(lambda: _simulate_report(ps, op))
     Path(args.out).write_text(json.dumps(out, sort_keys=True))
     print(f"{len(out)} reports -> {args.out}")
 
