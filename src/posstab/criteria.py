@@ -29,6 +29,7 @@ from .cones import (
 from .errors import SpectralProximityError, UnsupportedConeNormError
 from .norms import _l2_induced, batch_vec_norm, dual_norm, induced_norm, vec_norm
 from .operators import (
+    POSITIVITY_TOL,
     DenseOperator,
     _memo,
     _resolvent_inverse,
@@ -166,18 +167,18 @@ def _decision_tol(est, tol):
     return max(tol, 10.0 * res)
 
 
-def check_resolvent_positivity(T, cone, tol=1e-10):
+def check_resolvent_positivity(T, cone):
     """Is id - T invertible with a positive inverse?
 
     Orthant: holds iff every column of (I - T)^{-1} lies in the cone within
-    `tol`; the margin is the minimal entry of the inverse.  Lorentz: basis
-    vectors do not generate the cone, so the inverse is tested as a cone
-    map on boundary rays instead; the margin is the worst membership margin
-    of a mapped ray.  The inverse, and the verdict per (cone, tol), are
-    computed once per operator: RESOLVENT_POS, MBI and the closed-form
-    small-gain margins share them.
+    POSITIVITY_TOL; the margin is the minimal entry of the inverse.
+    Lorentz: basis vectors do not generate the cone, so the inverse is
+    tested as a cone map on boundary rays instead; the margin is the worst
+    membership margin of a mapped ray.  The inverse, and the verdict per
+    cone, are computed once per operator: RESOLVENT_POS, MBI and the
+    closed-form small-gain margins share them.
     """
-    return _memo(T, ("resolvent_pos", cone, tol), lambda: _resolvent_positivity(T, cone, tol))
+    return _memo(T, ("resolvent_pos", cone), lambda: _resolvent_positivity(T, cone, POSITIVITY_TOL))
 
 
 def _resolvent_positivity(T, cone, tol):
@@ -211,7 +212,7 @@ def _resolvent_positivity(T, cone, tol):
     margins = margin(cone, rays @ inv.T)
     worst = int(np.argmin(margins))
     low = float(margins[worst])
-    ok, witness_ray = is_positive(DenseOperator(inv), cone, rng=rng, tol=tol)
+    ok, witness_ray = is_positive(DenseOperator(inv), cone, rng=rng)
     if ok and low >= -tol:
         return CriterionVerdict("RESOLVENT_POS", True, low, None)
     bad = witness_ray if witness_ray is not None else rays[worst]
@@ -795,7 +796,7 @@ def cross_check(T, cone, config=None, extra_notes=()):
                 "is a randomized certificate"
             )
 
-        res_v = check_resolvent_positivity(T, cone, tol=1e-10)
+        res_v = check_resolvent_positivity(T, cone)
         c_mbi, mbi_v = mbi_constant(T, cone, rng=rngs[1])
         eta_emp, usg_v = uniform_small_gain_margin(T, cone, rng=rngs[2])
         dual_v = dual_small_gain(T, cone)

@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NoISSEstimateError
 from .norms import batch_vec_norm, vec_norm
-from .operators import POWER_HORIZON, _power_table, geometric_envelope, materialize
-from .operators import power_norms, spectral_radius
+from .operators import _first_power, geometric_envelope, materialize, spectral_radius
 
 #: a dyadic block contributing less than this fraction counts as converged
 DYADIC_BLOCK_FRACTION = 0.10
@@ -27,6 +26,9 @@ BLOCK_RATIO_CONVERGENT = 0.9
 
 #: steps per block of the solution-formula route in `simulate`
 _CONVOLUTION_BLOCK = 32
+
+#: `iss_constants` stops summing ||T^k|| once the certified tail is at most this
+ISS_TAIL_TOL = 1e-10
 
 
 @dataclass
@@ -175,7 +177,7 @@ class ISSEstimate:
         }
 
 
-def iss_constants(T, norm="linf", tail_tol=1e-10):
+def iss_constants(T, norm="linf"):
     """Certified ISS constants of ||x(k)|| <= M a^k ||x(0)|| + C ||u||_inf.
 
     a = (upper + 1)/2 and M comes from the geometric envelope of the power
@@ -183,10 +185,10 @@ def iss_constants(T, norm="linf", tail_tol=1e-10):
     with theta = ||T^m|| <= 1/2: by submultiplicativity every block is at
     most theta times the one before, so the sum past L blocks is at most
     theta/(1 - theta) times the last block's sum.  L is the first block
-    count whose tail term is <= tail_tol, or the last one within
-    POWER_HORIZON powers (C then stays certified, only looser).  l2 power
-    norms of dense operators are certified upper bounds, so C and M stay
-    upper bounds.
+    count whose tail term is <= ISS_TAIL_TOL, or the last complete block
+    before the power-norm table ends (C then stays certified, only looser).
+    l2 power norms of dense operators are certified upper bounds, so C and
+    M stay upper bounds.
     """
     est = spectral_radius(T)
     if est.upper >= 1.0:
@@ -197,39 +199,45 @@ def iss_constants(T, norm="linf", tail_tol=1e-10):
     env = geometric_envelope(T, a_rate, norm=norm)
     if env is None:
         raise NoISSEstimateError("failed to certify a geometric envelope")
-    table = _power_table(T, norm)
-    m = next((k for k in range(1, POWER_HORIZON + 1) if table.at(k) <= 0.5), None)
+    m, head = _first_power(T, norm, lambda k, nm: nm <= 0.5)
     if m is None:
-        raise NoISSEstimateError(f"no power ||T^m|| <= 1/2 with m <= {POWER_HORIZON}")
-    theta = table.at(m)
-    L, tail = 0, np.inf
-    while tail > tail_tol and (L + 1) * m <= POWER_HORIZON + 1:
-        L += 1
-        table.at(L * m - 1)
-        tail = theta / (1.0 - theta) * float(np.sum(table.values[(L - 1) * m : L * m]))
-    pn = power_norms(T, L * m - 1, norm).values
+        raise NoISSEstimateError(f"no power ||T^m|| <= 1/2 with m <= {len(head) - 1}")
+    theta, block, tails = float(head[m]), [], []
+
+    def small_tail(k, nm):  # closes a block at k = L m - 1
+        block.append(nm)
+        if len(block) < m:
+            return False
+        tails.append(theta / (1.0 - theta) * float(np.sum(block)))
+        block.clear()
+        return tails[-1] <= ISS_TAIL_TOL
+
+    _, pn = _first_power(T, norm, small_tail, start=0)
+    pn = pn[: len(tails) * m]
     m_emp = float(np.max(pn / a_rate ** np.arange(len(pn))))
     return ISSEstimate(
         M=max(env[0], m_emp, 1.0),
         a=a_rate,
-        C=float(np.sum(pn)) + tail,
-        tail_bound=tail,
+        C=float(np.sum(pn)) + tails[-1],
+        tail_bound=tails[-1],
         norm=norm,
         K=len(pn) - 1,
     )
 
 
-def verify_iss_bound(T, est, trials=100, K=100, rng=None, tol=1e-8, input_bound=1.0):
+def verify_iss_bound(T, est, trials=100, rng=None, tol=1e-8):
     """Check ||x(k)|| <= M a^k ||x0|| + C ||u||_inf on random trials.
 
-    Trials are batched through the same recurrence arithmetic as
-    `simulate`; the bound must hold at every step of every trial.
+    Each trial runs 100 steps from a normal x0 with inputs uniform in
+    [-1, 1], batched through the same recurrence arithmetic as `simulate`;
+    the bound must hold at every step of every trial.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     a = materialize(T)
     n = T.dim
     X = rng.normal(size=(trials, n))
-    U = rng.uniform(-input_bound, input_bound, size=(K, trials, n))
+    K = 100
+    U = rng.uniform(-1.0, 1.0, size=(K, trials, n))
     x0n = batch_vec_norm(X, est.norm)
     un = batch_vec_norm(U, est.norm).max(axis=0)
     cur = X.copy()
@@ -253,28 +261,14 @@ class ResponseClassification:
         return {"mode": self.mode, "verdict": self.verdict, "detail": self.detail}
 
 
-def _dyadic_blocks(series):
-    """Sums of the series over complete blocks [2^{j-1}, 2^j).
-
-    Incomplete trailing blocks are dropped: a truncated block would fake a
-    small ratio and misclassify growing responses.
-    """
-    sums = []
-    j = 1
-    while 2**j <= len(series):
-        lo, hi = 2 ** (j - 1), 2**j
-        sums.append(float(np.sum(series[lo:hi])))
-        j += 1
-    return sums
-
-
-def response_class_check(T, u, mode, est=None, rng=None, ag_eps=1e-3, norm="linf", horizon=None):
+def response_class_check(T, u, mode, rng=None, ag_eps=1e-3, norm="linf"):
     """Classify the state response for an input class; reported, not asserted.
 
     modes: "lp" (summability of ||x||^p), "linf" (boundedness), "c0"
     (decay of the tail), "ag" (time to enter the asymptotic-gain tube
-    eps + C ||u||_inf).  The canonical run starts at x0 = 0; one random
-    start is run alongside and reported in the detail.
+    eps + C ||u||_inf, C from `iss_constants`).  The runs last
+    max(2 len(u), 128) steps; the canonical one starts at x0 = 0, and one
+    random start is run alongside and reported in the detail.
     """
     mode = mode.lower()
     if mode not in ("lp", "linf", "c0", "ag"):
@@ -283,7 +277,7 @@ def response_class_check(T, u, mode, est=None, rng=None, ag_eps=1e-3, norm="linf
         u = InputSignal(values=u)
     rng = np.random.default_rng(0) if rng is None else rng
     n = T.dim
-    H = horizon if horizon is not None else max(2 * len(u), 128)
+    H = max(2 * len(u), 128)
     uv = np.zeros((H, n))
     uv[: len(u)] = u.values
     a = materialize(T)
@@ -302,7 +296,10 @@ def response_class_check(T, u, mode, est=None, rng=None, ag_eps=1e-3, norm="linf
     if mode == "lp":
         p = u.p if u.p is not None else 1.0
         series = norms0**p
-        blocks = _dyadic_blocks(series)
+        # sums over the complete blocks [2^(j-1), 2^j) only: a truncated trailing
+        # block would fake a small ratio and misclassify growing responses
+        ends = [2**j for j in range(1, len(series).bit_length())]
+        blocks = [float(np.sum(series[e // 2 : e])) for e in ends]
         detail["partial_sum"] = float(np.sum(series))
         detail["dyadic_blocks"] = blocks
         if len(blocks) >= 2 and blocks[-2] > 0:
@@ -334,16 +331,11 @@ def response_class_check(T, u, mode, est=None, rng=None, ag_eps=1e-3, norm="linf
             else "not_vanishing"
         )
     else:  # ag
-        iss_est = est if est is not None else iss_constants(T, norm=norm)
-        tube = ag_eps + iss_est.C * float(np.max(batch_vec_norm(uv, norm)))
-        inside = norms_r <= tube  # the "with initial value" statement
-        t_eps = None
-        for k in range(len(inside) - 1, -1, -1):
-            if not inside[k]:
-                t_eps = k + 1
-                break
-        t_eps = 0 if t_eps is None else t_eps
-        detail["T_eps"] = int(t_eps) if t_eps <= H else None
+        tube = ag_eps + iss_constants(T, norm=norm).C * float(np.max(batch_vec_norm(uv, norm)))
+        # the "with initial value" statement: the first step after the last one outside
+        outside = np.nonzero(~(norms_r <= tube))[0]
+        t_eps = int(outside[-1]) + 1 if outside.size else 0
+        detail["T_eps"] = t_eps if t_eps <= H else None
         detail["tube"] = tube
         verdict = "satisfied" if t_eps <= H else "not_reached"
 
@@ -391,12 +383,7 @@ def datko_test(T, x, p, K=64, norm="linf"):
         if k < K:
             cur = a @ cur
     total = float(np.sum(terms))
-    checkpoints = []
-    j = 0
-    while 2**j <= K:
-        checkpoints.append(float(np.sum(terms[: 2**j + 1])))
-        j += 1
-    checkpoints.append(total)
+    checkpoints = [float(np.sum(terms[: 2**j + 1])) for j in range(int(K).bit_length())] + [total]
     half = K // 2
     last_block = float(np.sum(terms[half + 1 :]))
     frac = last_block / total if total > 0 else 0.0

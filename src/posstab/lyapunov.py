@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import DivergenceError, NotALatticeError
 from .norms import UNIT_ROUNDOFF, batch_vec_norm, l2_upper_bounds, vec_norm
-from .operators import POWER_HORIZON, _power_table, materialize, spectral_radius
+from .operators import _first_power, materialize, spectral_radius
 
 #: squarings after which solve_stein gives up: 2^64 series terms
 STEIN_MAX_SQUARINGS = 64
@@ -139,6 +139,7 @@ def equivalent_norm(
     supremum, so the infinite sup collapses to a certified finite max.
     The norms ||T^k|| come from T's memoized power-norm table; under l2
     they are certified upper bounds, so K is never below the exact depth.
+    Raises ValueError when the table ends before such a K.
     """
     if s <= 1.0:
         raise ValueError("s must be > 1")
@@ -149,11 +150,8 @@ def equivalent_norm(
         raise ValueError(
             f"s * spectral_upper = {s * est.upper} >= 1: the equivalent norm sup may diverge"
         )
-    table = _power_table(T, norm)
-    for K in range(1, POWER_HORIZON + 1):
-        if (s**K) * table.at(K) < 1.0:
-            break
-    else:
+    K, _ = _first_power(T, norm, lambda k, nm: (s**k) * nm < 1.0)
+    if K is None:
         raise ValueError("failed to certify a truncation depth; s too close to 1/spr")
     a = materialize(T)
     cert = EquivalentNorm(

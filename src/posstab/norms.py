@@ -124,7 +124,7 @@ def l2_upper_bounds(P, start=None, max_steps=64):
     return np.ldexp(np.sqrt(best * (1.0 + _gamma(8))), exponent), v
 
 
-def _l2_induced(a, iters=200, rtol=1e-12, start=None):
+def _l2_induced(a, start=None):
     """(estimate of ||A||_2, the unit power-method vector v with ||Av||_2 equal to it),
     the larger over a graded and a flat positive start, or from `start` alone."""
     n = a.shape[1]
@@ -137,7 +137,7 @@ def _l2_induced(a, iters=200, rtol=1e-12, start=None):
     for v in starts:
         v = v / np.linalg.norm(v)
         lam = 0.0
-        for _ in range(iters):
+        for _ in range(200):
             w = b @ v
             nw = np.linalg.norm(w)
             if nw == 0.0:
@@ -145,7 +145,7 @@ def _l2_induced(a, iters=200, rtol=1e-12, start=None):
                 break
             v = w / nw
             new_lam = float(v @ (b @ v))
-            if abs(new_lam - lam) <= rtol * max(1.0, abs(new_lam)):
+            if abs(new_lam - lam) <= 1e-12 * max(1.0, abs(new_lam)):
                 lam = new_lam
                 break
             lam = new_lam

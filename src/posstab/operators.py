@@ -12,7 +12,7 @@ from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve
 
 from .cones import interior_point, lorentz, margin, orthant, project
 from .errors import DimensionMismatchError, SpectralProximityError
@@ -27,8 +27,11 @@ BRACKET_WIDTH = 1e-8
 #: step cap of the Perron power iteration inside spectral_radius
 PERRON_MAX_ITER = 20000
 
-#: largest power k that any search over the ||T^k|| table reads
+#: largest power k that the ||T^k|| table holds, and so every search over it reads
 POWER_HORIZON = 200000
+
+#: cone-membership slack of `is_positive` (times max(1, ||Tx||)) and of RESOLVENT_POS
+POSITIVITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -189,13 +192,13 @@ def operator_from_csv(text):
     return dense(rows)
 
 
-def is_positive(T, cone, n_samples=256, tol=1e-10, rng=None):
+def is_positive(T, cone, rng=None):
     """(positive, witness): does T map the cone into itself?
 
     Orthant: exact entrywise test on the materialized matrix; the witness
     is the basis vector of a column with a negative entry.  Lorentz:
-    randomized certificate on boundary rays (axis-aligned rays are always
-    included); a violating ray is returned as witness.
+    randomized certificate on 256 boundary rays (axis-aligned rays are
+    always included); a violating ray is returned as witness.
     """
     if cone.dim != T.dim:
         raise DimensionMismatchError("cone and operator dimensions differ")
@@ -212,12 +215,12 @@ def is_positive(T, cone, n_samples=256, tol=1e-10, rng=None):
     m = cone.dim - 1
     eye = np.eye(m)
     dirs = np.stack([eye, -eye], axis=1).reshape(2 * m, m)  # e1, -e1, e2, -e2, ...
-    extra = rng.normal(size=(max(n_samples - 2 * m, 0), m))
+    extra = rng.normal(size=(max(256 - 2 * m, 0), m))
     extra /= np.maximum(np.linalg.norm(extra, axis=1, keepdims=True), 1e-300)
     rest = np.vstack([dirs, extra, np.zeros((1, m))])
     rays = np.hstack([np.ones((rest.shape[0], 1)), rest])
     Y = rays @ a.T
-    bad = np.nonzero(margin(cone, Y) < -tol * np.maximum(1.0, batch_vec_norm(Y, "l2")))[0]
+    bad = np.nonzero(margin(cone, Y) < -POSITIVITY_TOL * np.maximum(1.0, batch_vec_norm(Y, "l2")))[0]
     if bad.size:
         return False, rays[bad[0]]
     return True, None
@@ -276,14 +279,14 @@ class SpectralEstimate:
         return d
 
 
-def _gelfand_upper(a, max_squarings=46):
-    """min_j ||T^(2^j)||^(1/2^j) with row/column-sum norms, log-scaled."""
+def _gelfand_upper(a):
+    """min_j ||T^(2^j)||^(1/2^j), j <= 46, with row/column-sum norms, log-scaled."""
     best = min(induced_norm(a, "linf"), induced_norm(a, "l1"))
     if best == 0.0:
         return 0.0
     b = a / best
     logc = np.log(best)
-    for j in range(1, max_squarings + 1):
+    for j in range(1, 47):
         b2 = b @ b
         nu = induced_norm(b2, "linf")
         if nu == 0.0:
@@ -371,24 +374,18 @@ def _semipositivity(a, lam, cone):
     """Resolvent-positivity test for lam*I - T, T positive on `cone`.
 
     Returns True when z in the cone with (lam*I - T) z = e, e the cone's
-    interior point, is found (certifies lam > spr), False when the solve is
-    singular or z is clearly outside the cone (certifies lam <= spr), None
-    when ambiguous.
+    interior point, is found (certifies lam > spr), False when z is clearly
+    outside the cone (certifies lam <= spr), None when ambiguous: a
+    numerically singular lam*I - T proves nothing either way.
     """
     n = a.shape[0]
     m = lam * np.eye(n) - a
-    try:
-        lu = lu_factor(m)
-    except LinAlgError:
-        return False
-    e = interior_point(cone)
+    lu, e = lu_factor(m), interior_point(cone)  # a singular m only warns
     with np.errstate(all="ignore"):
         z = lu_solve(lu, e)
-        if not np.all(np.isfinite(z)):
-            return False
-        z = z + lu_solve(lu, e - m @ z)
+        z = z + lu_solve(lu, e - m @ z, check_finite=False)
     if not np.all(np.isfinite(z)):
-        return False
+        return None
     resid = float(np.max(np.abs(m @ z - e)))
     err = 10.0 * max(resid, 1e-14 * n * float(np.max(np.abs(z))))
     if cone.kind == "lorentz":
@@ -401,9 +398,9 @@ def _semipositivity(a, lam, cone):
     return None
 
 
-def _bisect_bracket(a, lo, hi, cone, max_steps=120):
+def _bisect_bracket(a, lo, hi, cone):
     steps = 0
-    while hi - lo > BRACKET_WIDTH * max(1.0, hi) and steps < max_steps:
+    while hi - lo > BRACKET_WIDTH * max(1.0, hi) and steps < 120:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -418,22 +415,24 @@ def _bisect_bracket(a, lo, hi, cone, max_steps=120):
     return lo, hi, steps
 
 
-def _polish_perron(a, v, lam_shift, cone, rounds=4):
-    """Inverse iteration at a shift just above the bracket, projected onto the cone."""
+def _polish_perron(a, v, lam_shift, cone):
+    """Four inverse-iteration steps at a shift just above the bracket, projected onto the
+    cone; an iterate whose l2 norm overflows is first scaled by its largest entry."""
     n = a.shape[0]
     m = lam_shift * np.eye(n) - a
-    try:
-        lu = lu_factor(m)
-    except LinAlgError:
-        return v
-    for _ in range(rounds):
+    lu = lu_factor(m)
+    for _ in range(4):
         with np.errstate(all="ignore"):
             w = lu_solve(lu, v)
             w = w + lu_solve(lu, v - m @ w)
         if not np.all(np.isfinite(w)):
             break
         w = project(cone, w)
-        nw = float(np.linalg.norm(w))
+        with np.errstate(over="ignore"):
+            nw = float(np.linalg.norm(w))
+        if not np.isfinite(nw):
+            w = w / np.max(np.abs(w))
+            nw = float(np.linalg.norm(w))
         if nw == 0.0:
             break
         v = w / nw
@@ -545,10 +544,7 @@ def resolvent_apply(T, lam, y, rtol=1e-10, cross_check=True):
     n = a.shape[0]
     m = np.negative(a)  # lam*I - a without n x n identity temporaries
     m[np.diag_indices(n)] += lam
-    try:
-        lu = lu_factor(m)
-    except LinAlgError as exc:
-        raise SpectralProximityError(f"singular system at lam={lam}") from exc
+    lu = lu_factor(m)
     b = y.reshape(n, -1)
     z = lu_solve(lu, b)
     bound = rtol * np.maximum(np.linalg.norm(b, axis=0), 1e-300)
@@ -614,7 +610,7 @@ def _neumann_resolvent(T, lam, y):
 
 @dataclass
 class PowerNormSequence:
-    """Induced norms ||T^0||..||T^K||; truncated at `overflow_at` on overflow.
+    """Induced norms ||T^0||..||T^K||; truncated at `overflow_at` where the table ends.
 
     l1 and linf values are exact; l2 values of dense operators are
     certified upper bounds (see `_PowerNormTable`).
@@ -644,9 +640,9 @@ class _PowerNormTable:
     table up to that cap), and their norms from one `batch_induced_norm`
     call.  l1/linf entries are exact; l2 entries are certified upper bounds
     whose power steps start from the previous block's vector.  Diagonal and
-    shift operators use exact closed forms.  The table ends at
-    `overflow_at`, the first power whose entries (dense) or norm (closed
-    form) exceed 1e300 or are not finite.
+    shift operators use exact closed forms.  The table ends past
+    POWER_HORIZON, or at `overflow_at`, the first power whose entries
+    (dense) or norm (closed form) exceed 1e300 or are not finite.
     """
 
     def __init__(self, T, norm):
@@ -664,10 +660,10 @@ class _PowerNormTable:
     def at(self, k):
         """||T^k||, or inf when the table ends before k."""
         with np.errstate(over="ignore", invalid="ignore"):
-            while len(self.values) <= k and self.overflow_at is None:
+            while len(self.values) <= min(k, POWER_HORIZON) and self.overflow_at is None:
                 j = len(self.values)
                 if self._matrix is not None:
-                    self._extend(max(j, k + 1 - j))
+                    self._extend(min(max(j, k + 1 - j), POWER_HORIZON + 1 - j))
                     continue
                 nm = float(self._base**j) if j < self._zero_from else 0.0
                 if nm <= 1e300:  # False for inf and nan
@@ -712,30 +708,46 @@ def power_norms(T, K, norm="linf"):
         raise ValueError("K must be >= 0")
     table = _power_table(T, norm)
     table.at(K)
-    overflow_at = table.overflow_at if len(table.values) <= K else None
-    return PowerNormSequence(np.array(table.values[: K + 1]), norm, overflow_at)
+    end = len(table.values) if len(table.values) <= K else None
+    return PowerNormSequence(np.array(table.values[: K + 1]), norm, end)
+
+
+def _first_power(T, norm, passes, start=1):
+    """(k, norms): the first k >= start with passes(k, ||T^k||), and ||T^0||..||T^k||.
+
+    k is None when the table ends first; norms then holds the whole table.
+    `passes` sees k = start, start + 1, ... in order, so it may keep state.
+    """
+    table, k = _power_table(T, norm), start
+    while k < len(table.values) or table.at(k) < np.inf:
+        if passes(k, table.values[k]):
+            return k, np.array(table.values[: k + 1])
+        k += 1
+    return None, np.array(table.values)
 
 
 def geometric_envelope(T, a_env, norm="linf"):
     """Certified (M, m) with ||T^k|| <= M * a_env^k for every k >= 0.
 
-    Searches for the first m with ||T^m|| <= a_env^m; submultiplicativity
-    over blocks of length m then gives M = max_{r<m} ||T^r|| / a_env^r.
-    Returns None when no such m <= POWER_HORIZON exists (a_env below the
-    spectral radius) or the powers overflow first, and for a_env >= 1,
-    which certifies no decay (the search could run to the cap).
+    m is the first power with ||T^m|| <= a_env^m; submultiplicativity over
+    blocks of length m then gives M = max_{r<m} ||T^r|| / a_env^r.  Returns
+    None when the power-norm table ends before such an m (a_env below the
+    spectral radius, overflow, or POWER_HORIZON), and for a_env >= 1, which
+    certifies no decay.  Searched once per operator, a_env and norm.
     """
     if a_env <= 0.0:
         raise ValueError("a_env must be positive")
     if a_env >= 1.0:
         return None
-    table = _power_table(T, norm)
-    best_ratio = 1.0  # k = 0 term
-    for m in range(1, POWER_HORIZON + 1):
-        nm = table.at(m)
-        if nm == np.inf:
-            return None
-        if nm <= a_env**m:
-            return max(best_ratio, 1.0), m
-        best_ratio = max(best_ratio, nm / a_env**m)
-    return None
+    return _memo(T, ("envelope", a_env, norm), lambda: _envelope(T, a_env, norm))
+
+
+def _envelope(T, a_env, norm):
+    ratios = [1.0]  # ||T^r|| / a_env^r for r = 0, 1, ...; the last one is m's
+
+    def below(k, nm):
+        ratios.append(nm / a_env**k)
+        return nm <= a_env**k
+
+    m, _ = _first_power(T, norm, below)
+    return None if m is None else (max(ratios[:-1]), m)

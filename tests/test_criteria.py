@@ -1100,3 +1100,18 @@ def test_resolvent_positivity_checked_once_per_cone(monkeypatch):
     assert check_resolvent_positivity(T, orthant(n, "linf")) is rep.verdict("RESOLVENT_POS")
     check_resolvent_positivity(T, orthant(n, "l1"))
     assert len(seen) == 2
+
+
+def test_cross_check_searches_the_envelope_once(monkeypatch):
+    # STRONG_STAB/WEAK_ATTR and the ISS M read one memoized envelope search
+    import posstab.operators as ops
+
+    real, calls = ops._envelope, []
+    monkeypatch.setattr(ops, "_envelope", lambda *args: calls.append(args[1:]) or real(*args))
+    n = 12
+    T = dense(_stable_positive("orthant", n, seed=2))
+    rep = cross_check(T, orthant(n, "linf"))
+    assert rep.consensus == "STABLE"
+    assert calls == [(0.5 * (rep.spectral.upper + 1.0), "linf")]
+    assert geometric_envelope(T, rep.iss["a"], "linf")[0] <= rep.iss["M"]
+    assert len(calls) == 1

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -7,13 +8,16 @@ from hypothesis import strategies as st
 
 from posstab import (
     DimensionMismatchError,
+    NoISSEstimateError,
     SpectralProximityError,
     adjoint,
     apply,
     cross_check,
     dense,
     diagonal,
+    equivalent_norm,
     geometric_envelope,
+    iss_constants,
     is_positive,
     lorentz,
     materialize,
@@ -185,6 +189,35 @@ def test_gelfand_bracket_survives_underflowing_squares(n, rho):
         assert report.verdict("SPR").holds
     else:
         assert report.consensus == "UNSTABLE"
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_adjoint_perron_vector_survives_an_overflowing_norm(n):
+    # inverse iteration on the adjoint of a large Jordan-like block reaches an
+    # iterate whose l2 norm overflows; it is scaled first, not normalized to 0
+    from posstab import reverify_witness
+
+    T = jordan(n, 1.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v = spectral_radius(adjoint(T)).perron_vector
+        report = cross_check(T, orthant(n, "linf"))
+    assert np.all(np.isfinite(v)) and np.any(v != 0.0)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    dual = report.verdict("DUAL_SG")
+    assert dual.witness.kind == "dual_functional"
+    assert reverify_witness(T, orthant(n, "linf"), dual)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_singular_resolvent_leaves_the_lorentz_bisection_ambiguous():
+    # T is nilpotent and Lorentz-positive: lam I - T is numerically singular
+    # near lam = 0, which proves nothing about rho, so the bracket keeps 0
+    T = dense([[1.0, 1.0], [-1.0, -1.0]])
+    est = spectral_radius(T)
+    assert est.lower == 0.0 < est.upper <= 1.5e-8
+    assert not est.converged
+    assert cross_check(T, lorentz(2)).consensus == "STABLE"
 
 
 @pytest.mark.parametrize("n", [6, 24])
@@ -582,6 +615,27 @@ def test_geometric_envelope_certifies():
     pn = power_norms(T, 60, "linf").values
     for k, v in enumerate(pn):
         assert v <= M * a_env**k + 1e-10
+
+
+def test_one_horizon_bounds_every_power_search(monkeypatch):
+    # the table ends past POWER_HORIZON, and the envelope, the ISS sum and the
+    # equivalent-norm depth all stop there; operators are fresh, so nothing is memoized
+    import posstab.operators as ops
+
+    monkeypatch.setattr(ops, "POWER_HORIZON", 20)
+    a = [[0.9, 1.0], [0.0, 0.9]]  # ||T^k||_inf = 0.9^k + k 0.9^(k-1)
+    pn = power_norms(dense(a), 100, "linf")
+    assert len(pn) == pn.overflow_at == 21
+    assert geometric_envelope(dense(a), 0.95, "linf") is None  # m = 85 without the cap
+    with pytest.raises(ValueError, match="truncation depth"):
+        equivalent_norm(dense(a), 1.05, norm="linf")  # K = 80 without the cap
+    with pytest.raises(NoISSEstimateError, match=r"with m <= 20$"):
+        iss_constants(diagonal([0.99]))  # 0.99^m <= 1/2 first at m = 69
+    # blocks of m = 7 powers (0.9^7 <= 1/2): the third and last one ends at k = 20
+    assert iss_constants(diagonal([0.9])).K == 20
+    monkeypatch.undo()
+    assert iss_constants(diagonal([0.9])).K > 20
+    assert geometric_envelope(dense(a), 0.95, "linf")[1] > 20
 
 
 # ---------------------------------------------------------------- serialization

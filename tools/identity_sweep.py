@@ -14,7 +14,14 @@ s in {0, 1}, and the 12 boost-rotation Lorentz maps i = 0..11 of
 and the only uniform small-gain seed that reaches 0 is the Perron
 vector.  Then 4 Jordan-like orthant-linf cases rho * (I + 0.5 N), N the
 superdiagonal shift, n in {8, 16}, rho in {0.9, 1.1}: from n = 16 on,
-the Gelfand squares of these maps underflow.  For each op of
+the Gelfand squares of these maps underflow.  Three families follow,
+each from its own rng so that no earlier input moves: 4 near-boundary
+orthant cases (n = 4, rho in {1 - 1e-6, 1 - 1e-7}, linf and l2), which
+reach the end of the power-norm table and so record errors; 4 orthant-linf
+cyclic maps (weighted cycles with n in {3, 5, 8} and one 6 x 6 block
+cycle), the only cases where the diagonal of the powers, not
+Collatz-Wielandt, can set the lower bracket end; and the nilpotent
+Lorentz-positive map [[1, 1], [-1, -1]].  For each op of
 `build_ops("simulate", s)`, s in {0, 1}, it records the SHA-256 of
 `simulate(T, x0, u, K).states.tobytes()` and `iss_constants(T).to_dict()`.
 A case that raises is recorded as {"error": "<Type>: <message>"}.  It
@@ -111,6 +118,19 @@ def cases(np, inputs, ps):
         for rho in (0.9, 1.1):
             a = rho * (np.eye(n) + 0.5 * np.eye(n, k=1))
             yield f"jordan/n{n}/rho{rho}", ps.dense(a), ps.orthant(n, "linf"), (), SEED
+    rng = np.random.default_rng(SEED + 1)
+    for norm in ("linf", "l2"):
+        for rho in (1 - 1e-6, 1 - 1e-7):
+            a = inputs.dense_positive(rng, 4, rho)
+            yield f"near1/{norm}/rho{rho}", ps.dense(a), ps.orthant(4, norm), (), SEED
+    rng = np.random.default_rng(SEED + 2)
+    for n, rho in ((3, 0.9), (5, 0.97), (8, 1.05)):
+        a = np.roll(np.diag(rng.uniform(0.5, 1.5, size=n)), 1, axis=0)  # x_i -> x_(i+1 mod n)
+        yield f"cyclic/n{n}/rho{rho}", ps.dense(inputs.rescaled(a, rho)), ps.orthant(n, "linf"), (), SEED
+    a = np.kron(np.roll(np.eye(3), 1, axis=0), np.ones((2, 2))) * rng.uniform(0.5, 1.5, size=(6, 6))
+    yield "cyclic/block6", ps.dense(inputs.rescaled(a, 0.9)), ps.orthant(6, "linf"), (), SEED
+    a = np.array([[1.0, 1.0], [-1.0, -1.0]])
+    yield "lorentz-nilpotent", ps.dense(a), ps.lorentz(2, "l2"), (), SEED
 
 
 def _record(report):
