@@ -81,7 +81,6 @@ def _add_common(p, matrix=True):
         p.add_argument("--matrix", required=True, help="operator file (.json or .csv)")
     p.add_argument("--cone", choices=("orthant", "lorentz"), default="orthant")
     p.add_argument("--norm", choices=("l1", "l2", "linf"), default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--no-timestamp", action="store_true")
@@ -131,7 +130,7 @@ def build_parser():
 def _cmd_analyze(args):
     T = _load_operator(args.matrix)
     cone = _make_cone(args, T.dim)
-    cfg = CrossCheckConfig(tol=args.tol, boundary_band=args.band, seed=args.seed)
+    cfg = CrossCheckConfig(boundary_band=args.band, seed=args.seed)
     report = cross_check(T, cone, cfg)
     _emit_json(report.to_dict(), args)
     return _CONSENSUS_EXIT[report.consensus]
@@ -232,7 +231,7 @@ def _cmd_gallery(args):
         _emit_json({"entries": gallery_names()}, args)
         return EXIT_OK
     entry = gallery_build(name, dim=args.dim)
-    cfg = CrossCheckConfig(tol=args.tol, seed=args.seed)
+    cfg = CrossCheckConfig(seed=args.seed)
     notes = (entry.pathology,) if entry.pathology else ()
     report = cross_check(entry.operator, entry.cone, cfg, extra_notes=notes)
     payload = report.to_dict()

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cones import (
+    DEFAULT_TOL,
     ConeSpec,
     batch_distance,
     cone_constants,
@@ -33,6 +34,7 @@ from .operators import (
     DenseOperator,
     _memo,
     _resolvent_inverse,
+    _shifted_lu,
     adjoint,
     apply,
     geometric_envelope,
@@ -42,8 +44,6 @@ from .operators import (
     resolvent_apply,
     spectral_radius,
 )
-
-DEFAULT_TOL = 1e-9
 
 CRITERIA_IDS = (
     "SPR",
@@ -155,16 +155,16 @@ class RankOneDestabilizer:
     z: np.ndarray
 
 
-def _decision_tol(est, tol):
+def _decision_tol(est):
     """Smallest trustworthy small-gain margin.
 
     Near an unstable Perron direction the seeded margin bottoms out at
     the eigen-residual rather than 0, so the holds-decision threshold
     scales with it; without a Perron pair the residual is undefined and
-    the plain tolerance applies.
+    DEFAULT_TOL applies.
     """
     res = est.residual if np.isfinite(est.residual) else 0.0
-    return max(tol, 10.0 * res)
+    return max(DEFAULT_TOL, 10.0 * res)
 
 
 def check_resolvent_positivity(T, cone):
@@ -306,7 +306,7 @@ def _growth_vector(T, cone):
     if est.perron_vector is None:
         return None
     x = project(cone, est.perron_vector)
-    return x if _is_growth(T, cone, x, _decision_tol(est, DEFAULT_TOL)) else None
+    return x if _is_growth(T, cone, x, _decision_tol(est)) else None
 
 
 def _unit_growth_vector(T, cone):
@@ -357,7 +357,7 @@ def uniform_small_gain_margin(T, cone, rng=None):
     i = int(np.argmin(vals))
     best_v, best_x = closed if closed is not None else (float(vals[i]), X[i].copy())
     eta_emp = max(best_v, 0.0)
-    holds = eta_emp > _decision_tol(spectral_radius(T), DEFAULT_TOL)
+    holds = eta_emp > _decision_tol(spectral_radius(T))
     witness = None if holds else Witness("cone_vector", best_x, note="dist((T-I)x, cone) ~ 0")
     return eta_emp, CriterionVerdict("UNIFORM_SG", holds, eta_emp, witness)
 
@@ -415,54 +415,38 @@ def small_gain_certificate(T, cone):
     return 1.0 / (c * m)
 
 
+#: one step of `approximate_positive_eigenvector`: shift, unit cone vector, residual
+ApproxEigStep = namedtuple("ApproxEigStep", "r x residual")
+
+
 def approximate_positive_eigenvector(T, cone, n_steps=30):
-    """Positive approximate eigenvector sequence via resolvent solves.
+    """Positive approximate eigenvector sequence from resolvent solves.
 
     Shifts follow the geometric schedule r_k = upper + 2^{-k} down towards
-    the spectral bracket; every iterate is a positive unit vector and the
-    reported residual measures ||(upper*I - T) x_k||.  The sequence stops
-    early when the shift numerically enters the bracket.  If the resolvent
-    norms fail to grow (they must for the interior start) the start
-    vector is swapped for a perturbed one once.
+    the spectral bracket.  x_k is (r_k*I - T)^{-1} e, e the cone's interior
+    point, from one LU of r_k*I - T and one refinement step, projected onto
+    the cone and scaled to a unit vector; the reported residual measures
+    ||(upper*I - T) x_k||.  The sequence stops early when the shift
+    numerically enters the bracket or a solve is not finite.
     """
     upper = spectral_radius(T).upper
-    v = interior_point(cone)
-    Step = namedtuple("ApproxEigStep", "r x residual")
-
-    def run(v0):
-        steps = []
-        alphas = []
-        for k in range(n_steps):
-            r_k = upper + 2.0 ** (-k)
-            if r_k - upper < max(1e-12 * max(1.0, upper), 1e-13):
-                break
-            gap = r_k - upper
-            rtol = min(1e-2, max(1e-10, 1e-14 / gap))
-            try:
-                xk = resolvent_apply(T, r_k, v0, rtol=rtol, cross_check=False)
-            except (SpectralProximityError, ArithmeticError):
-                break
-            alpha = vec_norm(xk, cone.norm)
-            if not np.isfinite(alpha) or alpha <= 0.0:
-                break
-            x = xk / alpha
-            x = project(cone, x)
-            nx = vec_norm(x, cone.norm)
-            if nx <= 0.0:
-                break
-            x = x / nx
-            residual = vec_norm(apply(T, x) - upper * x, cone.norm)
-            steps.append(Step(r_k, x, residual))
-            alphas.append(alpha)
-        return steps, alphas
-
-    steps, alphas = run(v)
-    if len(alphas) >= 4 and alphas[-1] <= 2.0 * alphas[0]:
-        # resolvent norms stayed bounded: swap to a perturbed start
-        alt = v + 0.5 * np.arange(1, cone.dim + 1) / cone.dim * interior_point(cone)
-        steps2, alphas2 = run(alt)
-        if steps2 and (not steps or steps2[-1].residual < steps[-1].residual):
-            steps = steps2
+    a, e = materialize(T), interior_point(cone)
+    steps = []
+    for k in range(n_steps):
+        r_k = upper + 2.0 ** (-k)
+        if r_k - upper < max(1e-12 * max(1.0, upper), 1e-13):
+            break
+        xk = _shifted_lu(a, r_k)[2](e)
+        alpha = vec_norm(xk, cone.norm)
+        if not np.isfinite(alpha) or alpha <= 0.0:
+            break
+        x = project(cone, xk / alpha)
+        nx = vec_norm(x, cone.norm)
+        if nx <= 0.0:
+            break
+        x = x / nx
+        residual = vec_norm(apply(T, x) - upper * x, cone.norm)
+        steps.append(ApproxEigStep(r_k, x, residual))
     return steps
 
 
@@ -517,7 +501,7 @@ def robust_small_gain(T, cone, eps, eta_emp=None):
     """
     if eta_emp is None:
         eta_emp, _ = uniform_small_gain_margin(T, cone)
-    decision = _decision_tol(spectral_radius(T), DEFAULT_TOL)
+    decision = _decision_tol(spectral_radius(T))
     if eta_emp > decision and eps <= 0.5 * eta_emp:
         return CriterionVerdict("ROBUST_SG", True, 0.5 * eta_emp - eps, None)
     cand = rank_one_destabilizer(T, cone)
@@ -728,7 +712,6 @@ def consensus_of(verdicts, spr_hat, band=0.02):
 
 @dataclass
 class CrossCheckConfig:
-    tol: float = DEFAULT_TOL
     boundary_band: float = 0.02
     seed: int = 0
 
@@ -806,7 +789,7 @@ def cross_check(T, cone, config=None, extra_notes=()):
         if mbi_v.holds and np.isfinite(c_mbi) and c_mbi > 0.0:
             eta_cert = 1.0 / (c_mbi * cone_constants(cone).decomposition_M)
             notes.append(f"eta certified >= {eta_cert:.6e} (= 1/(c*M)); eta empirical = {eta_emp:.6e}")
-        decision = _decision_tol(est, cfg.tol)
+        decision = _decision_tol(est)
         eps = 0.5 * eta_emp if eta_emp > decision else 1e-3
         # RANK1_SG is decided by the same rank-one construction as ROBUST_SG
         robust_v = robust_small_gain(T, cone, eps, eta_emp=eta_emp)

@@ -370,6 +370,22 @@ def _collatz_wielandt(a):
     return lo, hi, v, it
 
 
+def _shifted_lu(a, lam):
+    """(m, lu, solve): m = lam*I - a, its LU, and solve(b), one LU solve plus
+    exactly one refinement step.  A singular m only warns; solve then returns
+    non-finite entries instead of raising."""
+    m = np.negative(a)  # no n x n identity temporaries
+    m[np.diag_indices(len(a))] += lam
+    lu = lu_factor(m)
+
+    def solve(b):
+        with np.errstate(all="ignore"):
+            z = lu_solve(lu, b)
+            return z + lu_solve(lu, b - m @ z, check_finite=False)
+
+    return m, lu, solve
+
+
 def _semipositivity(a, lam, cone):
     """Resolvent-positivity test for lam*I - T, T positive on `cone`.
 
@@ -378,12 +394,9 @@ def _semipositivity(a, lam, cone):
     outside the cone (certifies lam <= spr), None when ambiguous: a
     numerically singular lam*I - T proves nothing either way.
     """
-    n = a.shape[0]
-    m = lam * np.eye(n) - a
-    lu, e = lu_factor(m), interior_point(cone)  # a singular m only warns
-    with np.errstate(all="ignore"):
-        z = lu_solve(lu, e)
-        z = z + lu_solve(lu, e - m @ z, check_finite=False)
+    n, e = a.shape[0], interior_point(cone)
+    m, _, solve = _shifted_lu(a, lam)
+    z = solve(e)
     if not np.all(np.isfinite(z)):
         return None
     resid = float(np.max(np.abs(m @ z - e)))
@@ -418,13 +431,9 @@ def _bisect_bracket(a, lo, hi, cone):
 def _polish_perron(a, v, lam_shift, cone):
     """Four inverse-iteration steps at a shift just above the bracket, projected onto the
     cone; an iterate whose l2 norm overflows is first scaled by its largest entry."""
-    n = a.shape[0]
-    m = lam_shift * np.eye(n) - a
-    lu = lu_factor(m)
+    solve = _shifted_lu(a, lam_shift)[2]
     for _ in range(4):
-        with np.errstate(all="ignore"):
-            w = lu_solve(lu, v)
-            w = w + lu_solve(lu, v - m @ w)
+        w = solve(v)
         if not np.all(np.isfinite(w)):
             break
         w = project(cone, w)
@@ -517,14 +526,16 @@ def _perron_pair(a, v, est, cone):
     return replace(est, perron_value=lam, perron_vector=v_best, residual=residual)
 
 
-def resolvent_apply(T, lam, y, rtol=1e-10, cross_check=True):
+def resolvent_apply(T, lam, y):
     """Solve (lam*I - T) z = y by LU with partial pivoting.
 
     y is one right-hand side of shape (n,) or a block of shape (n, k); a
     block shares one factorization and one iterative refinement, and each
     column must meet the residual test ||(lam*I - T) z_j - y_j|| <=
-    rtol*||y_j||.  Requires lam outside the certified spectral bracket; for
-    lam above the bracket it is checked against the Neumann series from
+    1e-10*||y_j||.  Requires lam outside the certified spectral bracket; a
+    column whose solve is not finite (a signed map may have an eigenvalue
+    below the bracket) raises SpectralProximityError.  For lam above the
+    bracket the solution is checked against the Neumann series from
     `apply`, summed by doubling (skipped at upper/lam > 0.995, where it may
     not converge within 2^16 terms).  A vector is checked on y itself, a
     block in one series on a probe: all-ones and a seeded positive mix.
@@ -541,13 +552,13 @@ def resolvent_apply(T, lam, y, rtol=1e-10, cross_check=True):
             f"lam={lam} lies inside the spectral bracket [{est.lower}, {est.upper}]"
         )
     a = materialize(T)
-    n = a.shape[0]
-    m = np.negative(a)  # lam*I - a without n x n identity temporaries
-    m[np.diag_indices(n)] += lam
-    lu = lu_factor(m)
-    b = y.reshape(n, -1)
+    m, lu, _ = _shifted_lu(a, lam)
+    b = y.reshape(a.shape[0], -1)
     z = lu_solve(lu, b)
-    bound = rtol * np.maximum(np.linalg.norm(b, axis=0), 1e-300)
+    lost = np.flatnonzero(~np.all(np.isfinite(z), axis=0)).tolist()
+    if lost:
+        raise SpectralProximityError(f"resolvent solve at lam={lam} is not finite in columns {lost}")
+    bound = 1e-10 * np.maximum(np.linalg.norm(b, axis=0), 1e-300)
     for refinements in range(4):
         r = np.matmul(m, z)
         np.subtract(b, r, out=r)
@@ -560,7 +571,7 @@ def resolvent_apply(T, lam, y, rtol=1e-10, cross_check=True):
             "resolvent solve residual exceeds tolerance at lam="
             f"{lam} in {int(bad.sum())} of {b.shape[1]} columns"
         )
-    if cross_check and lam > est.upper + guard and est.upper / lam <= 0.995:
+    if lam > est.upper + guard and est.upper / lam <= 0.995:
         c = _probe(b.shape[1]) if y.ndim == 2 else np.ones((1, 1))
         zp, zn = z @ c, _neumann_resolvent(T, lam, b @ c)
         gap = 0.0 if zn is None else np.linalg.norm(zp - zn, axis=0)

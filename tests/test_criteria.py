@@ -215,6 +215,39 @@ def test_approx_eigenvector_schedule_decreases_to_bracket():
     assert all(r > est.upper for r in rs)
 
 
+@pytest.mark.parametrize("cone_kind", ["orthant", "lorentz"])
+def test_approx_eigenvector_factors_once_per_step(monkeypatch, cone_kind):
+    # each shift costs one LU of r_k*I - T; no resolvent_apply (and so no
+    # residual loop or Neumann check) runs
+    import posstab.criteria as crit
+    import posstab.operators as ops
+
+    if cone_kind == "orthant":
+        T, cone = UPPER2X2, CONE2
+    else:
+        T, cone = dense(_lorentz_positive(np.random.default_rng(2), 8, 0.9)), lorentz(8, "l2")
+    spectral_radius(T)  # the bracket's own factorizations are not counted
+    factors, solves = [], []
+    real_factor, real_solve = ops.lu_factor, ops.resolvent_apply
+    monkeypatch.setattr(ops, "lu_factor", lambda *a, **k: factors.append(1) or real_factor(*a, **k))
+    for mod in (ops, crit):
+        monkeypatch.setattr(mod, "resolvent_apply", lambda *a, **k: solves.append(1) or real_solve(*a, **k))
+    seq = approximate_positive_eigenvector(T, cone, n_steps=12)
+    assert len(seq) == 12
+    assert solves == [] and len(factors) == len(seq)
+
+
+def test_approx_eigenvector_lorentz_iterates_in_cone():
+    T = dense(_lorentz_positive(np.random.default_rng(4), 8, 0.97))
+    cone = lorentz(8, "l2")
+    seq = approximate_positive_eigenvector(T, cone, n_steps=20)
+    assert len(seq) == 20
+    for step in seq:
+        assert contains(cone, step.x)
+        assert np.linalg.norm(step.x) == pytest.approx(1.0, abs=1e-12)
+    assert seq[-1].residual < seq[0].residual
+
+
 # ------------------------------------------------- rank-one destabilizer
 
 def test_destabilizer_exact_fixed_vector():

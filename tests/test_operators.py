@@ -301,6 +301,15 @@ def test_resolvent_spectral_proximity():
         resolvent_apply(diagonal([1.0]), 1.0, [1.0])
 
 
+@pytest.mark.parametrize("rhs", ["vector", "block"])
+def test_resolvent_singular_below_bracket_raises(rhs):
+    # lam = -2 lies below this signed map's bracket around 2, but it is an
+    # eigenvalue: lam*I - T is singular there and its LU only warns
+    T = dense([[-2.0, 0.0], [0.0, 1.0]])
+    with pytest.warns(Warning), pytest.raises(SpectralProximityError, match="not finite"):
+        resolvent_apply(T, -2.0, RHS[rhs](2))
+
+
 def test_resolvent_residual_and_positivity():
     rng = np.random.default_rng(4)
     for _ in range(40):
@@ -412,7 +421,7 @@ def test_doubling_neumann_matches_lu(name, ratio):
     scale = spectral_radius(T).upper or T.factor
     lam = scale / ratio
     y = np.random.default_rng(1).uniform(0.5, 1.5, size=(T.dim, 2))
-    z = resolvent_apply(T, lam, y, cross_check=False)
+    z = resolvent_apply(T, lam, y)
     zn = _neumann_resolvent(T, lam, y)
     assert zn is not None
     assert np.all(np.linalg.norm(zn - z, axis=0) <= 1e-10 * np.linalg.norm(z, axis=0))

@@ -36,7 +36,8 @@ relative.  It prints one line per case family (the name before the first
 `/`) with its counts of identical, mismatched and within-`--rtol`
 reports, the largest relative move per key (list positions and case
 names folded), then every mismatch, and exits with status 1 on any
-mismatch.
+mismatch.  A case that switches between an error and a report is one
+mismatch line: `case: error '<msg>' -> report (consensus X)`.
 """
 
 import os
@@ -189,6 +190,13 @@ def _fold(path):
     return re.sub(r"\[\d+\]", "[]", path)
 
 
+def _outcome(record):
+    """error '<msg>' or report (consensus X): one phrase for a case that switched."""
+    if "error" in record:
+        return f"error {record['error']!r}"
+    return f"report (consensus {record['consensus']})" if "consensus" in record else "report"
+
+
 def diff(args):
     old = json.loads(Path(args.old).read_text())
     new = json.loads(Path(args.new).read_text())
@@ -198,6 +206,10 @@ def diff(args):
     moves = {}
     families = {}  # family -> [identical, mismatched, other]
     for case in sorted(set(old) & set(new)):
+        if ("error" in old[case]) != ("error" in new[case]):
+            problems.append(f"{case}: {_outcome(old[case])} -> {_outcome(new[case])}")
+            families.setdefault(case.split("/")[0], [0, 0, 0])[1] += 1
+            continue
         before = len(problems)
         a = dict(_leaves(old[case]))
         b = dict(_leaves(new[case]))
