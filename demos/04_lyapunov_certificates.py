@@ -4,8 +4,10 @@ The discrete Lyapunov (Stein) equation T^T Q T - Q = -I has a positive
 semidefinite solution exactly for stable systems, and V(x) = x^T Q x then
 decreases by exactly ||x||_2^2 per step.  Alternatively, rescaling the
 dynamics by s > 1 and taking the sup over the trajectory produces an
-equivalent norm in which T is a strict contraction; taking the modulus
-first preserves monotonicity of the norm (lattice variant).
+equivalent norm in which T is a strict contraction.  For a map that is
+positive on the orthant the modulus is taken first, which keeps the norm
+monotone (lattice variant); a signed map gets the plain variant, the only
+one in which it contracts.
 """
 
 import numpy as np
@@ -29,18 +31,22 @@ for x in samples[:3]:
     tx = ps.apply(T, x)
     print(f"  V(x)={v:9.4f}  V(Tx)={float(tx @ cert.Q @ tx):9.4f}  ||x||^2={float(x @ x):7.4f}")
 
-est = ps.spectral_radius(T)
-s = float(np.sqrt(1.0 / est.upper))
+cone = ps.orthant(2, "linf")
+norm_cert = ps.equivalent_norm(T, cone)
+s = norm_cert.s
 print(f"\nequivalent norm with s = {s:.4f} (so s * spr < 1):")
-norm_cert = ps.equivalent_norm(T, s, norm="linf")
 print(f"  truncation depth K = {norm_cert.K}")
 print(f"  sampled contraction factor = {norm_cert.contraction_factor:.6f} <= 1/s = {1/s:.6f}")
 
-lat = ps.equivalent_norm(T, s, lattice=True, cone=ps.orthant(2, "linf"), norm="linf")
 x = np.array([0.3, 0.2])
 y = np.array([0.5, 0.8])
-print("\nlattice variant is monotone: 0 <= x <= y gives ||x||_equ <= ||y||_equ")
-print(f"  ||x||_equ = {lat(x):.6f}   ||y||_equ = {lat(y):.6f}")
+print("\nT is positive, so the lattice variant is used: 0 <= x <= y gives ||x||_equ <= ||y||_equ")
+print(f"  lattice = {norm_cert.lattice}  ||x||_equ = {norm_cert(x):.6f}   ||y||_equ = {norm_cert(y):.6f}")
+
+signed = ps.equivalent_norm(ps.dense([[0.5, -1.0], [0.0, 0.5]]), cone)
+print("\nthe signed map [[0.5, -1], [0, 0.5]] gets the plain variant:")
+print(f"  lattice = {signed.lattice}  contraction factor = {signed.contraction_factor:.6f}"
+      f" <= 1/s = {1 / signed.s:.6f}")
 
 V = norm_cert
 ok, _ = ps.verify_lyapunov(

@@ -29,7 +29,7 @@ for name in ps.gallery_names():
 print("\n--- shift2R: the two coexisting facts ---")
 entry = ps.gallery_build("shift2R", dim=8)
 pn = ps.power_norms(entry.operator, 8, "linf")
-print("power norms ||(2R)^k||:", pn.values.tolist(), "(2^k growth, then nilpotent)")
+print("power norms ||(2R)^k||:", pn.tolist(), "(2^k growth, then nilpotent)")
 print("strong small gain over 1000 random (x, D) pairs:",
       ps.strong_small_gain_check(dim=8, trials=1000, rng=np.random.default_rng(0)))
 

@@ -81,7 +81,6 @@ from .operators import (
     DenseOperator,
     DiagonalOperator,
     OperatorSpec,
-    PowerNormSequence,
     SpectralEstimate,
     TruncatedShift,
     adjoint,

@@ -76,54 +76,51 @@ def _emit_text(text, args):
         sys.stdout.write(text)
 
 
-def _add_common(p, matrix=True):
-    if matrix:
-        p.add_argument("--matrix", required=True, help="operator file (.json or .csv)")
-    p.add_argument("--cone", choices=("orthant", "lorentz"), default="orthant")
-    p.add_argument("--norm", choices=("l1", "l2", "linf"), default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--no-timestamp", action="store_true")
-
-
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="posstab",
         description="certify or refute stability of positive linear discrete-time systems",
     )
+    # each subcommand offers exactly the flags that it reads
+    operator = argparse.ArgumentParser(add_help=False)
+    operator.add_argument("--matrix", required=True, help="operator file (.json or .csv)")
+    operator.add_argument("--cone", choices=("orthant", "lorentz"), default="orthant")
+    operator.add_argument("--norm", choices=("l1", "l2", "linf"), default=None)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None)
+    output.add_argument("--no-timestamp", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="run every criterion and emit a certificate report")
-    _add_common(p)
+    def add(name, summary, *parents):
+        return sub.add_parser(name, help=summary, parents=[*parents, output])
+
+    p = add("analyze", "run every criterion and emit a certificate report", operator, seeded)
     p.add_argument("--band", type=float, default=0.02, help="boundary band around spr = 1")
 
-    p = sub.add_parser("decay-point", help="compute a point of strict decay")
-    _add_common(p)
+    p = add("decay-point", "compute a point of strict decay", operator)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--y-file", default=None, help="interior vector JSON (default: all-ones)")
 
-    p = sub.add_parser("lyapunov", help="emit a Stein or equivalent-norm certificate")
-    _add_common(p)
+    p = add("lyapunov", "emit a Stein or equivalent-norm certificate", operator, seeded)
     p.add_argument("--mode", choices=("stein", "norm"), default="stein")
     p.add_argument("--s", type=float, default=None, help="scaling for the norm mode")
 
-    p = sub.add_parser("simulate", help="simulate with inputs; CSV trajectory + ISS summary")
-    _add_common(p)
+    p = add("simulate", "simulate with inputs; CSV trajectory + ISS summary", operator, seeded)
     p.add_argument("--x0", default=None, help="initial state JSON (default: zero)")
     p.add_argument("--input", required=True, help="input signal JSON")
     p.add_argument("--steps", type=int, default=None)
 
-    p = sub.add_parser("datko", help="summability test: partial-sum CSV + classification")
-    _add_common(p)
+    p = add("datko", "summability test: partial-sum CSV + classification", operator)
     p.add_argument("--p", dest="p_index", type=float, default=2.0)
     p.add_argument("--x0", default=None, help="start vector JSON (default: all-ones)")
     p.add_argument("--steps", type=int, default=64)
 
-    p = sub.add_parser("gallery", help="build a named example ('list' to enumerate)")
+    p = add("gallery", "build a named example ('list' to enumerate)", seeded)
     p.add_argument("name")
     p.add_argument("extra", nargs="?", default=None, help="entry name after 'build'")
     p.add_argument("--dim", type=int, default=None)
-    _add_common(p, matrix=False)
     return ap
 
 
@@ -161,23 +158,8 @@ def _cmd_lyapunov(args):
             "n_terms": int(cert.n_terms),
         }
     else:
-        upper = spectral_radius(T).upper
-        s = args.s if args.s is not None else min(float(np.sqrt(1.0 / max(upper, 1e-6))), 1e3)
-        cert = equivalent_norm(
-            T,
-            s,
-            lattice=(cone.kind == "orthant"),
-            cone=cone,
-            rng=np.random.default_rng(args.seed),
-            norm=cone.norm,
-        )
-        payload = {
-            "mode": "norm",
-            "s": float(cert.s),
-            "K": int(cert.K),
-            "contraction_factor": float(cert.contraction_factor),
-            "lattice": bool(cert.lattice),
-        }
+        cert = equivalent_norm(T, cone, s=args.s, rng=np.random.default_rng(args.seed))
+        payload = {"mode": "norm", **cert.to_dict()}
     payload["operator"] = operator_to_dict(T)
     _emit_json(payload, args)
     return EXIT_OK

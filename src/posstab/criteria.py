@@ -496,8 +496,9 @@ def robust_small_gain(T, cone, eps, eta_emp=None):
     Holds when eps <= eta / 2 (distance argument): certified on both cones
     when (I - T)^{-1} is positive, where eta is the closed-form
     1/||(I - T)^{-1}|| of `uniform_small_gain_margin`.
-    Otherwise the verdict fails exactly when `rank_one_destabilizer` builds
-    a verified pair (P, x) from the shared growth vector with ||P|| <= eps.
+    Otherwise it fails: with a verified pair (P, x) from
+    `rank_one_destabilizer` (built from the shared growth vector) when
+    ||P|| <= eps, else with a `flag` witness, as nothing certifies it.
     """
     if eta_emp is None:
         eta_emp, _ = uniform_small_gain_margin(T, cone)
@@ -520,7 +521,7 @@ def robust_small_gain(T, cone, eps, eta_emp=None):
             ),
         )
     return CriterionVerdict(
-        "ROBUST_SG", True, 0.5 * eta_emp - eps, Witness(kind="flag", note="no violation found")
+        "ROBUST_SG", False, 0.5 * eta_emp - eps, Witness(kind="flag", note="no violation found")
     )
 
 
@@ -816,21 +817,12 @@ def cross_check(T, cone, config=None, extra_notes=()):
     lyapunov_section = iss_section = None
     if est.upper < 1.0:
         stein = lyap_mod.solve_stein(T)
-        s = min(float(np.sqrt(1.0 / max(est.upper, 1e-6))), 1e3)
-        lattice = cone.kind == "orthant"
-        norm_cert = lyap_mod.equivalent_norm(
-            T, s, lattice=lattice, cone=cone, rng=rngs[5], norm=cone.norm
-        )
+        norm_cert = lyap_mod.equivalent_norm(T, cone, rng=rngs[5])
         lyapunov_section = {
             "stein_residual": float(stein.residual),
             "stein_tail_bound": float(stein.tail_bound),
             "Q": [[float(v) for v in row] for row in stein.Q],
-            "equivalent_norm": {
-                "s": float(norm_cert.s),
-                "K": int(norm_cert.K),
-                "contraction_factor": float(norm_cert.contraction_factor),
-                "lattice": bool(norm_cert.lattice),
-            },
+            "equivalent_norm": norm_cert.to_dict(),
         }
         iss_section = iss_mod.iss_constants(T, norm=cone.norm).to_dict()
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import ConeSpec, lorentz, orthant
+from .criteria import CRITERIA_IDS
 from .operators import OperatorSpec, dense, diagonal, shift
 
 SHIFT_PATHOLOGY = (
@@ -40,7 +41,7 @@ def gallery_build(name, dim=None):
     """Construct a named gallery entry; `dim` controls truncation/grid size."""
     if name == "upper2x2":
         op = dense([[0.5, 1.0], [0.0, 0.5]])
-        stable = [(cid, True, "spectral radius 1/2") for cid in _ALL_STABLE_IDS]
+        stable = [(cid, True, "spectral radius 1/2") for cid in CRITERIA_IDS]
         return GalleryEntry(
             name=name,
             operator=op,
@@ -126,23 +127,6 @@ def gallery_build(name, dim=None):
             params={"axis_rate": 0.8, "lateral_rate": 0.4},
         )
     raise ValueError(f"unknown gallery entry {name!r}")
-
-
-_ALL_STABLE_IDS = (
-    "SPR",
-    "RESOLVENT_POS",
-    "MBI",
-    "UNIFORM_SG",
-    "ROBUST_SG",
-    "RANK1_SG",
-    "DUAL_SG",
-    "INTERIOR_SG",
-    "STRICT_DECAY",
-    "SUBFIXED_POS",
-    "SIMPLE_SG",
-    "STRONG_STAB",
-    "WEAK_ATTR",
-)
 
 
 def strong_small_gain_violates(x, d):

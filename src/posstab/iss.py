@@ -199,27 +199,24 @@ def iss_constants(T, norm="linf"):
     env = geometric_envelope(T, a_rate, norm=norm)
     if env is None:
         raise NoISSEstimateError("failed to certify a geometric envelope")
-    m, head = _first_power(T, norm, lambda k, nm: nm <= 0.5)
+    m, head = _first_power(T, norm, lambda k, nms: nms[k] <= 0.5)
     if m is None:
         raise NoISSEstimateError(f"no power ||T^m|| <= 1/2 with m <= {len(head) - 1}")
-    theta, block, tails = float(head[m]), [], []
+    theta = float(head[m])
+    factor = theta / (1.0 - theta)
 
-    def small_tail(k, nm):  # closes a block at k = L m - 1
-        block.append(nm)
-        if len(block) < m:
-            return False
-        tails.append(theta / (1.0 - theta) * float(np.sum(block)))
-        block.clear()
-        return tails[-1] <= ISS_TAIL_TOL
+    def small_tail(k, nms):  # at k = L m - 1: is the tail after block L small?
+        return (k + 1) % m == 0 and factor * float(np.sum(nms[k + 1 - m : k + 1])) <= ISS_TAIL_TOL
 
     _, pn = _first_power(T, norm, small_tail, start=0)
-    pn = pn[: len(tails) * m]
+    pn = pn[: len(pn) // m * m]
+    tail = factor * float(np.sum(pn[-m:]))
     m_emp = float(np.max(pn / a_rate ** np.arange(len(pn))))
     return ISSEstimate(
-        M=max(env[0], m_emp, 1.0),
+        M=max(env[0], m_emp),
         a=a_rate,
-        C=float(np.sum(pn)) + tails[-1],
-        tail_bound=tails[-1],
+        C=float(np.sum(pn)) + tail,
+        tail_bound=tail,
         norm=norm,
         K=len(pn) - 1,
     )

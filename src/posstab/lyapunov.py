@@ -4,9 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, NotALatticeError
+from .errors import DimensionMismatchError, DivergenceError
 from .norms import UNIT_ROUNDOFF, batch_vec_norm, l2_upper_bounds, vec_norm
-from .operators import _first_power, materialize, spectral_radius
+from .operators import _first_power, is_positive, materialize, spectral_radius
 
 #: squarings after which solve_stein gives up: 2^64 series terms
 STEIN_MAX_SQUARINGS = 64
@@ -92,10 +92,9 @@ def quadratic_decrease_check(Q, T, samples, tol=1e-8):
 class EquivalentNorm:
     """Evaluator of ||x||_equ = max_{0<=k<=K} ||(sT)^k x|| with certificate data.
 
-    With lattice=True the modulus |x| is taken first (orthant context
-    only), which keeps the new norm monotone for positive operators.
-    The contraction factor is the sampled maximum of ||Tx||_equ/||x||_equ
-    and is guaranteed <= 1/s.
+    With lattice=True (T positive on the orthant) the modulus |x| is taken
+    first, which keeps the new norm monotone.  The contraction factor is
+    the sampled maximum of ||Tx||_equ/||x||_equ and is guaranteed <= 1/s.
     """
 
     s: float
@@ -106,10 +105,7 @@ class EquivalentNorm:
     _matrix: np.ndarray
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.lattice:
-            x = np.abs(x)
-        return float(self._batch(x[None, :])[0])
+        return float(self._batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def _batch(self, X):
         X = np.asarray(X, dtype=float)
@@ -122,40 +118,48 @@ class EquivalentNorm:
             best = np.maximum(best, batch_vec_norm(W, self.norm))
         return best
 
+    def to_dict(self):
+        return {
+            "s": float(self.s),
+            "K": int(self.K),
+            "contraction_factor": float(self.contraction_factor),
+            "lattice": bool(self.lattice),
+        }
 
-def equivalent_norm(
-    T,
-    s,
-    lattice=False,
-    cone=None,
-    n_check=1000,
-    rng=None,
-    norm="linf",
-):
-    """Equivalent norm that turns T into a strict contraction.
 
-    Requires s * (spectral upper bound) < 1.  The truncation depth K is
-    the first index with s^K ||T^K|| < 1: past it, no term can attain the
-    supremum, so the infinite sup collapses to a certified finite max.
-    The norms ||T^k|| come from T's memoized power-norm table; under l2
-    they are certified upper bounds, so K is never below the exact depth.
-    Raises ValueError when the table ends before such a K.
+def equivalent_norm(T, cone, s=None, n_check=1000, rng=None):
+    """Equivalent norm, in the cone's norm, that turns T into a strict contraction.
+
+    s defaults to 1/sqrt(max(upper, 1e-6)) <= 1e3, upper the spectral
+    upper bound, and must satisfy s > 1 and s * upper < 1.  The lattice
+    variant (|x| first) is used exactly when T is positive on the orthant:
+    its contraction rests on |Tx| <= T|x|, which holds only then.  The
+    truncation depth K is the first index with s^K ||T^K|| < 1: past it,
+    no term can attain the supremum, so the infinite sup collapses to a
+    certified finite max.  The norms ||T^k|| come from T's memoized
+    power-norm table; under l2 they are certified upper bounds, so K is
+    never below the exact depth.  Raises ValueError when the table ends
+    before such a K, and DimensionMismatchError for a cone of another
+    dimension.
     """
+    if cone.dim != T.dim:
+        raise DimensionMismatchError("cone and operator dimensions differ")
+    est = spectral_radius(T)
+    if s is None:
+        s = float(np.sqrt(1.0 / max(est.upper, 1e-6)))
     if s <= 1.0:
         raise ValueError("s must be > 1")
-    if lattice and cone is not None and cone.kind != "orthant":
-        raise NotALatticeError("lattice norm variant requires the orthant cone")
-    est = spectral_radius(T)
     if s * est.upper >= 1.0:
         raise ValueError(
             f"s * spectral_upper = {s * est.upper} >= 1: the equivalent norm sup may diverge"
         )
-    K, _ = _first_power(T, norm, lambda k, nm: (s**k) * nm < 1.0)
+    K, _ = _first_power(T, cone.norm, lambda k, nms: (s**k) * nms[k] < 1.0)
     if K is None:
         raise ValueError("failed to certify a truncation depth; s too close to 1/spr")
     a = materialize(T)
+    lattice = cone.kind == "orthant" and is_positive(T, cone)[0]
     cert = EquivalentNorm(
-        s=float(s), K=K, contraction_factor=0.0, lattice=lattice, norm=norm, _matrix=a
+        s=float(s), K=K, contraction_factor=0.0, lattice=lattice, norm=cone.norm, _matrix=a
     )
     rng = np.random.default_rng(0) if rng is None else rng
     X = rng.normal(size=(n_check, a.shape[0]))

@@ -619,25 +619,6 @@ def _neumann_resolvent(T, lam, y):
     return None
 
 
-@dataclass
-class PowerNormSequence:
-    """Induced norms ||T^0||..||T^K||; truncated at `overflow_at` where the table ends.
-
-    l1 and linf values are exact; l2 values of dense operators are
-    certified upper bounds (see `_PowerNormTable`).
-    """
-
-    values: np.ndarray
-    norm: str
-    overflow_at: int | None = None
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-
 #: entries of the (b, n, n) buffer that extends a dense power table by b powers
 TABLE_BLOCK_ENTRIES = 2**16
 
@@ -710,28 +691,31 @@ def _power_table(T, norm):
 
 
 def power_norms(T, K, norm="linf"):
-    """Induced norms ||T^0||..||T^K||, read from T's memoized power-norm table.
+    """Induced norms ||T^0||..||T^K|| as an array, read from T's memoized power-norm table.
 
-    l1/linf values are exact; l2 values of dense operators are certified
-    upper bounds, those of diagonal and shift operators exact.
+    The array is shorter than K + 1 when the table ends first (see
+    `_PowerNormTable`).  l1/linf values are exact; l2 values of dense
+    operators are certified upper bounds, those of diagonal and shift
+    operators exact.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
     table = _power_table(T, norm)
     table.at(K)
-    end = len(table.values) if len(table.values) <= K else None
-    return PowerNormSequence(np.array(table.values[: K + 1]), norm, end)
+    return np.array(table.values[: K + 1])
 
 
 def _first_power(T, norm, passes, start=1):
-    """(k, norms): the first k >= start with passes(k, ||T^k||), and ||T^0||..||T^k||.
+    """(k, norms): the first k >= start with passes(k, norms), and ||T^0||..||T^k||.
 
-    k is None when the table ends first; norms then holds the whole table.
-    `passes` sees k = start, start + 1, ... in order, so it may keep state.
+    `passes` gets the table itself, whose entries 0..k are ||T^0||..||T^k||
+    (it may hold more), so a predicate can read any prefix and needs no
+    state.  k is None when the table ends first; norms then holds the whole
+    table.
     """
     table, k = _power_table(T, norm), start
     while k < len(table.values) or table.at(k) < np.inf:
-        if passes(k, table.values[k]):
+        if passes(k, table.values):
             return k, np.array(table.values[: k + 1])
         k += 1
     return None, np.array(table.values)
@@ -741,8 +725,9 @@ def geometric_envelope(T, a_env, norm="linf"):
     """Certified (M, m) with ||T^k|| <= M * a_env^k for every k >= 0.
 
     m is the first power with ||T^m|| <= a_env^m; submultiplicativity over
-    blocks of length m then gives M = max_{r<m} ||T^r|| / a_env^r.  Returns
-    None when the power-norm table ends before such an m (a_env below the
+    blocks of length m then gives M = max_{r<m} ||T^r|| / a_env^r >= 1 (the
+    r = 0 ratio is 1), both from one `_first_power` search.  Returns None
+    when the power-norm table ends before such an m (a_env below the
     spectral radius, overflow, or POWER_HORIZON), and for a_env >= 1, which
     certifies no decay.  Searched once per operator, a_env and norm.
     """
@@ -754,11 +739,5 @@ def geometric_envelope(T, a_env, norm="linf"):
 
 
 def _envelope(T, a_env, norm):
-    ratios = [1.0]  # ||T^r|| / a_env^r for r = 0, 1, ...; the last one is m's
-
-    def below(k, nm):
-        ratios.append(nm / a_env**k)
-        return nm <= a_env**k
-
-    m, _ = _first_power(T, norm, below)
-    return None if m is None else (max(ratios[:-1]), m)
+    m, norms = _first_power(T, norm, lambda k, nms: nms[k] <= a_env**k)
+    return None if m is None else (max(float(norms[r]) / a_env**r for r in range(m)), m)

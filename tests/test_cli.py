@@ -117,7 +117,34 @@ def test_lyapunov_norm_mode(files, capsys):
                 "--no-timestamp"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
+    assert payload["lattice"] is True
     assert payload["contraction_factor"] <= 1.0 / payload["s"] + 1e-8
+
+
+def test_lyapunov_norm_mode_signed_map_gets_the_plain_variant(files, capsys):
+    path = files["tmp"] + "/signed.json"
+    with open(path, "w") as fh:
+        json.dump({"variant": "dense", "rows": [[0.5, -1.0], [0.0, 0.5]]}, fh)
+    code = run(["lyapunov", "--matrix", path, "--mode", "norm", "--no-timestamp"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["lattice"] is False
+    assert payload["contraction_factor"] <= 1.0 / payload["s"] + 1e-8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gallery", "upper2x2", "--cone", "lorentz"],
+        ["gallery", "upper2x2", "--norm", "l2"],
+        ["decay-point", "--matrix", "m.json", "--lambda", "0.75", "--seed", "1"],
+        ["datko", "--matrix", "m.json", "--seed", "1"],
+    ],
+    ids=["gallery-cone", "gallery-norm", "decay-point-seed", "datko-seed"],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
+    assert run(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_simulate_csv_and_summary(files, tmp_path, capsys):

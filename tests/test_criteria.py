@@ -159,6 +159,14 @@ def test_robust_small_gain_identity_boundary_witness():
     np.testing.assert_allclose(w.vector, [1.0], atol=1e-12)
 
 
+def test_robust_small_gain_uncertified_eps_fails_with_flag():
+    # P = 0.5 I has ||P||_inf = 0.5 <= eps and (T + P) e1 = e1, so the verdict may not hold
+    v = robust_small_gain(UPPER2X2, CONE2, eps=10.0)
+    assert not v.holds
+    assert v.margin < 0.0
+    assert v.witness.kind == "flag"
+
+
 def test_shift_plus_half_identity_no_violation():
     # single perturbation P = id/2 never produces (T+P)x >= x for the shift
     n = 8
@@ -532,6 +540,17 @@ def test_cross_check_non_positive_operator_restricted():
     assert [v.id for v in rep.criteria] == ["SPR"]
     assert any("not positive" in note for note in rep.notes)
     assert rep.lyapunov is not None  # stable in spite of the sign pattern
+
+
+def test_cross_check_equivalent_norm_variant_follows_positivity():
+    # a signed stable map gets the plain variant, which contracts; the lattice one does not
+    rep = cross_check(dense([[0.5, -1.0], [0.0, 0.5]]), CONE2)
+    eq = rep.lyapunov["equivalent_norm"]
+    assert not eq["lattice"]
+    assert eq["contraction_factor"] <= 1.0 / eq["s"] + 1e-8
+    eq = cross_check(UPPER2X2, CONE2).lyapunov["equivalent_norm"]
+    assert eq["lattice"]
+    assert eq["contraction_factor"] <= 1.0 / eq["s"] + 1e-8
 
 
 def test_cross_check_lorentz_cone():

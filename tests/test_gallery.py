@@ -40,7 +40,7 @@ def test_upper2x2_expected_table_reproduced():
 def test_shift2r_power_norms_and_pathology():
     entry = gallery_build("shift2R", dim=8)
     pn = power_norms(entry.operator, 8, "linf")
-    np.testing.assert_array_equal(pn.values, [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 0.0])
+    np.testing.assert_array_equal(pn, [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 0.0])
     assert entry.pathology is not None and "TRUNCATION-PATHOLOGY" in entry.pathology
     rep = cross_check(entry.operator, entry.cone, extra_notes=(entry.pathology,))
     assert rep.verdict("SIMPLE_SG").holds  # nilpotent truncation looks stable
@@ -65,7 +65,7 @@ def test_shift2r_coexistence_of_facts():
     # growth of power norms and the strong small-gain property in one report
     entry = gallery_build("shift2R", dim=8)
     pn = power_norms(entry.operator, 7, "linf")
-    assert all(pn.values[k] == 2.0**k for k in range(8))
+    assert all(pn[k] == 2.0**k for k in range(8))
     assert strong_small_gain_check(dim=8, trials=100, rng=np.random.default_rng(1))
 
 
@@ -92,7 +92,7 @@ def test_diag_strong_stable_slow_uniform_rate():
     pn = power_norms(entry.operator, 64, "l2")
     rate = 1.0 - 1.0 / 65.0
     for k in range(1, 65):
-        assert pn.values[k] ** (1.0 / k) >= rate - 1e-12
+        assert pn[k] ** (1.0 / k) >= rate - 1e-12
     # per-start decay: every coordinate shrinks
     x = np.ones(64)
     xk = x.copy()

@@ -191,7 +191,7 @@ def test_iss_constants_zero_operator():
 def test_iss_constants_jordan_partial_sum_oracle():
     # direct summation: sum_k ||T^k||_inf = sum 0.5^k (1 + 2k) = 6
     est = iss_constants(UPPER2X2)
-    pn = power_norms(UPPER2X2, 200, "linf").values
+    pn = power_norms(UPPER2X2, 200, "linf")
     assert est.C == pytest.approx(float(np.sum(pn)), abs=1e-6)
     assert est.C == pytest.approx(6.0, abs=1e-6)
 
@@ -204,7 +204,7 @@ def test_iss_constants_envelope_bounds_powers():
         a *= 0.85 / max(float(np.max(np.abs(np.linalg.eigvals(a)))), 1e-9)
         T = dense(a)
         est = iss_constants(T)
-        pn = power_norms(T, 100, "linf").values
+        pn = power_norms(T, 100, "linf")
         for k, v in enumerate(pn):
             assert v <= est.M * est.a**k + 1e-10
 
@@ -239,7 +239,7 @@ def test_iss_constant_of_the_l2_power_method_counterexample():
 
 def test_iss_constants_block_tail_is_submultiplicative():
     est = iss_constants(UPPER2X2)
-    pn = power_norms(UPPER2X2, est.K, "linf").values
+    pn = power_norms(UPPER2X2, est.K, "linf")
     m = next(k for k in range(1, len(pn)) if pn[k] <= 0.5)
     assert (est.K + 1) % m == 0
     theta = pn[m]

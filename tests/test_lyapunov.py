@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from posstab import (
+    DimensionMismatchError,
     DivergenceError,
     KFunctionSpec,
-    NotALatticeError,
     dense,
     diagonal,
     equivalent_norm,
@@ -19,6 +19,7 @@ from posstab import (
 )
 
 UPPER2X2 = dense([[0.5, 1.0], [0.0, 0.5]])
+SIGNED2X2 = dense([[0.5, -1.0], [0.0, 0.5]])  # stable, not positive on the orthant
 
 
 def kron_stein_oracle(a):
@@ -140,7 +141,7 @@ def test_quadratic_decrease_detects_wrong_q():
 # ---------------------------------------------------------------- equivalent norm
 
 def test_equivalent_norm_scalar():
-    cert = equivalent_norm(diagonal([0.5]), 1.5, norm="linf")
+    cert = equivalent_norm(diagonal([0.5]), orthant(1, "linf"), 1.5)
     assert cert.K == 1
     # sup attained at k = 0 since 0.75 < 1
     assert cert(np.array([2.0])) == pytest.approx(2.0)
@@ -148,31 +149,41 @@ def test_equivalent_norm_scalar():
     assert cert.contraction_factor == pytest.approx(0.5, abs=1e-12)
 
 
-def test_equivalent_norm_jordan():
-    cert = equivalent_norm(UPPER2X2, 1.2, norm="linf")
-    assert cert.contraction_factor <= 1.0 / 1.2 + 1e-8
-    # oracle: enumerate k well past the certified depth
+def _assert_matches_enumeration(cert, T, s, lattice):
+    # oracle: enumerate k well past the certified depth, from |x| for the lattice variant
+    assert cert.lattice == lattice
+    assert cert.contraction_factor <= 1.0 / s + 1e-8
     rng = np.random.default_rng(2)
-    a = materialize(UPPER2X2)
+    a = materialize(T)
     for _ in range(20):
         x = rng.normal(size=2)
         vals = []
-        w = x.copy()
+        w = np.abs(x) if lattice else x.copy()
         for _ in range(cert.K + 40):
             vals.append(vec_norm(w, "linf"))
-            w = 1.2 * (a @ w)
+            w = s * (a @ w)
         assert cert(x) == pytest.approx(max(vals), rel=1e-12)
 
 
+def test_equivalent_norm_jordan():
+    cert = equivalent_norm(UPPER2X2, orthant(2, "linf"), 1.2)
+    _assert_matches_enumeration(cert, UPPER2X2, 1.2, lattice=True)
+
+
+def test_equivalent_norm_signed_jordan():
+    cert = equivalent_norm(SIGNED2X2, orthant(2, "linf"), 1.2)
+    _assert_matches_enumeration(cert, SIGNED2X2, 1.2, lattice=False)
+
+
 def test_equivalent_norm_homogeneous_zero():
-    cert = equivalent_norm(UPPER2X2, 1.2, norm="linf")
+    cert = equivalent_norm(UPPER2X2, orthant(2, "linf"), 1.2)
     assert cert(np.zeros(2)) == 0.0
 
 
 def test_equivalent_norm_bounds_base_norm():
     from posstab import induced_norm
 
-    cert = equivalent_norm(UPPER2X2, 1.2, norm="linf")
+    cert = equivalent_norm(UPPER2X2, orthant(2, "linf"), 1.2)
     rng = np.random.default_rng(3)
     upper_const = max(
         (1.2**k) * induced_norm(np.linalg.matrix_power(materialize(UPPER2X2), k), "linf")
@@ -186,7 +197,8 @@ def test_equivalent_norm_bounds_base_norm():
 
 
 def test_equivalent_norm_lattice_monotone():
-    cert = equivalent_norm(UPPER2X2, 1.2, lattice=True, cone=orthant(2, "linf"), norm="linf")
+    cert = equivalent_norm(UPPER2X2, orthant(2, "linf"), 1.2)
+    assert cert.lattice
     rng = np.random.default_rng(4)
     for _ in range(200):
         x = rng.uniform(0.0, 1.0, size=2)
@@ -208,19 +220,33 @@ def test_equivalent_norm_closed_form_depth_matches_dense_oracle(T, s, norm):
         k for k in range(1, 200)
         if s**k * np.linalg.norm(np.linalg.matrix_power(a, k), order) < 1.0
     )
-    assert equivalent_norm(T, s, norm=norm).K == K
+    assert equivalent_norm(T, orthant(T.dim, norm), s).K == K
 
 
 def test_equivalent_norm_rejects_bad_s():
     with pytest.raises(ValueError):
-        equivalent_norm(diagonal([0.9]), 1.2)  # 1.08 >= 1
+        equivalent_norm(diagonal([0.9]), orthant(1), 1.2)  # 1.08 >= 1
     with pytest.raises(ValueError):
-        equivalent_norm(diagonal([0.5]), 0.9)
+        equivalent_norm(diagonal([0.5]), orthant(1), 0.9)
 
 
-def test_equivalent_norm_lattice_lorentz_rejected():
-    with pytest.raises(NotALatticeError):
-        equivalent_norm(dense(0.5 * np.eye(3)), 1.2, lattice=True, cone=lorentz(3))
+def test_equivalent_norm_rejects_a_cone_of_another_dimension():
+    with pytest.raises(DimensionMismatchError):
+        equivalent_norm(UPPER2X2, orthant(3))
+
+
+def test_equivalent_norm_defaults_and_variants():
+    # s defaults to 1/sqrt(upper); lattice exactly for maps positive on the orthant
+    cert = equivalent_norm(UPPER2X2, orthant(2, "linf"))
+    assert cert.s == pytest.approx(np.sqrt(2.0), rel=1e-7)
+    assert cert.lattice and cert.norm == "linf"
+    T = dense(0.5 * np.eye(3))
+    cert = equivalent_norm(T, lorentz(3))
+    assert not cert.lattice and cert.norm == "l2"
+    assert cert.contraction_factor <= 1.0 / cert.s + 1e-8
+    assert cert.to_dict() == {
+        "s": cert.s, "K": cert.K, "contraction_factor": cert.contraction_factor, "lattice": False
+    }
 
 
 # ---------------------------------------------------------------- lyapunov verify
@@ -240,7 +266,7 @@ def test_verify_lyapunov_quadratic():
 
 
 def test_verify_lyapunov_norm_based():
-    cert = equivalent_norm(diagonal([0.5]), 1.5, norm="linf")
+    cert = equivalent_norm(diagonal([0.5]), orthant(1, "linf"), 1.5)
     ok, _ = verify_lyapunov(
         cert,
         KFunctionSpec("linear", 1.0),

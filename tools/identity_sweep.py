@@ -21,7 +21,12 @@ reach the end of the power-norm table and so record errors; 4 orthant-linf
 cyclic maps (weighted cycles with n in {3, 5, 8} and one 6 x 6 block
 cycle), the only cases where the diagonal of the powers, not
 Collatz-Wielandt, can set the lower bracket end; and the nilpotent
-Lorentz-positive map [[1, 1], [-1, -1]].  For each op of
+Lorentz-positive map [[1, 1], [-1, -1]].  Last, from its own rng, 9
+stable orthant maps that are not positive: [[0.5, -1], [0, 0.5]] on
+orthant-linf and normal(0, 1) matrices rescaled to rho in {0.5, 0.9},
+n in {4, 8}, on orthant-linf and orthant-l2; these get the restricted
+report, whose Lyapunov section uses the plain (not the lattice)
+equivalent norm.  For each op of
 `build_ops("simulate", s)`, s in {0, 1}, it records the SHA-256 of
 `simulate(T, x0, u, K).states.tobytes()` and `iss_constants(T).to_dict()`.
 A case that raises is recorded as {"error": "<Type>: <message>"}.  It
@@ -132,6 +137,13 @@ def cases(np, inputs, ps):
     yield "cyclic/block6", ps.dense(inputs.rescaled(a, 0.9)), ps.orthant(6, "linf"), (), SEED
     a = np.array([[1.0, 1.0], [-1.0, -1.0]])
     yield "lorentz-nilpotent", ps.dense(a), ps.lorentz(2, "l2"), (), SEED
+    yield "signed/upper2x2", ps.dense([[0.5, -1.0], [0.0, 0.5]]), ps.orthant(2, "linf"), (), SEED
+    rng = np.random.default_rng(SEED + 3)
+    for norm in ("linf", "l2"):
+        for n in (4, 8):
+            for rho in (0.5, 0.9):
+                a = inputs.rescaled(rng.normal(size=(n, n)), rho)
+                yield f"signed/{norm}/n{n}/rho{rho}", ps.dense(a), ps.orthant(n, norm), (), SEED
 
 
 def _record(report):
