@@ -2,9 +2,10 @@
 
 The discrete Lyapunov (Stein) equation T^T Q T - Q = -I has a positive
 semidefinite solution exactly for stable systems, and V(x) = x^T Q x then
-decreases by exactly ||x||_2^2 per step.  Alternatively, rescaling the
-dynamics by s > 1 and taking the sup over the trajectory produces an
-equivalent norm in which T is a strict contraction.  For a map that is
+decreases by exactly ||x||_2^2 per step.  Alternatively, the geometric
+envelope ||T^k|| <= M a^k, a < 1, gives the equivalent norm
+||x||_equ = max_{k<=K} ||T^k x|| / a^k in which T contracts by the certified
+factor a = 1/s.  For a map that is
 positive on the orthant the modulus is taken first, which keeps the norm
 monotone (lattice variant); a signed map gets the plain variant, the only
 one in which it contracts.
@@ -35,8 +36,10 @@ cone = ps.orthant(2, "linf")
 norm_cert = ps.equivalent_norm(T, cone)
 s = norm_cert.s
 print(f"\nequivalent norm with s = {s:.4f} (so s * spr < 1):")
-print(f"  truncation depth K = {norm_cert.K}")
-print(f"  sampled contraction factor = {norm_cert.contraction_factor:.6f} <= 1/s = {1/s:.6f}")
+print(f"  truncation depth K = {norm_cert.K} (the envelope's first m with ||T^m|| <= s^-m)")
+print(f"  certified contraction factor 1/s = {norm_cert.contraction_factor:.6f}")
+worst = max(norm_cert(ps.apply(T, x)) / norm_cert(x) for x in samples)
+print(f"  largest ||Tx||_equ / ||x||_equ on the samples = {worst:.6f}")
 
 x = np.array([0.3, 0.2])
 y = np.array([0.5, 0.8])
@@ -45,8 +48,7 @@ print(f"  lattice = {norm_cert.lattice}  ||x||_equ = {norm_cert(x):.6f}   ||y||_
 
 signed = ps.equivalent_norm(ps.dense([[0.5, -1.0], [0.0, 0.5]]), cone)
 print("\nthe signed map [[0.5, -1], [0, 0.5]] gets the plain variant:")
-print(f"  lattice = {signed.lattice}  contraction factor = {signed.contraction_factor:.6f}"
-      f" <= 1/s = {1 / signed.s:.6f}")
+print(f"  lattice = {signed.lattice}  contraction factor = {signed.contraction_factor:.6f}")
 
 V = norm_cert
 ok, _ = ps.verify_lyapunov(

@@ -103,7 +103,7 @@ def build_parser():
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--y-file", default=None, help="interior vector JSON (default: all-ones)")
 
-    p = add("lyapunov", "emit a Stein or equivalent-norm certificate", operator, seeded)
+    p = add("lyapunov", "emit a Stein or equivalent-norm certificate", operator)
     p.add_argument("--mode", choices=("stein", "norm"), default="stein")
     p.add_argument("--s", type=float, default=None, help="scaling for the norm mode")
 
@@ -158,7 +158,7 @@ def _cmd_lyapunov(args):
             "n_terms": int(cert.n_terms),
         }
     else:
-        cert = equivalent_norm(T, cone, s=args.s, rng=np.random.default_rng(args.seed))
+        cert = equivalent_norm(T, cone, s=args.s)
         payload = {"mode": "norm", **cert.to_dict()}
     payload["operator"] = operator_to_dict(T)
     _emit_json(payload, args)

@@ -111,6 +111,26 @@ def margin(cone, x):
     return x[..., 0] - batch_vec_norm(x[..., 1:], "l2")
 
 
+def max_ratio(cone, w, z):
+    """Least t with t z - w in the cone, z interior (else ValueError).
+
+    Orthant: max_i w_i / z_i.  Lorentz: bisection to float resolution on
+    [w0/z0, 2 (|w0| + ||w1:||) / margin(z)]; `margin` is superadditive and
+    positively homogeneous, so the upper end lies in the cone.
+    """
+    w, z = _rows(cone, w), _rows(cone, z)
+    mz = float(margin(cone, z))
+    if not mz > 0.0:
+        raise ValueError("z must lie in the interior of the cone")
+    if cone.kind == "orthant":
+        return float(np.max(w / z))
+    lo, hi = w[0] / z[0], 2.0 * (abs(w[0]) + float(batch_vec_norm(w[1:], "l2"))) / mz
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if margin(cone, mid * z - w) >= 0.0 else (mid, hi)
+    return float(hi)
+
+
 def contains(cone, x, tol=DEFAULT_TOL):
     """Membership within an absolute slack `tol`."""
     return margin(cone, x) >= -tol

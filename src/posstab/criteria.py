@@ -24,6 +24,7 @@ from .cones import (
     is_interior,
     decompose,
     margin,
+    max_ratio,
     project,
     random_points,
 )
@@ -32,6 +33,7 @@ from .norms import _l2_induced, batch_vec_norm, dual_norm, induced_norm, vec_nor
 from .operators import (
     POSITIVITY_TOL,
     DenseOperator,
+    _decay_rate,
     _memo,
     _resolvent_inverse,
     _shifted_lu,
@@ -231,7 +233,7 @@ def _resolvent_positivity(T, cone, tol):
 def mbi_constant(T, cone, rng=None):
     """Monotone bounded invertibility: (I-T)x <= y forces ||x|| <= c ||y||.
 
-    Returns c = C * ||(I-T)^{-1}|| in the cone's norm; a randomized
+    Returns c = C * ||(I-T)^{-1}|| in the cone's norm (`_resolvent_norm`); a randomized
     falsification search over cone pairs confirms the bound before the
     verdict is issued.  A violating pair is the witness: x in `vector`, y
     in `z`.  MBI needs a positive inverse, so it fails with the
@@ -240,7 +242,7 @@ def mbi_constant(T, cone, rng=None):
     base = check_resolvent_positivity(T, cone)
     if not base.holds:
         return float("inf"), CriterionVerdict("MBI", False, base.margin, base.witness)
-    c = cone_constants(cone).normality_C * induced_norm(_resolvent_inverse(T), cone.norm)
+    c = cone_constants(cone).normality_C * _resolvent_norm(T, cone)[0]
     rng = np.random.default_rng(0) if rng is None else rng
     a = materialize(T)
     n = cone.dim
@@ -353,7 +355,7 @@ def uniform_small_gain_margin(T, cone, rng=None):
     X = _cone_unit_rows(cone, _usg_seeds(T, cone, rng, 64))
     vals = f(X)
     gate = check_resolvent_positivity(T, cone).holds
-    closed = _resolvent_usg(cone, _resolvent_inverse(T), f, vals) if gate else None
+    closed = _resolvent_usg(T, cone, f, vals) if gate else None
     i = int(np.argmin(vals))
     best_v, best_x = closed if closed is not None else (float(vals[i]), X[i].copy())
     eta_emp = max(best_v, 0.0)
@@ -362,26 +364,39 @@ def uniform_small_gain_margin(T, cone, rng=None):
     return eta_emp, CriterionVerdict("UNIFORM_SG", holds, eta_emp, witness)
 
 
-def _resolvent_usg(cone, inv, f, seed_vals):
-    """(1/||R||, the unit x = Rv/||Rv|| attaining it), checked at x and on the seeds.
+def _resolvent_norm(T, cone):
+    """(||R||, x) for a positive R = (I - T)^{-1}, in the cone's norm, once per operator
+    and cone: MBI's c, the uniform margin 1/||R|| and `small_gain_certificate` read it.
 
-    v is a column of R (l1), the ones vector (linf) or the power-method
-    vector of R^T R (l2) from the interior point: R^T R maps K into K, so
-    every iterate, and the top eigenvector, lies in K.  Under l2 ||R|| is the
-    larger of that run's estimate and `induced_norm`'s (equal on the orthant,
-    whose interior point is one of its starts); both can stop low when the
-    top singular values cluster, so a lower seed returns None.
+    x = Rv/||Rv|| (read-only) for a cone vector v attaining ||R||: a column of R
+    (l1), the ones vector (linf) or the power-method vector of R^T R (l2) from
+    the interior point (R^T R maps K into K, so every iterate lies in K).
+    Under l2 ||R|| is the larger of that run's estimate and `induced_norm`'s
+    (equal on the orthant, whose interior point is one of its starts).
     """
-    norm = induced_norm(inv, cone.norm)
-    v = np.ones(cone.dim)
-    if cone.norm == "l1":
-        v = np.eye(cone.dim)[int(np.argmax(np.abs(inv).sum(axis=0)))]
-    elif cone.norm == "l2":
-        top, v = _l2_induced(inv, start=interior_point(cone))
-        norm = max(norm, top)
+
+    def make():
+        inv = _resolvent_inverse(T)
+        norm, v = induced_norm(inv, cone.norm), np.ones(cone.dim)
+        if cone.norm == "l1":
+            v = np.eye(cone.dim)[int(np.argmax(np.abs(inv).sum(axis=0)))]
+        elif cone.norm == "l2":
+            top, v = _l2_induced(inv, start=interior_point(cone))
+            norm = max(norm, top)
+        x = inv @ v
+        x /= vec_norm(x, cone.norm)
+        x.setflags(write=False)
+        return norm, x
+
+    return _memo(T, ("resolvent_norm", cone), make)
+
+
+def _resolvent_usg(T, cone, f, seed_vals):
+    """(1/||R||, the unit x attaining it) from `_resolvent_norm`, checked at x and on
+    the seeds.  Under l2 both of its power runs can stop low when the top singular
+    values cluster, so a lower seed returns None."""
+    norm, x = _resolvent_norm(T, cone)
     eta = 1.0 / norm
-    x = inv @ v
-    x /= vec_norm(x, cone.norm)
     at = float(f(x[None, :])[0])
     if abs(at - eta) > 1e-9 * eta:
         raise ArithmeticError(f"eta = {eta!r} is not attained ({at!r}); internal error")
@@ -407,12 +422,12 @@ def _monotone_point(a, cone, X, w):
 
 
 def small_gain_certificate(T, cone):
-    """Certified lower bound eta >= 1/(c*M) from the MBI constant, or None."""
-    c, verdict = mbi_constant(T, cone)
-    if not verdict.holds or not np.isfinite(c) or c <= 0.0:
+    """Certified lower bound eta >= 1/(c*M), c = C ||(I - T)^{-1}|| the MBI constant
+    (`_resolvent_norm`), or None when (I - T)^{-1} is not positive."""
+    if not check_resolvent_positivity(T, cone).holds:
         return None
-    m = cone_constants(cone).decomposition_M
-    return 1.0 / (c * m)
+    consts = cone_constants(cone)
+    return 1.0 / (consts.normality_C * _resolvent_norm(T, cone)[0] * consts.decomposition_M)
 
 
 #: one step of `approximate_positive_eigenvector`: shift, unit cone vector, residual
@@ -601,8 +616,8 @@ def interior_small_gain(T, cone, z, rng=None):
 def strict_decay_point(T, cone, lam, y):
     """Point of strict decay z = (lam*I - T)^{-1} y with verified certificate.
 
-    Verifies (a) z >= y / lam, (b) the realized contraction factor
-    max over the cone order of Tz against z stays <= lam + 1e-10, and
+    Verifies (a) z >= y / lam, (b) the realized contraction factor, the
+    least t with Tz <= t z (`cones.max_ratio`), stays <= lam + 1e-10, and
     (c) the interiority margin of z.
     """
     est = spectral_radius(T)
@@ -620,18 +635,7 @@ def strict_decay_point(T, cone, lam, y):
     z = resolvent_apply(T, lam, y)
     if not contains(cone, z - y / lam, 1e-10):
         raise ArithmeticError("certificate failed: z >= y/lam does not hold; internal error")
-    tz = apply(T, z)
-    if cone.kind == "orthant":
-        realized = float(np.max(tz / z))  # z is interior, entrywise positive
-    else:
-        lo_b, hi_b = 0.0, lam + 1e-10
-        for _ in range(60):
-            mid = 0.5 * (lo_b + hi_b)
-            if contains(cone, mid * z - tz, 0.0):
-                hi_b = mid
-            else:
-                lo_b = mid
-        realized = hi_b
+    realized = max_ratio(cone, apply(T, z), z)
     if realized > lam + 1e-10:
         raise ArithmeticError("certificate failed: Tz <= lam*z does not hold; internal error")
     _, margin = is_interior(cone, z)
@@ -644,7 +648,7 @@ def quasi_compact_suite(T, cone, rng=None):
     In finite dimension SIMPLE_SG and SUBFIXED_POS follow from the Perron
     pair, and strong stability and weak attractivity are uniform
     exponential stability: both hold iff `geometric_envelope` certifies
-    ||T^k|| <= M a^k, a = (upper + 1)/2 < 1, from the ISS power-norm table.
+    ||T^k|| <= M a^k, a = `_decay_rate(T)` < 1, from the ISS power-norm table.
     Failing verdicts carry the shared `_growth_vector`.  Falsification:
     32 unit interior starts at k = 1, 2, 4, ..., 2^J by squaring, up to
     the first M a^(2^J) <= 1e-9 (2^8 when failing) or a sample above 1e280
@@ -661,7 +665,7 @@ def quasi_compact_suite(T, cone, rng=None):
         CriterionVerdict("SIMPLE_SG", simple, 1.0 - est.point, simple_wit),
         CriterionVerdict("SUBFIXED_POS", simple, 1.0 - est.point, sub_wit),
     ]
-    a_env = 0.5 * (est.upper + 1.0)
+    a_env = _decay_rate(T)
     env = geometric_envelope(T, a_env, cone.norm)
     holds, last = env is not None, 8
     if holds:
@@ -762,7 +766,7 @@ def cross_check(T, cone, config=None, extra_notes=()):
     cfg = config or CrossCheckConfig()
     # stream 0 is unused: positivity samples the fixed rays that gate the
     # spectral bracket, so both agree; the other streams keep their seeds
-    streams = np.random.SeedSequence(cfg.seed).spawn(6)
+    streams = np.random.SeedSequence(cfg.seed).spawn(5)
     rngs = [np.random.default_rng(s) for s in streams]
     est = spectral_radius(T)
     spr_hat = est.point
@@ -781,14 +785,14 @@ def cross_check(T, cone, config=None, extra_notes=()):
             )
 
         res_v = check_resolvent_positivity(T, cone)
-        c_mbi, mbi_v = mbi_constant(T, cone, rng=rngs[1])
+        _, mbi_v = mbi_constant(T, cone, rng=rngs[1])
         eta_emp, usg_v = uniform_small_gain_margin(T, cone, rng=rngs[2])
         dual_v = dual_small_gain(T, cone)
         _, isg_v = interior_small_gain(T, cone, interior_point(cone), rng=rngs[3])
         quasi_v = quasi_compact_suite(T, cone, rng=rngs[4])
 
-        if mbi_v.holds and np.isfinite(c_mbi) and c_mbi > 0.0:
-            eta_cert = 1.0 / (c_mbi * cone_constants(cone).decomposition_M)
+        if mbi_v.holds:
+            eta_cert = small_gain_certificate(T, cone)
             notes.append(f"eta certified >= {eta_cert:.6e} (= 1/(c*M)); eta empirical = {eta_emp:.6e}")
         decision = _decision_tol(est)
         eps = 0.5 * eta_emp if eta_emp > decision else 1e-3
@@ -796,7 +800,7 @@ def cross_check(T, cone, config=None, extra_notes=()):
         robust_v = robust_small_gain(T, cone, eps, eta_emp=eta_emp)
         rank1_v = replace(robust_v, id="RANK1_SG")
         try:
-            cert = strict_decay_point(T, cone, 0.5 * (est.upper + 1.0), interior_point(cone))
+            cert = strict_decay_point(T, cone, _decay_rate(T), interior_point(cone))
             lam = cert.realized_lambda
             note = "interior z with Tz <= lam*z"
             sd_wit = Witness("strict_decay_pair", cert.z, lam=lam, note=note)
@@ -817,7 +821,7 @@ def cross_check(T, cone, config=None, extra_notes=()):
     lyapunov_section = iss_section = None
     if est.upper < 1.0:
         stein = lyap_mod.solve_stein(T)
-        norm_cert = lyap_mod.equivalent_norm(T, cone, rng=rngs[5])
+        norm_cert = lyap_mod.equivalent_norm(T, cone)
         lyapunov_section = {
             "stein_residual": float(stein.residual),
             "stein_tail_bound": float(stein.tail_bound),

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NoISSEstimateError
 from .norms import batch_vec_norm, vec_norm
-from .operators import _first_power, geometric_envelope, materialize, spectral_radius
+from .operators import _decay_rate, _first_power, geometric_envelope, materialize, spectral_radius
 
 #: a dyadic block contributing less than this fraction counts as converged
 DYADIC_BLOCK_FRACTION = 0.10
@@ -70,6 +70,9 @@ class InputSignal:
 
 
 def input_from_dict(d):
+    """Inverse of `InputSignal.to_dict`; ValueError names a malformed input."""
+    if not isinstance(d, dict) or "values" not in d:
+        raise ValueError('input signal must be a JSON object with a "values" list')
     return InputSignal(
         values=np.asarray(d["values"], dtype=float),
         declared_class=d.get("class", "linf"),
@@ -180,22 +183,22 @@ class ISSEstimate:
 def iss_constants(T, norm="linf"):
     """Certified ISS constants of ||x(k)|| <= M a^k ||x(0)|| + C ||u||_inf.
 
-    a = (upper + 1)/2 and M comes from the geometric envelope of the power
-    norms.  C = sum_k ||T^k|| is summed in blocks of length m, the first m
-    with theta = ||T^m|| <= 1/2: by submultiplicativity every block is at
-    most theta times the one before, so the sum past L blocks is at most
-    theta/(1 - theta) times the last block's sum.  L is the first block
-    count whose tail term is <= ISS_TAIL_TOL, or the last complete block
-    before the power-norm table ends (C then stays certified, only looser).
-    l2 power norms of dense operators are certified upper bounds, so C and
-    M stay upper bounds.
+    a is `operators._decay_rate` and M comes from the geometric envelope of
+    the power norms at that rate.  C = sum_k ||T^k|| is summed in blocks of
+    length m, the first m with theta = ||T^m|| <= 1/2: by
+    submultiplicativity every block is at most theta times the one before,
+    so the sum past L blocks is at most theta/(1 - theta) times the last
+    block's sum.  L is the first block count whose tail term is <=
+    ISS_TAIL_TOL, or the last complete block before the power-norm table
+    ends (C then stays certified, only looser).  l2 power norms of dense
+    operators are certified upper bounds, so C and M stay upper bounds.
     """
     est = spectral_radius(T)
     if est.upper >= 1.0:
         raise NoISSEstimateError(
             f"no ISS estimate: spectral upper bound {est.upper} >= 1"
         )
-    a_rate = 0.5 * (est.upper + 1.0)
+    a_rate = _decay_rate(T)
     env = geometric_envelope(T, a_rate, norm=norm)
     if env is None:
         raise NoISSEstimateError("failed to certify a geometric envelope")

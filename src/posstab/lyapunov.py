@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DivergenceError
 from .norms import UNIT_ROUNDOFF, batch_vec_norm, l2_upper_bounds, vec_norm
-from .operators import _first_power, is_positive, materialize, spectral_radius
+from .operators import _decay_rate, geometric_envelope, is_positive, materialize, spectral_radius
 
 #: squarings after which solve_stein gives up: 2^64 series terms
 STEIN_MAX_SQUARINGS = 64
@@ -90,29 +90,30 @@ def quadratic_decrease_check(Q, T, samples, tol=1e-8):
 
 @dataclass
 class EquivalentNorm:
-    """Evaluator of ||x||_equ = max_{0<=k<=K} ||(sT)^k x|| with certificate data.
+    """Evaluator of ||x||_equ = max_{0<=k<=K} ||(sT)^k x||, a norm in which T contracts.
 
-    With lattice=True (T positive on the orthant) the modulus |x| is taken
-    first, which keeps the new norm monotone.  The contraction factor is
-    the sampled maximum of ||Tx||_equ/||x||_equ and is guaranteed <= 1/s.
+    (M, K) is the geometric envelope at the rate 1/s: ||T^K|| <= s^-K gives
+    ||Tx||_equ <= ||x||_equ / s, the certified `contraction_factor`, and
+    ||x|| <= ||x||_equ <= M ||x||.  With lattice=True the modulus |x| is
+    taken first, which keeps the norm monotone; as |Tx| <= T|x| for T
+    positive on the orthant, it contracts by the same factor.
     """
 
     s: float
     K: int
-    contraction_factor: float
     lattice: bool
     norm: str
     _matrix: np.ndarray
 
-    def __call__(self, x):
-        return float(self._batch(np.asarray(x, dtype=float)[None, :])[0])
+    @property
+    def contraction_factor(self):
+        return 1.0 / self.s
 
-    def _batch(self, X):
-        X = np.asarray(X, dtype=float)
-        if self.lattice:
-            X = np.abs(X)
-        best = batch_vec_norm(X, self.norm)
-        W = X
+    def __call__(self, x):
+        """||x||_equ of a vector, or of each row of a block."""
+        W = np.asarray(x, dtype=float)
+        W = np.abs(W) if self.lattice else W
+        best = batch_vec_norm(W, self.norm)
         for _ in range(self.K):
             W = self.s * (W @ self._matrix.T)
             best = np.maximum(best, batch_vec_norm(W, self.norm))
@@ -127,47 +128,33 @@ class EquivalentNorm:
         }
 
 
-def equivalent_norm(T, cone, s=None, n_check=1000, rng=None):
-    """Equivalent norm, in the cone's norm, that turns T into a strict contraction.
+def equivalent_norm(T, cone, s=None):
+    """Equivalent norm, in the cone's norm, in which T contracts by the factor 1/s.
 
-    s defaults to 1/sqrt(max(upper, 1e-6)) <= 1e3, upper the spectral
-    upper bound, and must satisfy s > 1 and s * upper < 1.  The lattice
-    variant (|x| first) is used exactly when T is positive on the orthant:
-    its contraction rests on |Tx| <= T|x|, which holds only then.  The
-    truncation depth K is the first index with s^K ||T^K|| < 1: past it,
-    no term can attain the supremum, so the infinite sup collapses to a
-    certified finite max.  The norms ||T^k|| come from T's memoized
-    power-norm table; under l2 they are certified upper bounds, so K is
-    never below the exact depth.  Raises ValueError when the table ends
-    before such a K, and DimensionMismatchError for a cone of another
-    dimension.
+    K is the m of `geometric_envelope(T, 1/s, cone.norm)`.  s defaults to
+    1/`_decay_rate(T)`, the rate of the STRONG_STAB/WEAK_ATTR and ISS
+    envelopes, so all three read one memoized search; s > 1 and s * upper < 1
+    are required.  The lattice variant is used exactly when T is positive on
+    the orthant.  Raises ValueError when the power-norm table ends before
+    the envelope's m, DimensionMismatchError for a cone of another dimension.
     """
     if cone.dim != T.dim:
         raise DimensionMismatchError("cone and operator dimensions differ")
-    est = spectral_radius(T)
-    if s is None:
-        s = float(np.sqrt(1.0 / max(est.upper, 1e-6)))
+    upper = spectral_radius(T).upper
+    # the default rate itself, not 1/(1/a), keys the envelope search that cross_check shares
+    a = _decay_rate(T) if s is None else None
+    s = 1.0 / a if s is None else s
     if s <= 1.0:
         raise ValueError("s must be > 1")
-    if s * est.upper >= 1.0:
-        raise ValueError(
-            f"s * spectral_upper = {s * est.upper} >= 1: the equivalent norm sup may diverge"
-        )
-    K, _ = _first_power(T, cone.norm, lambda k, nms: (s**k) * nms[k] < 1.0)
-    if K is None:
+    if s * upper >= 1.0:
+        raise ValueError(f"s * spectral_upper = {s * upper} >= 1: the equivalent norm sup may diverge")
+    env = geometric_envelope(T, 1.0 / s if a is None else a, cone.norm)
+    if env is None:
         raise ValueError("failed to certify a truncation depth; s too close to 1/spr")
-    a = materialize(T)
     lattice = cone.kind == "orthant" and is_positive(T, cone)[0]
-    cert = EquivalentNorm(
-        s=float(s), K=K, contraction_factor=0.0, lattice=lattice, norm=cone.norm, _matrix=a
+    return EquivalentNorm(
+        s=float(s), K=env[1], lattice=lattice, norm=cone.norm, _matrix=materialize(T)
     )
-    rng = np.random.default_rng(0) if rng is None else rng
-    X = rng.normal(size=(n_check, a.shape[0]))
-    base = cert._batch(X)
-    mapped = cert._batch(X @ a.T)
-    ratio = mapped / np.maximum(base, 1e-300)
-    cert.contraction_factor = float(ratio.max())
-    return cert
 
 
 @dataclass(frozen=True)

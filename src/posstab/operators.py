@@ -166,13 +166,21 @@ def operator_to_dict(T):
 
 
 def operator_from_dict(d):
+    """Inverse of `operator_to_dict`; a malformed dict raises ValueError naming the problem."""
+    if not isinstance(d, dict):
+        raise ValueError(f"operator must be a JSON object, not {type(d).__name__}")
     variant = d.get("variant")
-    if variant == "dense":
-        return dense(d["rows"])
-    if variant == "diagonal":
-        return diagonal(d["entries"])
-    if variant == "shift":
-        return shift(d["dim"], d["factor"])
+    try:
+        if variant == "dense":
+            return dense(d["rows"])
+        if variant == "diagonal":
+            return diagonal(d["entries"])
+        if variant == "shift":
+            return shift(d["dim"], d["factor"])
+    except KeyError as exc:
+        raise ValueError(f"{variant} operator needs the key {exc}") from None
+    except TypeError as exc:  # e.g. rows that are not a list, or a dim of null
+        raise ValueError(f"malformed {variant} operator: {exc}") from None
     raise ValueError(f"unknown operator variant {variant!r}")
 
 
@@ -719,6 +727,11 @@ def _first_power(T, norm, passes, start=1):
             return k, np.array(table.values[: k + 1])
         k += 1
     return None, np.array(table.values)
+
+
+def _decay_rate(T):
+    """(upper + 1)/2: the rate of the envelope, ISS, equivalent-norm and STRICT_DECAY bounds."""
+    return 0.5 * (spectral_radius(T).upper + 1.0)
 
 
 def geometric_envelope(T, a_env, norm="linf"):

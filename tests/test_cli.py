@@ -139,12 +139,35 @@ def test_lyapunov_norm_mode_signed_map_gets_the_plain_variant(files, capsys):
         ["gallery", "upper2x2", "--norm", "l2"],
         ["decay-point", "--matrix", "m.json", "--lambda", "0.75", "--seed", "1"],
         ["datko", "--matrix", "m.json", "--seed", "1"],
+        ["lyapunov", "--matrix", "m.json", "--seed", "1"],
     ],
-    ids=["gallery-cone", "gallery-norm", "decay-point-seed", "datko-seed"],
+    ids=["gallery-cone", "gallery-norm", "decay-point-seed", "datko-seed", "lyapunov-seed"],
 )
 def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
     assert run(argv) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("analyze", [[0.5, 0.0], [0.0, 0.5]], "operator must be a JSON object, not list"),
+        ("analyze", {"variant": "dense"}, "dense operator needs the key 'rows'"),
+        ("analyze", {"variant": "dense", "rows": {"a": 1}}, "malformed dense operator"),
+        ("simulate", {"class": "linf"}, 'input signal must be a JSON object with a "values" list'),
+    ],
+    ids=["bare-list", "dense-without-rows", "dense-rows-not-a-list", "input-without-values"],
+)
+def test_malformed_input_files_are_usage_errors(files, command, payload, message, capsys):
+    path = files["tmp"] + "/bad.json"
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    argv = ["analyze", "--matrix", path]
+    if command == "simulate":
+        argv = ["simulate", "--matrix", files["upper2x2.json"], "--input", path]
+    assert run(argv + ["--no-timestamp"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_simulate_csv_and_summary(files, tmp_path, capsys):

@@ -19,7 +19,7 @@ from posstab import (
     project,
     vec_norm,
 )
-from posstab.cones import batch_distance, cone_from_dict, margin, random_points
+from posstab.cones import batch_distance, cone_from_dict, margin, max_ratio, random_points
 
 
 # ---------------------------------------------------------------- oracles
@@ -366,3 +366,35 @@ def test_cone_serialization_roundtrip():
     cone = lorentz(5, "l2")
     assert cone_from_dict(cone.to_dict()) == cone
     assert cone.to_dict() == {"kind": "lorentz", "dim": 5, "norm": "l2"}
+
+
+# ---------------------------------------------------------------- max_ratio
+
+def _lorentz_ratio_oracle(w, z):
+    """Least t with t z - w in the Lorentz cone: t z0 >= w0 and the larger root of
+    <t z - w, t z - w>_J = 0, J = diag(1, -1, ..., -1)."""
+    j = np.ones(len(z))
+    j[1:] = -1.0
+    A, B, C = z @ (j * z), z @ (j * w), w @ (j * w)
+    root = (B + np.sqrt(max(B * B - A * C, 0.0))) / A
+    return max(w[0] / z[0], root)
+
+
+def test_max_ratio_closed_forms():
+    assert max_ratio(orthant(2), np.array([5.4, 2.0]), np.array([10.0, 2.0])) == 1.0
+    # (10t - 8) >= |5t - 2| first at t = 1.2
+    assert max_ratio(lorentz(3), [8.0, 2.0, 0.0], [10.0, 5.0, 0.0]) == pytest.approx(1.2, rel=1e-15)
+    assert max_ratio(lorentz(3), np.zeros(3), [1.0, 0.5, 0.0]) == 0.0
+    rng = np.random.default_rng(0)
+    cone = lorentz(4)
+    for z, w in zip(random_points(cone, rng, 50, interior=True), rng.normal(size=(50, 4))):
+        t = max_ratio(cone, w, z)
+        assert t == pytest.approx(_lorentz_ratio_oracle(w, z), rel=1e-12, abs=1e-15)
+        assert margin(cone, t * z - w) >= 0.0
+
+
+def test_max_ratio_needs_an_interior_z():
+    with pytest.raises(ValueError, match="interior"):
+        max_ratio(lorentz(3), [1.0, 0.0, 0.0], [1.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="interior"):
+        max_ratio(orthant(2), [1.0, 1.0], [1.0, 0.0])

@@ -20,6 +20,7 @@ from posstab import (
     gallery_build,
     gallery_names,
     geometric_envelope,
+    interior_point,
     interior_small_gain,
     lorentz,
     materialize,
@@ -410,6 +411,23 @@ def test_strict_decay_lorentz():
     assert contains(cone, cert.z - y / 0.9, 1e-10)
 
 
+@pytest.mark.parametrize(
+    "T, cone, z",
+    [
+        (dense([[0.5, 0.2], [0.1, 0.5]]), orthant(2), [10.0, 2.0]),  # Tz = (5.4, 2)
+        (dense(np.diag([0.8, 0.4, 0.4])), lorentz(3), [10.0, 5.0, 0.0]),  # Tz = (8, 2, 0)
+    ],
+    ids=["orthant", "lorentz"],
+)
+def test_strict_decay_catches_a_planted_solve(monkeypatch, T, cone, z):
+    # z >= y/lam holds, but the least t with Tz <= t z is 1.0 (orthant) and 1.2 (Lorentz)
+    import posstab.criteria as crit
+
+    monkeypatch.setattr(crit, "resolvent_apply", lambda T, lam, y: np.array(z))
+    with pytest.raises(ArithmeticError, match=r"Tz <= lam\*z"):
+        strict_decay_point(T, cone, 0.9, interior_point(cone))
+
+
 # ------------------------------------------------- quasi-compact suite
 
 def test_quasi_suite_jordan_all_hold():
@@ -553,6 +571,31 @@ def test_cross_check_equivalent_norm_variant_follows_positivity():
     assert eq["contraction_factor"] <= 1.0 / eq["s"] + 1e-8
 
 
+@pytest.mark.parametrize(
+    "kind, norm", [("orthant", "linf"), ("orthant", "l2"), ("lorentz", "l2")]
+)
+def test_cross_check_equivalent_norm_is_the_envelope_norm(kind, norm):
+    # the factor is the certified 1/s, which bounds the Perron vector's ratio, and
+    # K is the envelope's m at the rate 1/s
+    from posstab import equivalent_norm
+
+    n = 12
+    T = dense(_stable_positive(kind, n, seed=4, rho=0.8))
+    cone = orthant(n, norm) if kind == "orthant" else lorentz(n, norm)
+    rep = cross_check(T, cone)
+    assert rep.consensus == "STABLE"
+    eq = rep.lyapunov["equivalent_norm"]
+    assert eq["contraction_factor"] == 1.0 / eq["s"]
+    assert eq["s"] == 1.0 / rep.iss["a"]
+    assert eq["K"] == geometric_envelope(T, 1.0 / eq["s"], norm)[1]
+    cert = equivalent_norm(T, cone)
+    assert cert.to_dict() == eq
+    v = rep.spectral.perron_vector
+    ratio = cert(apply(T, v)) / cert(v)
+    assert ratio == pytest.approx(rep.spectral.perron_value, rel=1e-6)
+    assert ratio <= eq["contraction_factor"]
+
+
 def test_cross_check_lorentz_cone():
     from posstab import gallery_build
 
@@ -630,6 +673,25 @@ def test_lorentz_consensus_fuzz():
         assert rep.consensus != "INCONSISTENT"
         for v in rep.criteria:
             assert v.holds == expect, (i, target, v.id, v.margin)
+
+
+def test_mbi_and_usg_read_one_resolvent_norm(monkeypatch):
+    # map 5 has clustered singular values of (I - T)^{-1}; MBI's c and the closed-form
+    # uniform margin 1/||R|| read one memoized norm, so c * eta is 1 up to one rounding
+    import posstab.criteria as crit
+
+    calls = []
+    for name in ("induced_norm", "_l2_induced"):  # the two l2 power runs on R
+        real = getattr(crit, name)
+        spy = lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)
+        monkeypatch.setattr(crit, name, spy)
+    a = next(b for j, b, _ in _boost_rotation_maps() if j == 5)
+    T, cone = dense(a), lorentz(len(a), "l2")
+    rep = cross_check(T, cone, CrossCheckConfig(seed=5))
+    c, eta = rep.verdict("MBI").margin, rep.verdict("UNIFORM_SG").margin
+    assert c * eta == pytest.approx(1.0, rel=2.3e-16, abs=0.0)
+    assert small_gain_certificate(T, cone) == 1.0 / (c * cone_constants(cone).decomposition_M)
+    assert sorted(calls) == ["_l2_induced", "induced_norm"]
 
 
 @pytest.mark.parametrize("i", [3, 10])
@@ -1155,7 +1217,7 @@ def test_resolvent_positivity_checked_once_per_cone(monkeypatch):
 
 
 def test_cross_check_searches_the_envelope_once(monkeypatch):
-    # STRONG_STAB/WEAK_ATTR and the ISS M read one memoized envelope search
+    # STRONG_STAB/WEAK_ATTR, the ISS M and the Lyapunov norm read one memoized envelope search
     import posstab.operators as ops
 
     real, calls = ops._envelope, []
@@ -1166,4 +1228,7 @@ def test_cross_check_searches_the_envelope_once(monkeypatch):
     assert rep.consensus == "STABLE"
     assert calls == [(0.5 * (rep.spectral.upper + 1.0), "linf")]
     assert geometric_envelope(T, rep.iss["a"], "linf")[0] <= rep.iss["M"]
+    eq = rep.lyapunov["equivalent_norm"]
+    assert eq["s"] == 1.0 / rep.iss["a"]
+    assert eq["K"] == geometric_envelope(T, rep.iss["a"], "linf")[1]
     assert len(calls) == 1

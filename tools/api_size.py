@@ -6,8 +6,10 @@ Lines are the physical lines of each `posstab/*.py` file.  The parameter
 count sums len(inspect.signature(f).parameters) over the public functions
 that `posstab` exports; the constructors of its public classes are
 counted on a line of their own, and classes without a Python signature
-(the exception types) are skipped.  `--src` picks the source tree
-(default: this repository's `src`), so two checkouts can be compared.
+(the exception types) are skipped.  The last line counts the options
+(flags other than --help) of each subcommand of `posstab.cli.build_parser()`.
+`--src` picks the source tree (default: this repository's `src`), so two
+checkouts can be compared.
 """
 
 import argparse
@@ -30,6 +32,15 @@ def _parameters(objs):
     return total, count
 
 
+def _cli_options(parser):
+    """{subcommand: number of its flags other than --help}."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: sum(bool(a.option_strings) and not isinstance(a, argparse._HelpAction) for a in p._actions)
+        for name, p in sub.choices.items()
+    }
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", default=str(ROOT / "src"))
@@ -48,6 +59,10 @@ def main(argv=None):
     print(f"public function parameters: {params} ({funcs} functions)")
     params, classes = _parameters(o for o in public if inspect.isclass(o))
     print(f"public class constructor parameters: {params} ({classes} classes)")
+    from posstab.cli import build_parser
+
+    options = _cli_options(build_parser())
+    print("cli options: " + ", ".join(f"{name} {count}" for name, count in sorted(options.items())))
     return 0
 
 
