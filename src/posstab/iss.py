@@ -15,8 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NoISSEstimateError
-from .norms import batch_vec_norm, vec_norm
-from .operators import _decay_rate, _first_power, geometric_envelope, materialize, spectral_radius
+from .norms import _gamma, batch_vec_norm, dual_norm, vec_norm
+from .operators import (
+    DenseOperator,
+    _decay_rate,
+    _first_power,
+    _power_table,
+    _shifted_lu,
+    geometric_envelope,
+    materialize,
+    spectral_radius,
+)
 
 #: a dyadic block contributing less than this fraction counts as converged
 DYADIC_BLOCK_FRACTION = 0.10
@@ -27,8 +36,14 @@ BLOCK_RATIO_CONVERGENT = 0.9
 #: steps per block of the solution-formula route in `simulate`
 _CONVOLUTION_BLOCK = 32
 
-#: `iss_constants` stops summing ||T^k|| once the certified tail is at most this
+#: the block rule of `iss_constants` closes once its certified tail is at most this
 ISS_TAIL_TOL = 1e-10
+
+#: the decay-vector rule closes once C is within this factor of S_K + ||T^K||/(1 - lower)
+_DECAY_TAIL_RTOL = 1e-6
+
+#: first power at which `iss_constants` builds the decay vector and tries its tail
+_DECAY_TAIL_FROM = 63
 
 
 @dataclass
@@ -160,7 +175,12 @@ def simulate(T, x0, u, K=None, norm="linf", check_tol=1e-10):
 
 @dataclass
 class ISSEstimate:
-    """Constants of ||x(k)|| <= M a^k ||x(0)|| + C ||u||_inf in the named norm."""
+    """Constants of ||x(k)|| <= M a^k ||x(0)|| + C ||u||_inf in the named norm.
+
+    C and M read the powers T^0..T^K; C adds `tail_bound`, the certified
+    bound on the powers not summed, from the rule named by `tail_rule`:
+    "block" (T^0..T^K summed) or "decay_vector" (T^0..T^(K-1) summed).
+    """
 
     M: float
     a: float
@@ -168,6 +188,7 @@ class ISSEstimate:
     tail_bound: float
     norm: str
     K: int
+    tail_rule: str = "block"
 
     def to_dict(self):
         return {
@@ -177,21 +198,34 @@ class ISSEstimate:
             "tail_bound": float(self.tail_bound),
             "norm": self.norm,
             "K": int(self.K),
+            "tail_rule": self.tail_rule,
         }
 
 
 def iss_constants(T, norm="linf"):
     """Certified ISS constants of ||x(k)|| <= M a^k ||x(0)|| + C ||u||_inf.
 
-    a is `operators._decay_rate` and M comes from the geometric envelope of
-    the power norms at that rate.  C = sum_k ||T^k|| is summed in blocks of
-    length m, the first m with theta = ||T^m|| <= 1/2: by
-    submultiplicativity every block is at most theta times the one before,
-    so the sum past L blocks is at most theta/(1 - theta) times the last
-    block's sum.  L is the first block count whose tail term is <=
-    ISS_TAIL_TOL, or the last complete block before the power-norm table
-    ends (C then stays certified, only looser).  l2 power norms of dense
-    operators are certified upper bounds, so C and M stay upper bounds.
+    a is `operators._decay_rate`; M is the larger of the geometric
+    envelope's M at that rate and max ||T^k||/a^k over the powers summed
+    into C.  C = sum_k ||T^k|| reads the power-norm table in one pass that
+    stops at the first power where one of two tail rules closes:
+
+    - "block": with m the first power and theta = ||T^m|| <= 1/2, each
+      block of m powers is at most theta times the one before, so the sum
+      past L blocks is at most theta/(1 - theta) times the last block's.
+      It closes at the first L with that tail <= ISS_TAIL_TOL, or at the
+      last complete block before the table ends; K = L m - 1.
+    - "decay_vector", for a dense T >= 0 entrywise, at each table block
+      end K >= 63: `_decay_vector` gives z > 0 with T z <= lam z, lam < 1.
+      With c_i = g max_r (P_K)_ri / z_r (P_K the computed power, g the
+      rounding factor), T^K <= z c', so T^(K+j) <= lam^j z c' and the tail
+      from K on is at most ||z c'||/(1 - lam) = ||z|| ||c||_dual/(1 - lam)
+      in every monotone norm.  It closes once C = S_K + tail is at most
+      (1 + 1e-6)(S_K + ||T^K||/(1 - lower)), S_K the first K entries' sum.
+
+    For a dense T >= 0 both rules lift the table's norms of the computed
+    powers to bounds on the exact T^k; l2 entries are certified upper
+    bounds, so C and M stay upper bounds.
     """
     est = spectral_radius(T)
     if est.upper >= 1.0:
@@ -202,27 +236,113 @@ def iss_constants(T, norm="linf"):
     env = geometric_envelope(T, a_rate, norm=norm)
     if env is None:
         raise NoISSEstimateError("failed to certify a geometric envelope")
-    m, head = _first_power(T, norm, lambda k, nms: nms[k] <= 0.5)
-    if m is None:
-        raise NoISSEstimateError(f"no power ||T^m|| <= 1/2 with m <= {len(head) - 1}")
-    theta = float(head[m])
-    factor = theta / (1.0 - theta)
-
-    def small_tail(k, nms):  # at k = L m - 1: is the tail after block L small?
-        return (k + 1) % m == 0 and factor * float(np.sum(nms[k + 1 - m : k + 1])) <= ISS_TAIL_TOL
-
-    _, pn = _first_power(T, norm, small_tail, start=0)
-    pn = pn[: len(pn) // m * m]
-    tail = factor * float(np.sum(pn[-m:]))
-    m_emp = float(np.max(pn / a_rate ** np.arange(len(pn))))
+    search = _TailSearch(T, norm, est)
+    _, table = _first_power(T, norm, search)
+    if search.rule is None:  # the table ended first: its last complete block
+        if search.m is None:
+            raise NoISSEstimateError(f"no power ||T^m|| <= 1/2 with m <= {len(table) - 1}")
+        search.close_block(table, len(table) // search.m * search.m - 1)
+    summed = table[: search.summed]
+    m_emp = float(np.max(summed / a_rate ** np.arange(len(summed))))
     return ISSEstimate(
         M=max(env[0], m_emp),
         a=a_rate,
-        C=float(np.sum(pn)) + tail,
-        tail_bound=tail,
+        C=search.C,
+        tail_bound=search.tail,
         norm=norm,
-        K=len(pn) - 1,
+        K=search.K,
+        tail_rule=search.rule,
     )
+
+
+class _TailSearch:
+    """The `_first_power` predicate of `iss_constants`: passes at the first
+    power where the block rule or the decay-vector rule closes, and then
+    holds the certificate: `rule`, `K`, `summed` (table entries summed into
+    C), `C` and `tail`."""
+
+    def __init__(self, T, norm, est):
+        self.T, self.norm, self.table = T, norm, _power_table(T, norm)
+        self.lower, self.upper = est.lower, est.upper
+        positive = isinstance(T, DenseOperator) and bool(np.all(T.matrix >= 0.0))
+        self.unit = T.dim + 1 if positive else 0  # of the rounding factor's gamma
+        self.decay = None if positive else False  # (z, lam) once built, False without one
+        self.m = self.next_end = self.rule = None
+        self.prefix = 1.0  # sum of the entries before the current one; ||T^0|| = 1
+
+    def rounding_factor(self, k):
+        """g with ||T^j|| <= g ||P_j|| for j <= k, P_j the table's computed
+        powers, with room for the sums of up to k entries that form C:
+        1 + gamma_{(k+2)(n+1)} for a dense T >= 0 entrywise, 1 otherwise.
+
+        Every product of the chain P_j = fl(P_{j-1} T) has terms >= 0, so
+        P_j >= (1 - gamma_n) P_{j-1} T and, barring underflow,
+        T^j <= (1 - gamma_n)^-j P_j <= (1 + gamma_{(j+1)n}) P_j entrywise,
+        which every monotone norm keeps (Higham, Accuracy and Stability, 3.1
+        and 3.4); n more covers the row and column sums of l1/linf entries
+        and k + 2 a sum of k entries and its products.  Diagonal and shift
+        tables are closed forms; for signed maps the chain is not bounded.
+        """
+        return 1.0 + _gamma((k + 2) * self.unit)
+
+    def __call__(self, k, nms):
+        if self.m is None and nms[k] <= 0.5:
+            self.m, self.next_end = k, k - 1
+        while self.next_end is not None and self.next_end <= k:  # block ends L m - 1
+            end, self.next_end = self.next_end, self.next_end + self.m
+            theta = nms[self.m]
+            if theta / (1.0 - theta) * float(np.sum(nms[end + 1 - self.m : end + 1])) <= ISS_TAIL_TOL:
+                self.close_block(nms, end)
+                return True
+        if self.decay is not False and k >= _DECAY_TAIL_FROM and self.table.newest[0] == k:
+            if self._decay_closes(k, nms):
+                return True
+        self.prefix += nms[k]
+        return False
+
+    def close_block(self, nms, end):
+        """The block rule's certificate over the complete blocks of entries 0..end."""
+        m, pn = self.m, np.array(nms[: end + 1])
+        g = self.rounding_factor(end + 1)
+        theta = g * nms[m]
+        tail = theta / (1.0 - theta) * g * float(np.sum(pn[-m:]))
+        self.rule, self.K, self.summed = "block", end, end + 1
+        self.C, self.tail = g * float(np.sum(pn)) + tail, tail
+
+    def _decay_closes(self, k, nms):
+        if self.decay is None:
+            self.decay = _decay_vector(self.T.matrix, self.upper) or False
+        if not self.decay:
+            return False
+        z, lam = self.decay
+        g = self.rounding_factor(k)
+        c = np.max(self.table.newest[1] / z[:, None], axis=0) * (g * (1.0 + _gamma(4)))
+        rank_one = vec_norm(z, self.norm) * vec_norm(c, dual_norm(self.norm))
+        tail = rank_one * (1.0 + _gamma(2 * len(z) + 4)) / (1.0 - lam) * (1.0 + _gamma(4))
+        head = g * self.prefix
+        if head + tail > (1.0 + _DECAY_TAIL_RTOL) * (head + nms[k] / (1.0 - self.lower)):
+            return False
+        self.rule, self.K, self.summed, self.C, self.tail = "decay_vector", k, k, head + tail, tail
+        return True
+
+
+def _decay_vector(a, upper):
+    """(z, lam) with z > 0, a z <= lam z entrywise and lam < 1, for a >= 0
+    entrywise; None when the computed z is not finite and positive or lam
+    reaches 1.
+
+    z solves (mu I - a) z = 1 at mu = upper + (1 - upper) 2^-20, just above
+    the bracket, so z is close to the Perron vector and lam to rho.  Every
+    term of the computed a z is >= 0, so fl(a z) >= (1 - gamma_n) a z, and
+    lam = max_i fl(a z)_i / ((1 - gamma_n) z_i), rounded up, bounds the
+    exact ratios.
+    """
+    n = len(a)
+    z = _shifted_lu(a, upper + (1.0 - upper) * 2.0**-20)[2](np.ones(n))
+    if not (np.all(np.isfinite(z)) and np.all(z > 0.0)):
+        return None
+    lam = float(np.max((a @ z) / z)) / (1.0 - _gamma(n)) * (1.0 + _gamma(4))
+    return (z, lam) if lam < 1.0 else None
 
 
 def verify_iss_bound(T, est, trials=100, rng=None, tol=1e-8):

@@ -61,8 +61,8 @@ def induced_norm(a, norm="linf"):
 def batch_induced_norm(P, norm="linf", start=None):
     """(norms, start): the induced norm of every matrix of a stack P of shape (b, m, n).
 
-    l1 and linf are the exact column and row sums, in the same arithmetic as
-    `induced_norm`.  l2 entries are certified upper bounds from
+    l1 and linf are the floating-point column and row sums, in the same
+    arithmetic as `induced_norm`.  l2 entries are certified upper bounds from
     `l2_upper_bounds`, whose power steps begin at `start` (a unit vector of
     length n, or None); the returned start is the last matrix's refined
     vector, for the next stack of a sequence (None for l1 and linf).

@@ -638,10 +638,13 @@ class _PowerNormTable:
     the next b powers come from the same prev @ T chain, written into one
     buffer of b * n^2 <= TABLE_BLOCK_ENTRIES entries (b doubles with the
     table up to that cap), and their norms from one `batch_induced_norm`
-    call.  l1/linf entries are exact; l2 entries are certified upper bounds
-    whose power steps start from the previous block's vector.  Diagonal and
-    shift operators use exact closed forms.  The table ends past
-    POWER_HORIZON, or at `overflow_at`, the first power whose entries
+    call.  The entries are norms of the computed powers P_k, not of the
+    exact T^k: l1/linf entries are the floating-point column and row sums
+    of |P_k|, and l2 entries are certified upper bounds on ||P_k||_2 whose
+    power steps start from the previous block's vector (`iss` bounds the
+    gap to T^k for T >= 0 entrywise).  `newest` is (k, P_k) for the last
+    entry.  Diagonal and shift operators use closed forms.  The table ends
+    past POWER_HORIZON, or at `overflow_at`, the first power whose entries
     (dense) or norm (closed form) exceed 1e300 or are not finite.
     """
 
@@ -656,6 +659,11 @@ class _PowerNormTable:
             self._base, self._zero_from = np.max(np.abs(T.entries)), np.inf
         else:
             self._base, self._zero_from = np.float64(T.factor), T.dim
+
+    @property
+    def newest(self):
+        """(k, P_k): the index of the last entry and the computed power behind it (dense only)."""
+        return len(self.values) - 1, self._power
 
     def at(self, k):
         """||T^k||, or inf when the table ends before k."""
@@ -702,9 +710,9 @@ def power_norms(T, K, norm="linf"):
     """Induced norms ||T^0||..||T^K|| as an array, read from T's memoized power-norm table.
 
     The array is shorter than K + 1 when the table ends first (see
-    `_PowerNormTable`).  l1/linf values are exact; l2 values of dense
-    operators are certified upper bounds, those of diagonal and shift
-    operators exact.
+    `_PowerNormTable`).  Dense values are norms of the computed powers:
+    l1/linf the floating-point row and column sums, l2 certified upper
+    bounds.  Diagonal and shift values come from closed forms.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
@@ -717,9 +725,9 @@ def _first_power(T, norm, passes, start=1):
     """(k, norms): the first k >= start with passes(k, norms), and ||T^0||..||T^k||.
 
     `passes` gets the table itself, whose entries 0..k are ||T^0||..||T^k||
-    (it may hold more), so a predicate can read any prefix and needs no
-    state.  k is None when the table ends first; norms then holds the whole
-    table.
+    (it may hold more), so a predicate can read any prefix; it is called
+    for k = start, start + 1, ... in order.  k is None when the table ends
+    first; norms then holds the whole table.
     """
     table, k = _power_table(T, norm), start
     while k < len(table.values) or table.at(k) < np.inf:

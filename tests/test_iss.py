@@ -22,8 +22,9 @@ from posstab import (
     spectral_radius,
     verify_iss_bound,
 )
+from posstab import operators
 from posstab.iss import _convolution_states
-from posstab.norms import batch_vec_norm
+from posstab.norms import _gamma, batch_vec_norm
 
 UPPER2X2 = dense([[0.5, 1.0], [0.0, 0.5]])
 
@@ -209,19 +210,29 @@ def test_iss_constants_envelope_bounds_powers():
             assert v <= est.M * est.a**k + 1e-10
 
 
+def _numpy_norm_sum(a, norm):
+    """sum_k ||a^k|| with numpy norms of the chain a^k = a^(k-1) a, in blocks
+    of 256 powers, until a block ends on a term below 1e-17 of the total."""
+    order = {"l1": 1, "l2": 2, "linf": np.inf}[norm]
+    p, total, block = np.eye(len(a)), 1.0, np.empty((256,) + a.shape)
+    while True:
+        for j in range(len(block)):
+            p = block[j] = p @ a
+        terms = np.linalg.norm(block, order, axis=(1, 2))
+        total += float(np.sum(terms))
+        if terms[-1] <= 1e-17 * total:
+            return total
+
+
 @pytest.mark.parametrize("norm", ["linf", "l2"])
 def test_iss_constant_bounds_the_numpy_sum_past_its_horizon(norm):
-    # C covers sum_k ||T^k|| with exact norms up to 3 K, past the powers it summed
-    order = {"linf": np.inf, "l2": 2}[norm]
+    # C covers sum_k ||T^k|| summed to convergence, far past the powers it read
     rng = np.random.default_rng(11)
     for n in (3, 5, 8):
         a = rng.uniform(0.0, 1.0, size=(n, n))
         a *= 0.99 / float(np.max(np.abs(np.linalg.eigvals(a))))
         est = iss_constants(dense(a), norm=norm)
-        p, total = np.eye(n), 1.0
-        for _ in range(3 * est.K):
-            p = p @ a
-            total += float(np.linalg.norm(p, order))
+        total = _numpy_norm_sum(a, norm)
         assert est.C >= total
         assert est.C <= total * (1.0 + 1e-6)
 
@@ -238,14 +249,87 @@ def test_iss_constant_of_the_l2_power_method_counterexample():
 
 
 def test_iss_constants_block_tail_is_submultiplicative():
-    est = iss_constants(UPPER2X2)
-    pn = power_norms(UPPER2X2, est.K, "linf")
+    # T >= 0: ||T^k|| <= g ||P_k|| for the computed powers P_k, g = 1 + gamma_{(K+3)(n+1)};
+    # a signed map's table is summed as it is (g = 1)
+    for T, g in ((UPPER2X2, None), (dense([[0.5, -1.0], [0.0, 0.5]]), 1.0)):
+        est = iss_constants(T)
+        assert est.tail_rule == "block"
+        pn = power_norms(T, est.K, "linf")
+        m = next(k for k in range(1, len(pn)) if pn[k] <= 0.5)
+        assert (est.K + 1) % m == 0
+        g = 1.0 + _gamma((est.K + 3) * 3) if g is None else g
+        theta = g * pn[m]
+        assert est.tail_bound == theta / (1.0 - theta) * g * float(np.sum(pn[-m:]))
+        assert est.tail_bound <= 1e-10
+        assert est.C == g * float(np.sum(pn)) + est.tail_bound
+
+
+def _weighted_cycle(n, rho):
+    """x_i -> w_i x_(i+1 mod n): imprimitive, every power a weighted permutation."""
+    w = np.linspace(0.5, 1.5, n)
+    a = np.roll(np.diag(w), 1, axis=1)
+    return a * (rho / np.prod(w) ** (1.0 / n))
+
+
+def _decay_route_cases():
+    rng = np.random.default_rng(19)
+    for i, rho in enumerate((0.5, 0.9, 0.97, 0.99, 0.999, 0.999)):
+        n = int(rng.integers(2, 13))
+        a = rng.uniform(0.0, 1.0, size=(n, n)) * (rng.uniform(size=(n, n)) < 0.7)
+        a += np.diag(np.full(n, 0.01))  # no zero row or column
+        a *= rho / float(np.max(np.abs(np.linalg.eigvals(a))))
+        yield pytest.param(a, id=f"random{i}-n{n}-rho{rho}")
+    upper = np.array([[0.6, 0.3, 0.9, 0.2], [0.3, 0.5, 0.4, 0.8], [0.0, 0.0, 0.4, 0.3], [0.0, 0.0, 0.2, 0.5]])
+    upper *= 0.95 / float(np.max(np.abs(np.linalg.eigvals(upper))))
+    yield pytest.param(upper, id="block-triangular")
+    yield pytest.param(_weighted_cycle(5, 0.97), id="weighted-cycle")
+    yield pytest.param(0.9 * (np.eye(16) + 0.5 * np.eye(16, k=1)), id="jordan-n16")
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("a", list(_decay_route_cases()))
+def test_iss_constant_brackets_the_converged_numpy_sum(a, norm):
+    # nonnegative maps close on either tail rule; both must stay above the
+    # whole sum and within 1e-6 of it
+    est = iss_constants(dense(a), norm=norm)
+    total = _numpy_norm_sum(a, norm)
+    assert total <= est.C <= total * (1.0 + 1e-6)
+
+
+def test_decay_vector_route_stops_the_table_early():
+    # without the decay vector the l2 table runs to 30,720 powers here
+    rng = np.random.default_rng(0)
+    a = rng.uniform(0.0, 1.0, size=(16, 16))
+    T = dense(a * (0.999 / float(np.max(np.abs(np.linalg.eigvals(a))))))
+    est = iss_constants(T, norm="l2")
+    assert est.tail_rule == "decay_vector"
+    assert est.to_dict()["tail_rule"] == "decay_vector"
+    assert est.K <= 127
+    assert len(operators._power_table(T, "l2").values) <= 128
+
+
+@pytest.mark.parametrize("plant", ["zero_entry", "negative_entry", "not_decaying"])
+def test_a_bad_decay_vector_leaves_the_block_rule(monkeypatch, plant):
+    rng = np.random.default_rng(5)
+    a = rng.uniform(0.0, 1.0, size=(6, 6))
+    a *= 0.95 / float(np.max(np.abs(np.linalg.eigvals(a))))
+    assert iss_constants(dense(a)).tail_rule == "decay_vector"
+    z = np.ones(6)
+    if plant == "zero_entry":
+        z[2] = 0.0
+    elif plant == "negative_entry":
+        z[2] = -1.0  # every ratio (T z)_i / z_i is below 1, but z is not interior
+    else:
+        z[2] = 1e-3  # (T z)_2 / z_2 is far above 1
+    monkeypatch.setattr(iss, "_shifted_lu", lambda a, lam: (None, None, lambda b: z.copy()))
+    est = iss_constants(dense(a))
+    assert est.tail_rule == "block"
+    pn = power_norms(dense(a), est.K, "linf")
     m = next(k for k in range(1, len(pn)) if pn[k] <= 0.5)
     assert (est.K + 1) % m == 0
-    theta = pn[m]
-    assert est.tail_bound == pytest.approx(theta / (1.0 - theta) * np.sum(pn[-m:]), rel=1e-15)
     assert est.tail_bound <= 1e-10
-    assert est.C == pytest.approx(float(np.sum(pn)) + est.tail_bound, rel=1e-15)
+    total = _numpy_norm_sum(a, "linf")
+    assert total <= est.C <= total * (1.0 + 1e-9)
 
 
 def test_iss_constants_unstable_raises():
