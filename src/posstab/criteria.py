@@ -29,7 +29,7 @@ from .cones import (
     random_points,
 )
 from .errors import SpectralProximityError, UnsupportedConeNormError
-from .norms import _l2_induced, batch_vec_norm, dual_norm, induced_norm, vec_norm
+from .norms import UNIT_ROUNDOFF, _l2_induced, batch_vec_norm, dual_norm, induced_norm, vec_norm
 from .operators import (
     POSITIVITY_TOL,
     DenseOperator,
@@ -409,15 +409,37 @@ def _resolvent_usg(T, cone, f, seed_vals):
 
 def _monotone_point(a, cone, X, w):
     """First row x with ax + w - x in the cone (within 1e-12) of up to 90 steps
-    of x <- normalize(project(ax + w)) on the unit cone rows X, or None."""
+    of x <- normalize(project(ax + w)) on the unit cone rows X, or None.
+
+    None also comes early, once a step leaves the rows unchanged to rounding
+    (same shape, every entry within 16 ulps of the largest) while every margin
+    is below -1e-12 - g.  The rows are then the step's fixed point, so each
+    later step repeats this step's failed hit test up to rounding, and
+    g = L (16 + 4 (n + 2)) u s, s = ||a||_inf + ||w||_inf + 1, u the unit
+    roundoff, bounds how far that rounding moves a margin.  Entries of unit
+    rows are <= 1, so a row change d <= 16u moves ax - x entrywise by
+    <= d (||a||_inf + 1); on each step the computed ax + w - x is within
+    2 (n + 2) u s of its exact value; and a margin moves by <= L times an
+    entrywise change, L = 1 on the orthant and 1 + sqrt(n - 1) on the
+    Lorentz cone.  A margin within g of -1e-12 keeps the full 90 steps.
+    """
+    n = cone.dim
+    lip = 1.0 if cone.kind == "orthant" else 1.0 + np.sqrt(n - 1)
+    s = float(np.max(np.abs(a).sum(axis=1))) + float(np.max(np.abs(w))) + 1.0
+    g = lip * (16.0 + 4.0 * (n + 2)) * UNIT_ROUNDOFF * s
     for _ in range(90):
         W = X @ a.T + w
-        hit = np.nonzero(margin(cone, W - X) >= -1e-12)[0]
+        m = margin(cone, W - X)
+        hit = np.nonzero(m >= -1e-12)[0]
         if hit.size:
             return X[int(hit[0])].copy()
-        X = _cone_unit_rows(cone, W)
-        if X.size == 0:
+        Y = _cone_unit_rows(cone, W)
+        if Y.size == 0:
             return None
+        if Y.shape == X.shape and np.max(m) < -1e-12 - g:
+            if np.max(np.abs(Y - X)) <= 16.0 * UNIT_ROUNDOFF * np.max(np.abs(Y)):
+                return None
+        X = Y
     return None
 
 
@@ -578,11 +600,18 @@ def interior_small_gain(T, cone, z, rng=None):
     x <= eta Rz, so with normality constant C = 1 (every supported pair)
     eta = 1/||Rz||, attained at x = Rz/||Rz||.  Independent route: x must
     be feasible at eta, and the monotone iteration x <- normalize(project(Tx
-    + eta*z)) of `_monotone_point` on 16 seeds, run once just below eta, must
-    find nothing; a failure is an internal error.  Without a positive
-    inverse (spectral radius >= 1, or the solve was refused) eta = 0; the
-    witness is the unit `_growth_vector`, feasible at eta = 0, or else the
-    RESOLVENT_POS gate's own witness.
+    + eta*z)) of `_monotone_point`, run once just below eta on the
+    `_usg_seeds` rows (n + 18 on the orthant: ones, the e_i, the Perron
+    vector and 16 random points; 2n + 17 on the Lorentz cone: ones, the
+    interior point, the 2(n - 1) rays e_0 +- e_i, the Perron vector and 16
+    random points), must find nothing; a failure is an internal error.  The
+    probe stops after 90 steps, or earlier once a step leaves its rows
+    unchanged to rounding with every margin below the hit threshold by more
+    than rounding can move it: each later step would repeat the hit test
+    that this step failed, so stopping there misses no hit of the 90 steps.
+    Without a positive inverse (spectral radius >= 1, or the solve was
+    refused) eta = 0; the witness is the unit `_growth_vector`, feasible at
+    eta = 0, or else the RESOLVENT_POS gate's own witness.
     """
     z = np.asarray(z, dtype=float)
     mz = float(margin(cone, z))

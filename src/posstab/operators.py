@@ -3,9 +3,11 @@
 Operators come in three variants (dense matrix, diagonal, truncated right
 shift).  Spectral radii are certified by bracketing: Collatz-Wielandt
 bounds from a Perron power iteration, Gelfand bounds from log-scaled
-repeated squaring, and (for maps positive on the orthant or the Lorentz
-cone) a bisection on the resolvent-positivity test that tightens the
-bracket to the target width.  No general eigensolver is used anywhere.
+repeated squaring (for T >= 0 the squaring stops once the normalized
+square reaches its fixed point, and the remaining steps of the 46 run on
+two scalars), and (for maps positive on the orthant or the Lorentz cone) a
+bisection on the resolvent-positivity test that tightens the bracket to
+the target width.  No general eigensolver is used anywhere.
 """
 
 from array import array
@@ -16,7 +18,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .cones import interior_point, lorentz, margin, orthant, project
 from .errors import DimensionMismatchError, SpectralProximityError
-from .norms import NORMS, batch_induced_norm, batch_vec_norm, induced_norm
+from .norms import NORMS, UNIT_ROUNDOFF, batch_induced_norm, batch_vec_norm, induced_norm
 
 #: additive shift that breaks periodicity of the Perron power iteration
 PERRON_SHIFT = 1e-12
@@ -288,24 +290,35 @@ class SpectralEstimate:
 
 
 def _gelfand_upper(a):
-    """min_j ||T^(2^j)||^(1/2^j), j <= 46, with row/column-sum norms, log-scaled."""
+    """min_j ||T^(2^j)||^(1/2^j), j <= 46, with row/column-sum norms, log-scaled.
+
+    T^(2^j) = exp(logc) b with ||b||_inf = 1.  For T >= 0, once a squaring
+    leaves b unchanged to 8 ulps of its largest entry, b is a fixed point of
+    b <- b^2 / ||b^2||_inf: every later squaring would see the same nu and
+    the same l1 norm n1, so the rest of the 46 steps run on the scalars alone.
+    Signed maps, and maps whose b never settles (Jordan blocks, cycles),
+    go on squaring to j = 46 or to an underflow."""
     best = min(induced_norm(a, "linf"), induced_norm(a, "l1"))
     if best == 0.0:
         return 0.0
     b = a / best
     logc = np.log(best)
+    settled, nonnegative = False, bool(np.all(a >= 0.0))
     for j in range(1, 47):
-        b2 = b @ b
-        nu = induced_norm(b2, "linf")
-        if nu == 0.0:
-            # b2 may be 0 only because b's small entries underflowed: trust
-            # nilpotency only from the pattern, whose powers cannot underflow
-            return 0.0 if _nilpotent_pattern(a) else best
+        if not settled:
+            b2 = b @ b
+            nu = induced_norm(b2, "linf")
+            if nu == 0.0:
+                # b2 may be 0 only because b's small entries underflowed: trust
+                # nilpotency only from the pattern, whose powers cannot underflow
+                return 0.0 if _nilpotent_pattern(a) else best
+            b2 /= nu
+            settled = nonnegative and np.max(np.abs(b2 - b)) <= 8.0 * UNIT_ROUNDOFF * b2.max()
+            b = b2
+            n1 = induced_norm(b, "l1")
         logc = 2.0 * logc + np.log(nu)
-        b = b2 / nu
         k = float(2**j)
         best = min(best, float(np.exp(logc / k)))
-        n1 = induced_norm(b, "l1")
         if n1 > 0.0:
             best = min(best, float(np.exp((logc + np.log(n1)) / k)))
     return best
@@ -345,7 +358,9 @@ def _collatz_wielandt(a):
     for it in range(1, PERRON_MAX_ITER + 1):
         w = a @ v + delta * v
         ratios = w / v  # v stays strictly positive
-        # 4-ulp safety margins keep the bounds certified under fp roundoff
+        # the 4-ulp margins cover the rounding of w / v and of subtracting delta,
+        # not that of fl(a @ v), which can be off by gamma_n relative (2.8e-14
+        # at n = 256): to that order the CW bounds are heuristic
         rmin, rmax = float(ratios.min()), float(ratios.max())
         lo = max(lo, rmin - delta - 4e-16 * max(1.0, abs(rmin)))
         hi = min(hi, rmax - delta + 4e-16 * max(1.0, abs(rmax)))

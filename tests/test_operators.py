@@ -533,6 +533,70 @@ def test_gelfand_within_bracket():
         assert pn[k] ** (1.0 / k) >= est.lower - 1e-9
 
 
+def _gelfand_every_squaring(a):
+    """(bound, squarings) of the 46-squaring loop that `_gelfand_upper` finishes early."""
+    from posstab.norms import induced_norm
+    from posstab.operators import _nilpotent_pattern
+
+    best = min(induced_norm(a, "linf"), induced_norm(a, "l1"))
+    b, logc = a / best, np.log(best)
+    for j in range(1, 47):
+        b2 = b @ b
+        nu = induced_norm(b2, "linf")
+        if nu == 0.0:
+            return (0.0 if _nilpotent_pattern(a) else best), j
+        logc = 2.0 * logc + np.log(nu)
+        b = b2 / nu
+        k = float(2**j)
+        best = min(best, float(np.exp(logc / k)))
+        n1 = induced_norm(b, "l1")
+        if n1 > 0.0:
+            best = min(best, float(np.exp((logc + np.log(n1)) / k)))
+    return best, 46
+
+
+def _gelfand_squarings(monkeypatch, a):
+    """(bound, squarings) of `_gelfand_upper`: it takes two norms of a, then two per squaring."""
+    import posstab.operators as ops
+
+    calls = []
+    real = ops.induced_norm
+
+    def counting(m, norm):
+        calls.append(norm)
+        return real(m, norm)
+
+    monkeypatch.setattr(ops, "induced_norm", counting)
+    return ops._gelfand_upper(a), (len(calls) - 1) // 2
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("rho", [0.97, 1.05])
+def test_gelfand_finishes_on_scalars_once_the_normalized_square_settles(monkeypatch, n, rho):
+    # the normalized square of a dense T > 0 (certbench's dense_positive) is a
+    # fixed point after a few squarings; the scalar finish lands within 1 ulp
+    # of all 46 squarings
+    a = np.random.default_rng(0).uniform(0.0, 1.0, size=(n, n))
+    a *= rho / np.max(np.abs(np.linalg.eigvals(a)))
+    ref, _ = _gelfand_every_squaring(a)
+    upper, squarings = _gelfand_squarings(monkeypatch, a)
+    assert abs(upper - ref) <= np.spacing(ref)
+    assert squarings <= 10
+
+
+@pytest.mark.parametrize(
+    "a",
+    [np.array([[0.5, -1.0], [0.0, 0.5]]), np.array([[0.9, -0.3], [0.2, 0.1]]), jordan(16, 0.9).matrix],
+    ids=["signed", "signed-settling", "jordan16"],
+)
+def test_gelfand_squares_signed_and_unsettled_maps_every_time(monkeypatch, a):
+    # a signed map never takes the finish, not even when its b settles (a
+    # simple dominant eigenvalue 0.82 against 0.18); a Jordan block's b never
+    # settles (its square underflows to an exact 0 at j = 45, ending the loop)
+    ref, ref_squarings = _gelfand_every_squaring(a)
+    assert _gelfand_squarings(monkeypatch, a) == (ref, ref_squarings)
+
+
 CLOSED_FORMS = {"diagonal": diagonal([0.93, -0.41, 0.77]), "shift": shift(7, 1.3)}
 
 
