@@ -42,9 +42,6 @@ ISS_TAIL_TOL = 1e-10
 #: the decay-vector rule closes once C is within this factor of S_K + ||T^K||/(1 - lower)
 _DECAY_TAIL_RTOL = 1e-6
 
-#: first power at which `iss_constants` builds the decay vector and tries its tail
-_DECAY_TAIL_FROM = 63
-
 
 @dataclass
 class InputSignal:
@@ -215,13 +212,14 @@ def iss_constants(T, norm="linf"):
       past L blocks is at most theta/(1 - theta) times the last block's.
       It closes at the first L with that tail <= ISS_TAIL_TOL, or at the
       last complete block before the table ends; K = L m - 1.
-    - "decay_vector", for a dense T >= 0 entrywise, at each table block
-      end K >= 63: `_decay_vector` gives z > 0 with T z <= lam z, lam < 1.
+    - "decay_vector", for a dense T >= 0 entrywise, at every table block
+      end K: `_decay_vector` gives z > 0 with T z <= lam z, lam < 1.
       With c_i = g max_r (P_K)_ri / z_r (P_K the computed power, g the
       rounding factor), T^K <= z c', so T^(K+j) <= lam^j z c' and the tail
       from K on is at most ||z c'||/(1 - lam) = ||z|| ||c||_dual/(1 - lam)
       in every monotone norm.  It closes once C = S_K + tail is at most
-      (1 + 1e-6)(S_K + ||T^K||/(1 - lower)), S_K the first K entries' sum.
+      (1 + 1e-6)(S_K + ||T^K||/(1 - lower)), S_K the first K entries' sum:
+      K = 6 to 31 on dense positive maps, whose T^K are soon near rank one.
 
     For a dense T >= 0 both rules lift the table's norms of the computed
     powers to bounds on the exact T^k; l2 entries are certified upper
@@ -294,7 +292,7 @@ class _TailSearch:
             if theta / (1.0 - theta) * float(np.sum(nms[end + 1 - self.m : end + 1])) <= ISS_TAIL_TOL:
                 self.close_block(nms, end)
                 return True
-        if self.decay is not False and k >= _DECAY_TAIL_FROM and self.table.newest[0] == k:
+        if self.decay is not False and self.table.newest[0] == k:
             if self._decay_closes(k, nms):
                 return True
         self.prefix += nms[k]

@@ -1,13 +1,13 @@
 """Positive-operator representations and their spectral machinery.
 
 Operators come in three variants (dense matrix, diagonal, truncated right
-shift).  Spectral radii are certified by bracketing: Collatz-Wielandt
-bounds from a Perron power iteration, Gelfand bounds from log-scaled
-repeated squaring (for T >= 0 the squaring stops once the normalized
-square reaches its fixed point, and the remaining steps of the 46 run on
-two scalars), and (for maps positive on the orthant or the Lorentz cone) a
-bisection on the resolvent-positivity test that tightens the bracket to
-the target width.  No general eigensolver is used anywhere.
+shift).  Spectral radii are certified by bracketing, with no general
+eigensolver: Collatz-Wielandt bounds from a Perron power iteration (where it
+stalls, as on cyclic maps, the powers' diagonal may raise the lower end),
+Gelfand bounds from log-scaled repeated squaring (for T >= 0 it stops at the
+fixed point of the normalized square and runs its last steps on two
+scalars), and (for maps positive on the orthant or the Lorentz cone) a
+resolvent-positivity bisection that closes the bracket to the target width.
 """
 
 from array import array
@@ -486,7 +486,9 @@ def spectral_radius(T):
     row/column-sum norms; (c) a bisection on the resolvent-positivity
     test, which solves (lam*I - T) z = e, e interior, and accepts lam as an
     upper bound exactly when z lies in the cone -- this closes the bracket
-    to the target width even where the power iteration stalls.  A signed
+    to the target width even where the power iteration stalls.  Only where
+    (a) has not closed (cyclic maps, Jordan blocks) does the power diagonal
+    max_i (T^k)_ii^(1/k), k <= min(24, 2n), raise the lower end.  A signed
     map that `is_positive` finds positive on the Lorentz cone (a randomized
     certificate) runs (c) on that cone from (b) and a trace lower bound;
     on both cones inverse iteration above the bracket gives a Perron pair.
@@ -515,9 +517,9 @@ def _spectral_bracket(T):
     upper = _gelfand_upper(a)
     if np.all(a >= 0.0):
         cone = orthant(n)
-        lower = _power_lower(a, lambda p: float(np.max(np.diag(p))), min(24, 2 * n))
-        cw_lo, cw_hi, v, iterations = _collatz_wielandt(a)
-        lower = max(lower, cw_lo)
+        lower, cw_hi, v, iterations = _collatz_wielandt(a)
+        if cw_hi - lower > 0.25 * BRACKET_WIDTH * max(1.0, cw_hi):  # CW has not closed
+            lower = max(_power_lower(a, lambda p: float(np.max(np.diag(p))), min(24, 2 * n)), lower)
         upper = min(upper, cw_hi)
     else:
         cone = lorentz(n) if n >= 2 and is_positive(T, lorentz(n))[0] else None

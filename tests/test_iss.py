@@ -210,11 +210,11 @@ def test_iss_constants_envelope_bounds_powers():
             assert v <= est.M * est.a**k + 1e-10
 
 
-def _numpy_norm_sum(a, norm):
+def _numpy_norm_sum(a, norm, powers=256):
     """sum_k ||a^k|| with numpy norms of the chain a^k = a^(k-1) a, in blocks
-    of 256 powers, until a block ends on a term below 1e-17 of the total."""
+    of `powers` powers, until a block ends on a term below 1e-17 of the total."""
     order = {"l1": 1, "l2": 2, "linf": np.inf}[norm]
-    p, total, block = np.eye(len(a)), 1.0, np.empty((256,) + a.shape)
+    p, total, block = np.eye(len(a)), 1.0, np.empty((powers,) + a.shape)
     while True:
         for j in range(len(block)):
             p = block[j] = p @ a
@@ -306,6 +306,37 @@ def test_decay_vector_route_stops_the_table_early():
     assert est.to_dict()["tail_rule"] == "decay_vector"
     assert est.K <= 127
     assert len(operators._power_table(T, "l2").values) <= 128
+
+
+def _dense_positive(n, rho):
+    """certbench's inputs.dense_positive(default_rng(0), n, rho)."""
+    a = np.random.default_rng(0).uniform(0.0, 1.0, size=(n, n))
+    return a * (rho / float(np.max(np.abs(np.linalg.eigvals(a)))))
+
+
+def test_decay_vector_closes_within_the_first_table_blocks():
+    # T^K is close to the rank-one z c' after a few powers of a dense T > 0;
+    # the rule is tried from the first table block end on
+    a = _dense_positive(256, 0.97)
+    T = dense(a)
+    est = iss_constants(T, norm="l2")
+    assert est.tail_rule == "decay_vector"
+    assert est.K <= 15
+    assert len(operators._power_table(T, "l2").values) <= 16
+    total = _numpy_norm_sum(a, "l2", powers=64)
+    assert total <= est.C <= total * (1.0 + 1e-6)
+
+
+def test_decay_vector_closes_before_the_block_rule(monkeypatch):
+    a = _dense_positive(16, 0.5)
+    est = iss_constants(dense(a), norm="l1")
+    monkeypatch.setattr(iss, "_decay_vector", lambda a, upper: None)
+    block = iss_constants(dense(a), norm="l1")
+    assert (est.tail_rule, block.tail_rule) == ("decay_vector", "block")
+    assert est.K < block.K
+    total = _numpy_norm_sum(a, "l1")
+    for e in (est, block):
+        assert total <= e.C <= total * (1.0 + 1e-6)
 
 
 @pytest.mark.parametrize("plant", ["zero_entry", "negative_entry", "not_decaying"])

@@ -597,6 +597,50 @@ def test_gelfand_squares_signed_and_unsettled_maps_every_time(monkeypatch, a):
     assert _gelfand_squarings(monkeypatch, a) == (ref, ref_squarings)
 
 
+def _rescaled(a, rho):
+    return a * (rho / np.max(np.abs(np.linalg.eigvals(a))))
+
+
+def _power_diagonal_cases():
+    """(a, cw_open): certbench's dense_positive maps, then the identity sweep's cyclic
+    maps and a Jordan block, on which Collatz-Wielandt stalls."""
+    for n in (16, 64, 256):
+        for rho in (0.5, 0.97, 1.05):
+            a = np.random.default_rng(0).uniform(0.0, 1.0, size=(n, n))
+            yield pytest.param(_rescaled(a, rho), False, id=f"dense-n{n}-rho{rho}")
+    rng = np.random.default_rng(9)
+    for n, rho in ((3, 0.9), (5, 0.97), (8, 1.05)):
+        a = np.roll(np.diag(rng.uniform(0.5, 1.5, size=n)), 1, axis=0)  # x_i -> x_(i+1 mod n)
+        yield pytest.param(_rescaled(a, rho), True, id=f"cycle-n{n}-rho{rho}")
+    a = np.kron(np.roll(np.eye(3), 1, axis=0), np.ones((2, 2))) * rng.uniform(0.5, 1.5, size=(6, 6))
+    yield pytest.param(_rescaled(a, 0.9), True, id="block-cycle6")
+    yield pytest.param(jordan(16, 0.9).matrix, True, id="jordan16")
+
+
+@pytest.mark.parametrize("a, cw_open", list(_power_diagonal_cases()))
+def test_power_diagonal_runs_only_while_collatz_wielandt_is_open(monkeypatch, a, cw_open):
+    # CW closes on a dense T > 0, so the power diagonal is skipped; it stalls on
+    # the cycles, where the diagonal of the powers can set the lower end.  The
+    # reference always takes max(power diagonal, CW), as the bracket did before
+    import posstab.operators as ops
+
+    n = len(a)
+    cw_lo, cw_hi, v, iterations = ops._collatz_wielandt(a)
+    diag = ops._power_lower(a, lambda p: float(np.max(np.diag(p))), min(24, 2 * n))
+    upper = min(ops._gelfand_upper(a), cw_hi)
+    lower, upper, steps = ops._bisect_bracket(a, min(max(diag, cw_lo), upper), upper, orthant(n))
+    ref = ops.SpectralEstimate(lower, upper, iterations=iterations + steps)
+    ref = ops._perron_pair(a, v, ref, orthant(n))
+    calls = []
+    real = ops._power_lower
+    monkeypatch.setattr(ops, "_power_lower", lambda *args: calls.append(args) or real(*args))
+    est = spectral_radius(dense(a))
+    assert (len(calls) > 0) == cw_open
+    assert (est.lower, est.upper, est.iterations) == (ref.lower, ref.upper, ref.iterations)
+    assert est.perron_value == ref.perron_value
+    assert np.array_equal(est.perron_vector, ref.perron_vector)
+
+
 CLOSED_FORMS = {"diagonal": diagonal([0.93, -0.41, 0.77]), "shift": shift(7, 1.3)}
 
 

@@ -243,13 +243,16 @@ def diff(args):
         counts = families.setdefault(case.split("/")[0], [0, 0, 0])
         counts[0 if old[case] == new[case] else 1 if len(problems) > before else 2] += 1
     identical = sum(old[c] == new[c] for c in set(old) & set(new))
-    print(f"{identical} of {len(old)} reports identical")
+    lines = [f"{identical} of {len(old)} reports identical"]
     for family, (same, bad, moved) in sorted(families.items()):
-        print(f"{family}: {same} identical, {bad} mismatched, {moved} within --rtol")
+        lines.append(f"{family}: {same} identical, {bad} mismatched, {moved} within --rtol")
     for key, (rel, case, x, y) in sorted(moves.items(), key=lambda kv: -kv[1][0]):
-        print(f"{rel:10.3e}  {key}  ({case}: {x!r} -> {y!r})")
-    for p in problems:
-        print("MISMATCH", p)
+        lines.append(f"{rel:10.3e}  {key}  ({case}: {x!r} -> {y!r})")
+    lines += [f"MISMATCH {p}" for p in problems]
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:  # the reader stopped early (`| head`): end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if problems else 0
 
 
