@@ -19,7 +19,7 @@ from .errors import (
     NotALatticeError,
     UnsupportedConeNormError,
 )
-from .norms import NORMS, batch_vec_norm
+from .norms import NORMS, UNIT_ROUNDOFF, batch_vec_norm
 
 DEFAULT_TOL = 1e-9
 
@@ -114,9 +114,11 @@ def margin(cone, x):
 def max_ratio(cone, w, z):
     """Least t with t z - w in the cone, z interior (else ValueError).
 
-    Orthant: max_i w_i / z_i.  Lorentz: bisection to float resolution on
-    [w0/z0, 2 (|w0| + ||w1:||) / margin(z)]; `margin` is superadditive and
-    positively homogeneous, so the upper end lies in the cone.
+    Orthant: max_i w_i / z_i.  Lorentz: with c = w0/z0, r = c z1: - w1:,
+    a = margin(z) (z0 + ||z1:||), p = z1:.r and q = ||r||^2, t = c + s for
+    the larger root s of a s^2 - 2 p s - q, taken as q/(sqrt(p^2 + a q) - p)
+    when p < 0 so that it does not cancel near w = lambda z; t is then raised
+    by doubling steps from one rounding unit until margin(t z - w) >= 0.
     """
     w, z = _rows(cone, w), _rows(cone, z)
     mz = float(margin(cone, z))
@@ -124,11 +126,16 @@ def max_ratio(cone, w, z):
         raise ValueError("z must lie in the interior of the cone")
     if cone.kind == "orthant":
         return float(np.max(w / z))
-    lo, hi = w[0] / z[0], 2.0 * (abs(w[0]) + float(batch_vec_norm(w[1:], "l2"))) / mz
-    while lo < 0.5 * (lo + hi) < hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if margin(cone, mid * z - w) >= 0.0 else (mid, hi)
-    return float(hi)
+    c = w[0] / z[0]
+    r = c * z[1:] - w[1:]
+    a = mz * (z[0] + float(batch_vec_norm(z[1:], "l2")))
+    p, q = float(z[1:] @ r), float(r @ r)
+    root = np.sqrt(p * p + a * q)
+    t = float(c + ((p + root) / a if p >= 0.0 else q / (root - p)))
+    step = UNIT_ROUNDOFF * (abs(t) + (abs(w[0]) + float(batch_vec_norm(w[1:], "l2"))) / mz)
+    while margin(cone, t * z - w) < 0.0:
+        t, step = t + step, 2.0 * step
+    return t
 
 
 def contains(cone, x, tol=DEFAULT_TOL):

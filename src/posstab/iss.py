@@ -21,7 +21,6 @@ from .operators import (
     _decay_rate,
     _first_power,
     _power_table,
-    _shifted_lu,
     geometric_envelope,
     materialize,
     spectral_radius,
@@ -213,13 +212,15 @@ def iss_constants(T, norm="linf"):
       It closes at the first L with that tail <= ISS_TAIL_TOL, or at the
       last complete block before the table ends; K = L m - 1.
     - "decay_vector", for a dense T >= 0 entrywise, at every table block
-      end K: `_decay_vector` gives z > 0 with T z <= lam z, lam < 1.
-      With c_i = g max_r (P_K)_ri / z_r (P_K the computed power, g the
-      rounding factor), T^K <= z c', so T^(K+j) <= lam^j z c' and the tail
-      from K on is at most ||z c'||/(1 - lam) = ||z|| ||c||_dual/(1 - lam)
-      in every monotone norm.  It closes once C = S_K + tail is at most
+      end K: `_decay_vector` certifies T z <= lam z, lam < 1, for z > 0
+      the Perron vector of `spectral_radius`.  With c_i = g max_r
+      (P_K)_ri / z_r (P_K the computed power, g the rounding factor),
+      T^K <= z c', so T^(K+j) <= lam^j z c' and the tail from K on is at
+      most ||z c'||/(1 - lam) = ||z|| ||c||_dual/(1 - lam) in every
+      monotone norm.  It closes once C = S_K + tail is at most
       (1 + 1e-6)(S_K + ||T^K||/(1 - lower)), S_K the first K entries' sum:
-      K = 6 to 31 on dense positive maps, whose T^K are soon near rank one.
+      K = 7 to 63 on dense positive maps, whose T^K are soon near rank one,
+      and 3,327 under l2 at n = 16, rho = 1 - 1e-5.
 
     For a dense T >= 0 both rules lift the table's norms of the computed
     powers to bounds on the exact T^k; l2 entries are certified upper
@@ -260,11 +261,10 @@ class _TailSearch:
     C), `C` and `tail`."""
 
     def __init__(self, T, norm, est):
-        self.T, self.norm, self.table = T, norm, _power_table(T, norm)
-        self.lower, self.upper = est.lower, est.upper
+        self.norm, self.table, self.lower = norm, _power_table(T, norm), est.lower
         positive = isinstance(T, DenseOperator) and bool(np.all(T.matrix >= 0.0))
         self.unit = T.dim + 1 if positive else 0  # of the rounding factor's gamma
-        self.decay = None if positive else False  # (z, lam) once built, False without one
+        self.decay = _decay_vector(T.matrix, est.perron_vector) if positive else None  # (z, lam)
         self.m = self.next_end = self.rule = None
         self.prefix = 1.0  # sum of the entries before the current one; ||T^0|| = 1
 
@@ -292,9 +292,8 @@ class _TailSearch:
             if theta / (1.0 - theta) * float(np.sum(nms[end + 1 - self.m : end + 1])) <= ISS_TAIL_TOL:
                 self.close_block(nms, end)
                 return True
-        if self.decay is not False and self.table.newest[0] == k:
-            if self._decay_closes(k, nms):
-                return True
+        if self.decay and self.table.newest[0] == k and self._decay_closes(k, nms):
+            return True
         self.prefix += nms[k]
         return False
 
@@ -308,10 +307,6 @@ class _TailSearch:
         self.C, self.tail = g * float(np.sum(pn)) + tail, tail
 
     def _decay_closes(self, k, nms):
-        if self.decay is None:
-            self.decay = _decay_vector(self.T.matrix, self.upper) or False
-        if not self.decay:
-            return False
         z, lam = self.decay
         g = self.rounding_factor(k)
         c = np.max(self.table.newest[1] / z[:, None], axis=0) * (g * (1.0 + _gamma(4)))
@@ -324,22 +319,14 @@ class _TailSearch:
         return True
 
 
-def _decay_vector(a, upper):
-    """(z, lam) with z > 0, a z <= lam z entrywise and lam < 1, for a >= 0
-    entrywise; None when the computed z is not finite and positive or lam
-    reaches 1.
-
-    z solves (mu I - a) z = 1 at mu = upper + (1 - upper) 2^-20, just above
-    the bracket, so z is close to the Perron vector and lam to rho.  Every
-    term of the computed a z is >= 0, so fl(a z) >= (1 - gamma_n) a z, and
-    lam = max_i fl(a z)_i / ((1 - gamma_n) z_i), rounded up, bounds the
-    exact ratios.
-    """
-    n = len(a)
-    z = _shifted_lu(a, upper + (1.0 - upper) * 2.0**-20)[2](np.ones(n))
-    if not (np.all(np.isfinite(z)) and np.all(z > 0.0)):
+def _decay_vector(a, z):
+    """(z, lam) with a z <= lam z entrywise and lam < 1, for a >= 0 and z its
+    Perron vector; None unless z > 0 and lam < 1.  Every term of fl(a z) is
+    >= 0, so fl(a z) >= (1 - gamma_n) a z, and lam = max_i fl(a z)_i /
+    ((1 - gamma_n) z_i), rounded up, bounds the exact ratios."""
+    if not np.all(z > 0.0):
         return None
-    lam = float(np.max((a @ z) / z)) / (1.0 - _gamma(n)) * (1.0 + _gamma(4))
+    lam = float(np.max((a @ z) / z)) / (1.0 - _gamma(len(a))) * (1.0 + _gamma(4))
     return (z, lam) if lam < 1.0 else None
 
 

@@ -2,12 +2,12 @@
 
 Operators come in three variants (dense matrix, diagonal, truncated right
 shift).  Spectral radii are certified by bracketing, with no general
-eigensolver: Collatz-Wielandt bounds from a Perron power iteration (where it
-stalls, as on cyclic maps, the powers' diagonal may raise the lower end),
-Gelfand bounds from log-scaled repeated squaring (for T >= 0 it stops at the
-fixed point of the normalized square and runs its last steps on two
-scalars), and (for maps positive on the orthant or the Lorentz cone) a
-resolvent-positivity bisection that closes the bracket to the target width.
+eigensolver: maps positive on the orthant or the Lorentz cone run Noda's
+shifted inverse iteration, whose iterates give Collatz-Wielandt bounds on
+both sides and the Perron vector; where it stalls (reducible and defective
+maps), Gelfand bounds from log-scaled repeated squaring, the powers'
+diagonal or trace and a resolvent-positivity bisection close the bracket.
+Other signed maps get the Gelfand and trace bounds.
 """
 
 from array import array
@@ -16,18 +16,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .cones import interior_point, lorentz, margin, orthant, project
+from .cones import interior_point, lorentz, margin, max_ratio, orthant, project
 from .errors import DimensionMismatchError, SpectralProximityError
-from .norms import NORMS, UNIT_ROUNDOFF, batch_induced_norm, batch_vec_norm, induced_norm
-
-#: additive shift that breaks periodicity of the Perron power iteration
-PERRON_SHIFT = 1e-12
+from .norms import NORMS, UNIT_ROUNDOFF, _gamma, batch_induced_norm, batch_vec_norm, induced_norm
 
 #: target relative bracket width for spectral_radius
 BRACKET_WIDTH = 1e-8
-
-#: step cap of the Perron power iteration inside spectral_radius
-PERRON_MAX_ITER = 20000
 
 #: largest power k that the ||T^k|| table holds, and so every search over it reads
 POWER_HORIZON = 200000
@@ -139,8 +133,8 @@ def apply(T, x):
 def adjoint(T):
     """Transpose representation, built once per T; adjoint(adjoint(T)) acts like T.
 
-    It shares T's spectral bracket (rho(T') = rho(T)), with a Perron pair of
-    its own from `_perron_pair` on T' when T has one.
+    It shares T's spectral bracket (rho(T') = rho(T)); when T has a Perron
+    pair, `_transpose` runs `_noda` on T' from that bracket for its own.
     """
     if isinstance(T, DiagonalOperator):
         return T
@@ -148,12 +142,15 @@ def adjoint(T):
 
 
 def _transpose(T):
+    """T' with T's bracket and, when T has one, the Perron pair of the last
+    `_noda` iterate on T' (its bounds are dropped: T's bracket is kept)."""
     adj = DenseOperator(materialize(T).T.copy())
     est = spectral_radius(T)
     if est.perron_vector is not None:
         # both cones are self-dual, so T' is positive on the cone that T is
         cone = orthant(T.dim) if np.all(adj.matrix >= 0.0) else lorentz(T.dim)
-        est = _perron_pair(adj.matrix, interior_point(cone), est, cone)
+        v = _noda(adj.matrix, est.lower, est.upper, interior_point(cone), cone)[2]
+        est = _perron_pair(adj.matrix, v, est)
     # the estimate, not T: the memo must not refer back to T
     _memo(adj, "spectral", lambda: est)
     return adj
@@ -243,8 +240,9 @@ class SpectralEstimate:
     perron_value/perron_vector are present when the operator is
     entrywise nonnegative, or dense with n >= 2 and positive on the Lorentz
     cone by `is_positive`; the vector then lies in that cone.  `residual`
-    is ||T v - perron_value v||_inf for the reported vector.  Frozen, with a
-    read-only vector: one instance per operator is shared by every caller.
+    is ||T v - perron_value v||_inf for the reported vector.  `iterations`
+    counts the Noda steps plus the fallback's bisection steps.  Frozen, with
+    a read-only vector: one instance per operator is shared by every caller.
     """
 
     lower: float
@@ -265,7 +263,7 @@ class SpectralEstimate:
 
     @property
     def converged(self):
-        """False when the iteration caps were reached before the bracket hit the target width."""
+        """False when the bracket is wider than the target width (Noda and its fallback stalled)."""
         return self.width <= BRACKET_WIDTH * max(1.0, self.upper)
 
     @property
@@ -292,33 +290,25 @@ class SpectralEstimate:
 def _gelfand_upper(a):
     """min_j ||T^(2^j)||^(1/2^j), j <= 46, with row/column-sum norms, log-scaled.
 
-    T^(2^j) = exp(logc) b with ||b||_inf = 1.  For T >= 0, once a squaring
-    leaves b unchanged to 8 ulps of its largest entry, b is a fixed point of
-    b <- b^2 / ||b^2||_inf: every later squaring would see the same nu and
-    the same l1 norm n1, so the rest of the 46 steps run on the scalars alone.
-    Signed maps, and maps whose b never settles (Jordan blocks, cycles),
-    go on squaring to j = 46 or to an underflow."""
+    T^(2^j) = exp(logc) b with ||b||_inf = 1; the loop also ends at an
+    underflow of b's square to 0."""
     best = min(induced_norm(a, "linf"), induced_norm(a, "l1"))
     if best == 0.0:
         return 0.0
     b = a / best
     logc = np.log(best)
-    settled, nonnegative = False, bool(np.all(a >= 0.0))
     for j in range(1, 47):
-        if not settled:
-            b2 = b @ b
-            nu = induced_norm(b2, "linf")
-            if nu == 0.0:
-                # b2 may be 0 only because b's small entries underflowed: trust
-                # nilpotency only from the pattern, whose powers cannot underflow
-                return 0.0 if _nilpotent_pattern(a) else best
-            b2 /= nu
-            settled = nonnegative and np.max(np.abs(b2 - b)) <= 8.0 * UNIT_ROUNDOFF * b2.max()
-            b = b2
-            n1 = induced_norm(b, "l1")
+        b = b @ b
+        nu = induced_norm(b, "linf")
+        if nu == 0.0:
+            # b may be 0 only because its small entries underflowed: trust
+            # nilpotency only from the pattern, whose powers cannot underflow
+            return 0.0 if _nilpotent_pattern(a) else best
+        b /= nu
         logc = 2.0 * logc + np.log(nu)
         k = float(2**j)
         best = min(best, float(np.exp(logc / k)))
+        n1 = induced_norm(b, "l1")
         if n1 > 0.0:
             best = min(best, float(np.exp((logc + np.log(n1)) / k)))
     return best
@@ -344,53 +334,6 @@ def _power_lower(a, stat, k_max):
         if t > 0.0:
             best = max(best, t ** (1.0 / k))
     return best
-
-
-def _collatz_wielandt(a):
-    """Power iteration on T + delta*I: certified CW bounds plus the iterate."""
-    n = a.shape[0]
-    delta = PERRON_SHIFT
-    v = np.ones(n) / n
-    lo, hi = 0.0, np.inf
-    it = 0
-    stall = 0
-    last_width = np.inf
-    for it in range(1, PERRON_MAX_ITER + 1):
-        w = a @ v + delta * v
-        ratios = w / v  # v stays strictly positive
-        # the 4-ulp margins cover the rounding of w / v and of subtracting delta,
-        # not that of fl(a @ v), which can be off by gamma_n relative (2.8e-14
-        # at n = 256): to that order the CW bounds are heuristic
-        rmin, rmax = float(ratios.min()), float(ratios.max())
-        lo = max(lo, rmin - delta - 4e-16 * max(1.0, abs(rmin)))
-        hi = min(hi, rmax - delta + 4e-16 * max(1.0, abs(rmax)))
-        mx = float(w.max())
-        if mx == 0.0:
-            return 0.0, 0.0, v, it
-        # floor keeps the iterate strictly positive under underflow; the
-        # CW bounds above were computed from a consistent (v, w) pair
-        v = np.maximum(w / mx, 1e-280)
-        width = hi - lo
-        if width <= 0.25 * BRACKET_WIDTH * max(1.0, hi):
-            break
-        # the bisection route takes over once the CW bracket stops improving
-        if width > 0.999 * last_width:
-            stall += 1
-            if stall > 80:
-                break
-        else:
-            stall = 0
-        last_width = width
-    # thresholded candidates certify reducible faces: A u >= alpha u
-    for theta in (1e-2, 1e-5, 1e-9, 1e-13):
-        u = np.where(v > theta * v.max(), v, 0.0)
-        if not u.any():
-            continue
-        au = a @ u
-        mask = u > 0.0
-        alpha = float(np.min(au[mask] / u[mask]))
-        lo = max(lo, alpha)
-    return lo, hi, v, it
 
 
 def _shifted_lu(a, lam):
@@ -451,49 +394,78 @@ def _bisect_bracket(a, lo, hi, cone):
     return lo, hi, steps
 
 
-def _polish_perron(a, v, lam_shift, cone):
-    """Four inverse-iteration steps at a shift just above the bracket, projected onto the
-    cone; an iterate whose l2 norm overflows is first scaled by its largest entry."""
-    solve = _shifted_lu(a, lam_shift)[2]
-    for _ in range(4):
-        w = solve(v)
-        if not np.all(np.isfinite(w)):
+def _noda(a, lo, hi, x, cone):
+    """(lo, hi, x, steps): Noda's shifted inverse iteration (T. Noda, Numer.
+    Math. 17, 1971; quadratic for irreducible T >= 0: L. Elsner, Numer. Math.
+    26, 1976) on a map positive on `cone`, from [lo, hi] and the cone vector
+    x.  Each step solves (mu I - a) y = x at mu = hi + max(1e-3 (hi - lo),
+    4 u hi), projects y onto the cone, scales it by max_i |y_i| and narrows
+    the bracket by its `_cw_bounds`.  It stops at the first step that does
+    not halve the width once that is at most BRACKET_WIDTH max(1, hi), at the
+    third such step in a row (a stall), or at a non-finite or zero y; it
+    takes at least one step, none at hi = 0.  The last x approximates the
+    Perron vector.
+    """
+    width, stalls, steps = hi - lo, 0, 0
+    while hi > 0.0:  # the bracket [0, 0] would give mu = 0, a singular shift
+        mu = hi + max(1e-3 * (hi - lo), 4.0 * UNIT_ROUNDOFF * hi)
+        y = project(cone, _shifted_lu(a, mu)[2](x))
+        scale = float(np.max(np.abs(y)))
+        if not (np.isfinite(scale) and scale > 0.0):
             break
-        w = project(cone, w)
-        with np.errstate(over="ignore"):
-            nw = float(np.linalg.norm(w))
-        if not np.isfinite(nw):
-            w = w / np.max(np.abs(w))
-            nw = float(np.linalg.norm(w))
-        if nw == 0.0:
+        x, steps = y / scale, steps + 1
+        s, t = _cw_bounds(a, x, cone)
+        lo, hi = max(lo, s), min(hi, t)
+        last, width = width, hi - lo
+        halved = width <= 0.5 * last
+        if width <= 0.0 or not halved and (width <= BRACKET_WIDTH * max(1.0, hi) or stalls == 2):
             break
-        v = w / nw
-    return v
+        stalls = 0 if halved else stalls + 1
+    return lo, hi, x, steps
 
 
-def _perron_residual(a, v, lam):
-    return float(np.max(np.abs(a @ v - lam * v)))
+def _cw_bounds(a, x, cone):
+    """(s, t) with s <= rho(a) <= t: the Collatz-Wielandt bounds of a cone vector x.
+
+    Orthant (a >= 0, x >= 0, x != 0): the min of fl(a x)_i / x_i over the
+    x_i > 0 and the max over all i (inf if some x_i = 0), divided by 1 + g
+    and 1 - g, g = gamma_(n+4).  Each fl(a x)_i sums terms >= 0, so it is
+    (a x)_i (1 + theta), |theta| <= gamma_n (Higham, Accuracy and Stability,
+    3.1 and 3.4); the quotient, 1 +- g and the last division add three
+    roundings, which g covers.  So, barring underflow, a x >= s x and
+    a x <= t x hold exactly.  Lorentz: t = `max_ratio`(a x, x) + d and
+    s = -`max_ratio`(-a x, x) - d, d = (1 + sqrt(n - 1)) gamma_(n+2)
+    || |a| |x| ||_inf / margin(x), a heuristic allowance for the rounding
+    of fl(a x); (-inf, inf) for x on the boundary.
+    """
+    n, y = len(x), a @ x
+    if cone.kind == "orthant":
+        g = _gamma(n + 4)
+        pos = x > 0.0
+        ratios = y[pos] / x[pos]
+        t = float(ratios.max()) / (1.0 - g) if pos.all() else np.inf
+        return float(ratios.min()) / (1.0 + g), t
+    mx = float(margin(cone, x))
+    if not mx > 0.0:
+        return -np.inf, np.inf
+    d = (1.0 + np.sqrt(n - 1)) * _gamma(n + 2) * float(np.max(np.abs(a) @ np.abs(x))) / mx
+    return -max_ratio(cone, -y, x) - d, max_ratio(cone, y, x) + d
 
 
 def spectral_radius(T):
     """Certified spectral-radius bracket (and Perron pair when available).
 
-    For entrywise-nonnegative operators three independent routes are
-    combined and must agree: (a) a Perron power iteration on T + delta*I
-    started from the all-ones vector, harvesting Collatz-Wielandt bounds
-    (min and max of (Tv)_i / v_i certify the radius from both sides for
-    strictly positive v); (b) Gelfand bracketing ||T^(2^j)||^(1/2^j) with
-    row/column-sum norms; (c) a bisection on the resolvent-positivity
-    test, which solves (lam*I - T) z = e, e interior, and accepts lam as an
-    upper bound exactly when z lies in the cone -- this closes the bracket
-    to the target width even where the power iteration stalls.  Only where
-    (a) has not closed (cyclic maps, Jordan blocks) does the power diagonal
-    max_i (T^k)_ii^(1/k), k <= min(24, 2n), raise the lower end.  A signed
-    map that `is_positive` finds positive on the Lorentz cone (a randomized
-    certificate) runs (c) on that cone from (b) and a trace lower bound;
-    on both cones inverse iteration above the bracket gives a Perron pair.
-    Any other signed map gets (b) and the trace bound, no Perron pair.
-    The bracket is computed once per operator and shared by every caller.
+    A map positive on the orthant (T >= 0), or on the Lorentz cone by the
+    sampled test of `is_positive`, runs `_noda` from [max_i a_ii (orthant)
+    or 0, min(||T||_inf, ||T||_1)] and the cone's interior point; its last
+    iterate is the Perron vector.  Where Noda stalls (reducible and
+    defective maps), the upper end falls to the Gelfand bound, the lower
+    end rises to the power diagonal (orthant) or the trace bound (Lorentz),
+    `_bisect_bracket` narrows the result on the resolvent-positivity test
+    and a second `_noda` run from there gives the Perron vector.  Converged
+    orthant brackets are rigorous in floating point (`_cw_bounds`), Lorentz
+    ones heuristic.  Any other signed map gets the Gelfand and trace bounds
+    and no Perron pair.  Computed once per operator and shared by every caller.
     """
     return _memo(T, "spectral", lambda: _spectral_bracket(T))
 
@@ -514,41 +486,33 @@ def _spectral_bracket(T):
 
     a = materialize(T)
     n = a.shape[0]
-    upper = _gelfand_upper(a)
     if np.all(a >= 0.0):
-        cone = orthant(n)
-        lower, cw_hi, v, iterations = _collatz_wielandt(a)
-        if cw_hi - lower > 0.25 * BRACKET_WIDTH * max(1.0, cw_hi):  # CW has not closed
-            lower = max(_power_lower(a, lambda p: float(np.max(np.diag(p))), min(24, 2 * n)), lower)
-        upper = min(upper, cw_hi)
+        cone, lower = orthant(n), float(np.max(np.diag(a)))
+        stat, k_max = (lambda p: float(np.max(np.diag(p)))), min(24, 2 * n)
     else:
-        cone = lorentz(n) if n >= 2 and is_positive(T, lorentz(n))[0] else None
-        lower = _power_lower(a, lambda p: abs(float(np.trace(p))) / len(p), 16)
-        v, iterations = (None if cone is None else interior_point(cone)), 0
-    lower = min(lower, upper)  # guards fp dust in the certified bounds
+        cone, lower = (lorentz(n) if n >= 2 and is_positive(T, lorentz(n))[0] else None), 0.0
+        stat, k_max = (lambda p: abs(float(np.trace(p))) / len(p)), 16
     if cone is None:
-        return SpectralEstimate(lower, upper)
-    lower, upper, bis_steps = _bisect_bracket(a, lower, upper, cone)
-    return _perron_pair(a, v, SpectralEstimate(lower, upper, iterations=iterations + bis_steps), cone)
+        upper = _gelfand_upper(a)
+        return SpectralEstimate(min(_power_lower(a, stat, k_max), upper), upper)
+    upper = min(induced_norm(a, "linf"), induced_norm(a, "l1"))
+    lower, upper, v, steps = _noda(a, lower, upper, interior_point(cone), cone)
+    if upper - lower > BRACKET_WIDTH * max(1.0, upper):
+        upper = min(upper, _gelfand_upper(a))
+        lower = min(max(lower, _power_lower(a, stat, k_max)), upper)  # guards fp dust
+        lower, upper, bis_steps = _bisect_bracket(a, lower, upper, cone)
+        lower, upper, v, more = _noda(a, lower, upper, v, cone)
+        steps += bis_steps + more
+    return _perron_pair(a, v, SpectralEstimate(min(lower, upper), upper, iterations=steps))
 
 
-def _perron_pair(a, v, est, cone):
-    """`est` with a Perron pair of `a`: the better of the cone vector v and its
-    `_polish_perron` iterate, l2-normalized, its value clamped into the bracket."""
-    lower, upper = est.lower, est.upper
-    shift_gap = max((upper - lower), 1e-12 * max(1.0, upper), 1e-300)
-    v_best, res_best = v, _perron_residual(a, v, min(max(0.5 * (lower + upper), lower), upper))
-    v_pol = _polish_perron(a, v, upper + shift_gap, cone)
-    lam_pol = min(max(float(v_pol @ (a @ v_pol)) if v_pol @ v_pol > 0 else lower, lower), upper)
-    res_pol = _perron_residual(a, v_pol, lam_pol)
-    if res_pol < res_best:
-        v_best, res_best = v_pol, res_pol
-    nv = float(np.linalg.norm(v_best))
-    v_best = v_best / nv if nv > 0 else v_best
-    lam = float(v_best @ (a @ v_best))
-    lam = min(max(lam, lower), upper)
-    residual = _perron_residual(a, v_best, lam)
-    return replace(est, perron_value=lam, perron_vector=v_best, residual=residual)
+def _perron_pair(a, v, est):
+    """`est` with the Perron pair of `a` from the cone vector v: v l2-normalized,
+    its Rayleigh quotient clamped into the bracket."""
+    v = v / np.linalg.norm(v)
+    lam = min(max(float(v @ (a @ v)), est.lower), est.upper)
+    residual = float(np.max(np.abs(a @ v - lam * v)))
+    return replace(est, perron_value=lam, perron_vector=v, residual=residual)
 
 
 def resolvent_apply(T, lam, y):

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -372,12 +374,18 @@ def test_cone_serialization_roundtrip():
 
 def _lorentz_ratio_oracle(w, z):
     """Least t with t z - w in the Lorentz cone: t z0 >= w0 and the larger root of
-    <t z - w, t z - w>_J = 0, J = diag(1, -1, ..., -1)."""
-    j = np.ones(len(z))
-    j[1:] = -1.0
-    A, B, C = z @ (j * z), z @ (j * w), w @ (j * w)
-    root = (B + np.sqrt(max(B * B - A * C, 0.0))) / A
-    return max(w[0] / z[0], root)
+    <t z - w, t z - w>_J = 0, J = diag(1, -1, ..., -1), in 60-digit decimal
+    arithmetic: in floats the root cancels when w is close to a multiple of z."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        z, w = [Decimal(float(v)) for v in z], [Decimal(float(v)) for v in w]
+
+        def form(x, y):
+            return x[0] * y[0] - sum(a * b for a, b in zip(x[1:], y[1:]))
+
+        A, B, C = form(z, z), form(z, w), form(w, w)
+        root = (B + max(B * B - A * C, Decimal(0)).sqrt()) / A
+        return float(max(w[0] / z[0], root))
 
 
 def test_max_ratio_closed_forms():
@@ -391,6 +399,34 @@ def test_max_ratio_closed_forms():
         t = max_ratio(cone, w, z)
         assert t == pytest.approx(_lorentz_ratio_oracle(w, z), rel=1e-12, abs=1e-15)
         assert margin(cone, t * z - w) >= 0.0
+
+
+def _max_ratio_cases():
+    rng = np.random.default_rng(3)
+    points = random_points(lorentz(5), rng, 8, interior=True)
+    # the Noda iterates: w = lambda z to rounding, where the textbook root cancels
+    for i, z in enumerate(points):
+        yield f"noda{i}", 0.9 * z + 1e-15 * rng.normal(size=5), z
+    z = points[0]
+    # margin(z) = 1e-8: t ~ ||w|| / margin(z)
+    thin = np.array([1.0, 1.0 - 1e-8, 0.0, 0.0, 0.0])
+    yield "thin", rng.normal(size=5), thin
+    yield "minus-z", -z, z
+    ray = rng.normal(size=4)
+    yield "boundary-w", np.concatenate(([1.0], ray / np.linalg.norm(ray))), z
+
+
+@pytest.mark.parametrize("name, w, z", [pytest.param(*c, id=c[0]) for c in _max_ratio_cases()])
+def test_max_ratio_near_cancellation_and_boundaries(name, w, z):
+    cone = lorentz(5)
+    t = max_ratio(cone, w, z)
+    assert margin(cone, t * z - w) >= 0.0
+    # margin(t z - w) rounds by about u ||t z||, which moves the least t that
+    # passes it by that much over margin(z)
+    rel = 64 * 2.0**-53 * (z[0] + np.linalg.norm(z[1:])) / margin(cone, z)
+    assert t == pytest.approx(_lorentz_ratio_oracle(w, z), rel=rel)
+    if name == "minus-z":
+        assert t == -1.0
 
 
 def test_max_ratio_needs_an_interior_z():

@@ -330,7 +330,7 @@ def test_decay_vector_closes_within_the_first_table_blocks():
 def test_decay_vector_closes_before_the_block_rule(monkeypatch):
     a = _dense_positive(16, 0.5)
     est = iss_constants(dense(a), norm="l1")
-    monkeypatch.setattr(iss, "_decay_vector", lambda a, upper: None)
+    monkeypatch.setattr(iss, "_decay_vector", lambda a, z: None)
     block = iss_constants(dense(a), norm="l1")
     assert (est.tail_rule, block.tail_rule) == ("decay_vector", "block")
     assert est.K < block.K
@@ -352,7 +352,9 @@ def test_a_bad_decay_vector_leaves_the_block_rule(monkeypatch, plant):
         z[2] = -1.0  # every ratio (T z)_i / z_i is below 1, but z is not interior
     else:
         z[2] = 1e-3  # (T z)_2 / z_2 is far above 1
-    monkeypatch.setattr(iss, "_shifted_lu", lambda a, lam: (None, None, lambda b: z.copy()))
+    real = iss._decay_vector
+    assert real(a, z) is None
+    monkeypatch.setattr(iss, "_decay_vector", lambda a, perron: real(a, z))
     est = iss_constants(dense(a))
     assert est.tail_rule == "block"
     pn = power_norms(dense(a), est.K, "linf")
@@ -361,6 +363,22 @@ def test_a_bad_decay_vector_leaves_the_block_rule(monkeypatch, plant):
     assert est.tail_bound <= 1e-10
     total = _numpy_norm_sum(a, "linf")
     assert total <= est.C <= total * (1.0 + 1e-9)
+
+
+def test_decay_vector_closes_near_one():
+    # rho = 1 - 1e-5: the Perron vector's decay rate is within rounding of
+    # rho and the bracket's lower end within 1e-14 of it, so the rule closes
+    # once T^K is near rank one, not once the tail is negligible (K = 174,335
+    # when the decay vector came from a solve at a shift above the bracket)
+    a = _dense_positive(16, 1.0 - 1e-5)
+    est = iss_constants(dense(a), norm="l2")
+    assert est.tail_rule == "decay_vector"
+    assert est.K <= 4096
+    p, total = np.eye(16), 1.0
+    for _ in range(est.K):
+        p = p @ a
+        total += float(np.linalg.norm(p, 2))
+    assert est.C >= total
 
 
 def test_iss_constants_unstable_raises():

@@ -17,11 +17,13 @@ superdiagonal shift, n in {8, 16}, rho in {0.9, 1.1}: from n = 16 on,
 the Gelfand squares of these maps underflow.  Three families follow,
 each from its own rng so that no earlier input moves: 4 near-boundary
 orthant cases (n = 4, rho in {1 - 1e-6, 1 - 1e-7}, linf and l2), which
-reach the end of the power-norm table and so record errors; 4 orthant-linf
-cyclic maps (weighted cycles with n in {3, 5, 8} and one 6 x 6 block
-cycle), the only cases where the diagonal of the powers, not
-Collatz-Wielandt, can set the lower bracket end; and the nilpotent
-Lorentz-positive map [[1, 1], [-1, -1]].  Last, from its own rng, 9
+reach the end of the power-norm table, so that three of them record errors;
+4 orthant-linf cyclic maps (weighted cycles with n in {3, 5, 8} and one
+6 x 6 block cycle), whose Perron root shares its modulus with other
+eigenvalues, so that power iterations stall on them while Noda's shifted
+inverse iteration closes them; and the nilpotent Lorentz-positive map
+[[1, 1], [-1, -1]], on which Noda stalls and the bisection fallback ends
+ambiguous.  Last, from its own rng, 9
 stable orthant maps that are not positive: [[0.5, -1], [0, 0.5]] on
 orthant-linf and normal(0, 1) matrices rescaled to rho in {0.5, 0.9},
 n in {4, 8}, on orthant-linf and orthant-l2; these get the restricted
