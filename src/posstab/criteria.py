@@ -24,15 +24,15 @@ from .cones import (
     is_interior,
     decompose,
     margin,
-    max_ratio,
     project,
     random_points,
 )
-from .errors import SpectralProximityError, UnsupportedConeNormError
+from .errors import DimensionMismatchError, SpectralProximityError, UnsupportedConeNormError
 from .norms import UNIT_ROUNDOFF, _l2_induced, batch_vec_norm, dual_norm, induced_norm, vec_norm
 from .operators import (
     POSITIVITY_TOL,
     DenseOperator,
+    _cw_bounds,
     _decay_rate,
     _memo,
     _resolvent_inverse,
@@ -43,7 +43,6 @@ from .operators import (
     is_positive,
     materialize,
     operator_to_dict,
-    resolvent_apply,
     spectral_radius,
 )
 
@@ -130,7 +129,8 @@ class CriterionVerdict:
 
 @dataclass
 class StrictDecayCertificate:
-    """Interior vector z with T z <= lam * z, verified componentwise."""
+    """Interior z with T z <= realized_lambda * z <= lam * z componentwise, a
+    certified bound for T >= 0 on the orthant (`strict_decay_point`)."""
 
     z: np.ndarray
     lam: float
@@ -645,27 +645,29 @@ def interior_small_gain(T, cone, z, rng=None):
 def strict_decay_point(T, cone, lam, y):
     """Point of strict decay z = (lam*I - T)^{-1} y with verified certificate.
 
-    Verifies (a) z >= y / lam, (b) the realized contraction factor, the
-    least t with Tz <= t z (`cones.max_ratio`), stays <= lam + 1e-10, and
-    (c) the interiority margin of z.
+    One `operators._shifted_lu` solve, checked as a certificate: (a) z >=
+    y / lam, (b) realized, `operators._cw_bounds`' bound on the least t with
+    Tz <= t z, is <= lam (rigorous for T >= 0 on the orthant), (c) z interior.
     """
     est = spectral_radius(T)
     if not lam < 1.0:
         raise ValueError("lam must be < 1")
     guard = 1e-12 * max(1.0, est.upper)
     if lam <= est.upper + guard:
-        raise SpectralProximityError(
-            f"lam={lam} must exceed the spectral upper bound {est.upper}"
-        )
+        raise SpectralProximityError(f"lam={lam} must exceed the spectral upper bound {est.upper}")
     y = np.asarray(y, dtype=float)
-    inside, _ = is_interior(cone, y)
-    if not inside:
+    if cone.dim != T.dim:
+        raise DimensionMismatchError("cone and operator dimensions differ")
+    if not is_interior(cone, y)[0]:
         raise ValueError("y must be an interior point of the cone")
-    z = resolvent_apply(T, lam, y)
+    a = materialize(T)
+    z = _shifted_lu(a, lam)[2](y)
+    if not np.all(np.isfinite(z)):
+        raise SpectralProximityError(f"strict decay solve at lam={lam} is not finite")
     if not contains(cone, z - y / lam, 1e-10):
         raise ArithmeticError("certificate failed: z >= y/lam does not hold; internal error")
-    realized = max_ratio(cone, apply(T, z), z)
-    if realized > lam + 1e-10:
+    realized = _cw_bounds(a, z, cone)[1]
+    if not realized <= lam:
         raise ArithmeticError("certificate failed: Tz <= lam*z does not hold; internal error")
     _, margin = is_interior(cone, z)
     return StrictDecayCertificate(z=z, lam=lam, realized_lambda=realized, interior_margin=margin)

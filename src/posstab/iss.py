@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cones import orthant
 from .errors import DimensionMismatchError, NoISSEstimateError
 from .norms import _gamma, batch_vec_norm, dual_norm, vec_norm
 from .operators import (
     DenseOperator,
+    _cw_bounds,
     _decay_rate,
     _first_power,
     _power_table,
@@ -212,15 +214,16 @@ def iss_constants(T, norm="linf"):
       It closes at the first L with that tail <= ISS_TAIL_TOL, or at the
       last complete block before the table ends; K = L m - 1.
     - "decay_vector", for a dense T >= 0 entrywise, at every table block
-      end K: `_decay_vector` certifies T z <= lam z, lam < 1, for z > 0
-      the Perron vector of `spectral_radius`.  With c_i = g max_r
+      end K: `operators._cw_bounds` certifies T z <= lam z, lam < 1, for
+      z > 0 the Perron vector of `spectral_radius`.  With c_i = g max_r
       (P_K)_ri / z_r (P_K the computed power, g the rounding factor),
       T^K <= z c', so T^(K+j) <= lam^j z c' and the tail from K on is at
       most ||z c'||/(1 - lam) = ||z|| ||c||_dual/(1 - lam) in every
       monotone norm.  It closes once C = S_K + tail is at most
-      (1 + 1e-6)(S_K + ||T^K||/(1 - lower)), S_K the first K entries' sum:
-      K = 7 to 63 on dense positive maps, whose T^K are soon near rank one,
-      and 3,327 under l2 at n = 16, rho = 1 - 1e-5.
+      (1 + 1e-6)(S_K + ||T^K||/(1 - lower)), S_K the first K entries' sum,
+      tried only at the newest power of the table, which the envelope has
+      built to its m: K = 7 to 63 on dense positive maps, but about m near
+      rho = 1 (50,431 in linf at n = 16, rho = 1 - 1e-5; the test holds at 15).
 
     For a dense T >= 0 both rules lift the table's norms of the computed
     powers to bounds on the exact T^k; l2 entries are certified upper
@@ -264,7 +267,8 @@ class _TailSearch:
         self.norm, self.table, self.lower = norm, _power_table(T, norm), est.lower
         positive = isinstance(T, DenseOperator) and bool(np.all(T.matrix >= 0.0))
         self.unit = T.dim + 1 if positive else 0  # of the rounding factor's gamma
-        self.decay = _decay_vector(T.matrix, est.perron_vector) if positive else None  # (z, lam)
+        lam = _cw_bounds(T.matrix, est.perron_vector, orthant(T.dim))[1] if positive else np.inf
+        self.decay = (est.perron_vector, lam) if lam < 1.0 else None  # T z <= lam z
         self.m = self.next_end = self.rule = None
         self.prefix = 1.0  # sum of the entries before the current one; ||T^0|| = 1
 
@@ -317,17 +321,6 @@ class _TailSearch:
             return False
         self.rule, self.K, self.summed, self.C, self.tail = "decay_vector", k, k, head + tail, tail
         return True
-
-
-def _decay_vector(a, z):
-    """(z, lam) with a z <= lam z entrywise and lam < 1, for a >= 0 and z its
-    Perron vector; None unless z > 0 and lam < 1.  Every term of fl(a z) is
-    >= 0, so fl(a z) >= (1 - gamma_n) a z, and lam = max_i fl(a z)_i /
-    ((1 - gamma_n) z_i), rounded up, bounds the exact ratios."""
-    if not np.all(z > 0.0):
-        return None
-    lam = float(np.max((a @ z) / z)) / (1.0 - _gamma(len(a))) * (1.0 + _gamma(4))
-    return (z, lam) if lam < 1.0 else None
 
 
 def verify_iss_bound(T, est, trials=100, rng=None, tol=1e-8):

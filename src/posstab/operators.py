@@ -205,32 +205,37 @@ def is_positive(T, cone, rng=None):
     Orthant: exact entrywise test on the materialized matrix; the witness
     is the basis vector of a column with a negative entry.  Lorentz:
     randomized certificate on 256 boundary rays (axis-aligned rays are
-    always included); a violating ray is returned as witness.
+    always included); a violating ray is returned as witness.  Witnesses are
+    read-only; with rng=None the rays are fixed and the answer is memoized.
     """
     if cone.dim != T.dim:
         raise DimensionMismatchError("cone and operator dimensions differ")
+    return _positive(T, cone) if rng is None else _positivity(T, cone, rng)
+
+
+def _positive(T, cone):  # `is_positive` on the fixed rays, memoized per operator and cone kind
+    return _memo(T, ("positive", cone.kind), lambda: _positivity(T, cone, np.random.default_rng(0)))
+
+
+def _positivity(T, cone, rng):
     a = materialize(T)
     if cone.kind == "orthant":
         bad = np.argwhere(a < 0.0)
-        if bad.size == 0:
-            return True, None
-        j = int(bad[0][1])
-        w = np.zeros(cone.dim)
-        w[j] = 1.0
-        return False, w
-    rng = np.random.default_rng(0) if rng is None else rng
-    m = cone.dim - 1
-    eye = np.eye(m)
-    dirs = np.stack([eye, -eye], axis=1).reshape(2 * m, m)  # e1, -e1, e2, -e2, ...
-    extra = rng.normal(size=(max(256 - 2 * m, 0), m))
-    extra /= np.maximum(np.linalg.norm(extra, axis=1, keepdims=True), 1e-300)
-    rest = np.vstack([dirs, extra, np.zeros((1, m))])
-    rays = np.hstack([np.ones((rest.shape[0], 1)), rest])
-    Y = rays @ a.T
-    bad = np.nonzero(margin(cone, Y) < -POSITIVITY_TOL * np.maximum(1.0, batch_vec_norm(Y, "l2")))[0]
-    if bad.size:
-        return False, rays[bad[0]]
-    return True, None
+        w = np.eye(1, cone.dim, int(bad[0][1]))[0] if bad.size else None
+    else:
+        m = cone.dim - 1
+        eye = np.eye(m)
+        dirs = np.stack([eye, -eye], axis=1).reshape(2 * m, m)  # e1, -e1, e2, -e2, ...
+        extra = rng.normal(size=(max(256 - 2 * m, 0), m))
+        extra /= np.maximum(np.linalg.norm(extra, axis=1, keepdims=True), 1e-300)
+        rest = np.vstack([dirs, extra, np.zeros((1, m))])
+        rays = np.hstack([np.ones((rest.shape[0], 1)), rest])
+        Y = rays @ a.T
+        bad = np.nonzero(margin(cone, Y) < -POSITIVITY_TOL * np.maximum(1.0, batch_vec_norm(Y, "l2")))[0]
+        w = rays[bad[0]].copy() if bad.size else None
+    if w is not None:
+        w.setflags(write=False)
+    return w is None, w
 
 
 @dataclass(frozen=True)
@@ -425,15 +430,17 @@ def _noda(a, lo, hi, x, cone):
 
 
 def _cw_bounds(a, x, cone):
-    """(s, t) with s <= rho(a) <= t: the Collatz-Wielandt bounds of a cone vector x.
+    """(s, t) with s x <= a x <= t x, so s <= rho(a) <= t, for a cone vector x;
+    `_noda`, the ISS decay vector and `criteria.strict_decay_point` read it.
 
-    Orthant (a >= 0, x >= 0, x != 0): the min of fl(a x)_i / x_i over the
-    x_i > 0 and the max over all i (inf if some x_i = 0), divided by 1 + g
-    and 1 - g, g = gamma_(n+4).  Each fl(a x)_i sums terms >= 0, so it is
-    (a x)_i (1 + theta), |theta| <= gamma_n (Higham, Accuracy and Stability,
-    3.1 and 3.4); the quotient, 1 +- g and the last division add three
-    roundings, which g covers.  So, barring underflow, a x >= s x and
-    a x <= t x hold exactly.  Lorentz: t = `max_ratio`(a x, x) + d and
+    Orthant (x >= 0, x != 0): the min of fl(a x)_i / x_i over the x_i > 0
+    and the max over all i (inf unless every x_i > 0), divided by 1 + g and
+    1 - g, g = gamma_(n+4).  For a >= 0 each fl(a x)_i sums terms >= 0, so
+    it is (a x)_i (1 + theta), |theta| <= gamma_n (Higham, Accuracy and
+    Stability, 3.1 and 3.4); the quotient, 1 +- g and the last division add
+    three roundings, which g covers.  So, for a >= 0 and barring underflow,
+    both inequalities hold exactly; for a signed a they are not certified.
+    Lorentz: t = `max_ratio`(a x, x) + d and
     s = -`max_ratio`(-a x, x) - d, d = (1 + sqrt(n - 1)) gamma_(n+2)
     || |a| |x| ||_inf / margin(x), a heuristic allowance for the rounding
     of fl(a x); (-inf, inf) for x on the boundary.
@@ -490,7 +497,7 @@ def _spectral_bracket(T):
         cone, lower = orthant(n), float(np.max(np.diag(a)))
         stat, k_max = (lambda p: float(np.max(np.diag(p)))), min(24, 2 * n)
     else:
-        cone, lower = (lorentz(n) if n >= 2 and is_positive(T, lorentz(n))[0] else None), 0.0
+        cone, lower = (lorentz(n) if n >= 2 and _positive(T, lorentz(n))[0] else None), 0.0
         stat, k_max = (lambda p: abs(float(np.trace(p))) / len(p)), 16
     if cone is None:
         upper = _gelfand_upper(a)
@@ -548,13 +555,11 @@ def resolvent_apply(T, lam, y):
     if lost:
         raise SpectralProximityError(f"resolvent solve at lam={lam} is not finite in columns {lost}")
     bound = 1e-10 * np.maximum(np.linalg.norm(b, axis=0), 1e-300)
-    for refinements in range(4):
-        r = np.matmul(m, z)
-        np.subtract(b, r, out=r)
-        bad = np.linalg.norm(r, axis=0) > bound
-        if not bad.any() or refinements == 3:
-            break
+    r = b - m @ z
+    bad = np.linalg.norm(r, axis=0) > bound
+    if bad.any():
         z[:, bad] += lu_solve(lu, r[:, bad])
+        bad = np.linalg.norm(b - m @ z, axis=0) > bound
     if bad.any():
         raise SpectralProximityError(
             "resolvent solve residual exceeds tolerance at lam="

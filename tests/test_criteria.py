@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from posstab import (
     geometric_envelope,
     interior_point,
     interior_small_gain,
+    is_positive,
     lorentz,
     materialize,
     mbi_constant,
@@ -228,7 +230,6 @@ def test_approx_eigenvector_schedule_decreases_to_bracket():
 def test_approx_eigenvector_factors_once_per_step(monkeypatch, cone_kind):
     # each shift costs one LU of r_k*I - T; no resolvent_apply (and so no
     # residual loop or Neumann check) runs
-    import posstab.criteria as crit
     import posstab.operators as ops
 
     if cone_kind == "orthant":
@@ -239,8 +240,7 @@ def test_approx_eigenvector_factors_once_per_step(monkeypatch, cone_kind):
     factors, solves = [], []
     real_factor, real_solve = ops.lu_factor, ops.resolvent_apply
     monkeypatch.setattr(ops, "lu_factor", lambda *a, **k: factors.append(1) or real_factor(*a, **k))
-    for mod in (ops, crit):
-        monkeypatch.setattr(mod, "resolvent_apply", lambda *a, **k: solves.append(1) or real_solve(*a, **k))
+    monkeypatch.setattr(ops, "resolvent_apply", lambda *a, **k: solves.append(1) or real_solve(*a, **k))
     seq = approximate_positive_eigenvector(T, cone, n_steps=12)
     assert len(seq) == 12
     assert solves == [] and len(factors) == len(seq)
@@ -392,7 +392,7 @@ def test_strict_decay_iterates():
 
 
 def test_strict_decay_argument_errors():
-    from posstab import SpectralProximityError
+    from posstab import DimensionMismatchError, SpectralProximityError
 
     with pytest.raises(ValueError):
         strict_decay_point(UPPER2X2, CONE2, 1.5, np.ones(2))
@@ -400,6 +400,17 @@ def test_strict_decay_argument_errors():
         strict_decay_point(diagonal([0.9]), orthant(1, "linf"), 0.7, np.ones(1))
     with pytest.raises(ValueError):
         strict_decay_point(UPPER2X2, CONE2, 0.75, np.array([1.0, 0.0]))
+    with pytest.raises(DimensionMismatchError):
+        strict_decay_point(UPPER2X2, orthant(3), 0.75, np.ones(3))
+
+
+def test_strict_decay_names_lam_when_the_solve_is_not_finite(monkeypatch):
+    import posstab.criteria as crit
+    from posstab import SpectralProximityError
+
+    monkeypatch.setattr(crit, "_shifted_lu", lambda a, lam: (None, None, lambda y: np.full(len(y), np.nan)))
+    with pytest.raises(SpectralProximityError, match="lam=0.75"):
+        strict_decay_point(UPPER2X2, CONE2, 0.75, np.ones(2))
 
 
 def test_strict_decay_lorentz():
@@ -423,9 +434,36 @@ def test_strict_decay_catches_a_planted_solve(monkeypatch, T, cone, z):
     # z >= y/lam holds, but the least t with Tz <= t z is 1.0 (orthant) and 1.2 (Lorentz)
     import posstab.criteria as crit
 
-    monkeypatch.setattr(crit, "resolvent_apply", lambda T, lam, y: np.array(z))
+    monkeypatch.setattr(crit, "_shifted_lu", lambda a, lam: (None, None, lambda y: np.array(z)))
     with pytest.raises(ArithmeticError, match=r"Tz <= lam\*z"):
         strict_decay_point(T, cone, 0.9, interior_point(cone))
+
+
+def _exact_products(a, z):
+    """a z in exact rational arithmetic."""
+    return [sum(Fraction(v) * Fraction(w) for v, w in zip(row.tolist(), z.tolist())) for row in a]
+
+
+def test_strict_decay_and_cw_bounds_hold_in_exact_arithmetic():
+    # random T >= 0, n <= 8, entries spanning 1e-3 to 1e2, scaled to rho < 1:
+    # realized * z >= T z and s z <= T z <= t z must hold exactly, not
+    # only up to the rounding of fl(T z)
+    from posstab.operators import _cw_bounds
+
+    rng = np.random.default_rng(2024)
+    for trial in range(300):
+        n = int(rng.integers(2, 9))
+        a = 10.0 ** rng.uniform(-3.0, 2.0, size=(n, n))
+        a *= rng.uniform(0.05, 0.999) / float(np.max(np.abs(np.linalg.eigvals(a))))
+        T, cone = dense(a), orthant(n)
+        est = spectral_radius(T)
+        cert = strict_decay_point(T, cone, 0.5 * (est.upper + 1.0), np.ones(n))
+        tz = _exact_products(a, cert.z)
+        assert all(Fraction(cert.realized_lambda) * Fraction(zi) >= v for zi, v in zip(cert.z.tolist(), tz)), trial
+        for z in (cert.z, est.perron_vector, rng.uniform(0.1, 10.0, n)):
+            s, t = _cw_bounds(a, z, cone)
+            for zi, v in zip(z.tolist(), _exact_products(a, z)):
+                assert Fraction(s) * Fraction(zi) <= v <= Fraction(t) * Fraction(zi), trial
 
 
 # ------------------------------------------------- quasi-compact suite
@@ -920,7 +958,7 @@ def test_unstable_cross_check_runs_no_private_eigenvector_search(monkeypatch):
     # every criterion that fails reads the memoized growth vector: on the
     # orthant it is the Perron vector, so no resolvent schedule runs
     eig_calls = _count_calls(monkeypatch, "approximate_positive_eigenvector")
-    solves = _count_calls(monkeypatch, "resolvent_apply")
+    solves = _count_calls(monkeypatch, "_shifted_lu")
     T = dense(_stable_positive("orthant", 16, seed=5, rho=1.05))
     rep = cross_check(T, orthant(16, "l2"))
     assert rep.consensus == "UNSTABLE"
@@ -937,6 +975,23 @@ def test_lorentz_cross_check_searches_once_per_operator(monkeypatch, n):
     rep = cross_check(T, lorentz(n, "l2"))
     assert rep.consensus == "UNSTABLE"
     assert eig_calls == [] and brackets == [T]
+
+
+def test_lorentz_cross_check_samples_positivity_once(monkeypatch):
+    # the bracket and cross_check both ask is_positive(T, lorentz) on the
+    # fixed rays: one sampled test answers both, with a read-only witness
+    import posstab.operators as ops
+
+    real, seen = ops._positivity, []
+    monkeypatch.setattr(ops, "_positivity", lambda T, cone, rng: seen.append(T) or real(T, cone, rng))
+    T = dense(_lorentz_positive(np.random.default_rng(1), 8, 0.9))
+    rep = cross_check(T, lorentz(8, "l2"))
+    assert rep.positive and sum(t is T for t in seen) == 1
+    signed = dense([[0.5, 0.0], [-0.1, 0.5]])
+    positive, w = is_positive(signed, lorentz(2, "l2"))
+    assert not positive and not w.flags.writeable
+    assert is_positive(signed, lorentz(2, "l2"))[1] is w
+    assert sum(t is signed for t in seen) == 1
 
 
 def test_lorentz_maps_above_one_report_unstable():

@@ -16,6 +16,7 @@ from posstab import (
     input_from_dict,
     iss_constants,
     materialize,
+    orthant,
     power_norms,
     response_class_check,
     simulate,
@@ -330,7 +331,7 @@ def test_decay_vector_closes_within_the_first_table_blocks():
 def test_decay_vector_closes_before_the_block_rule(monkeypatch):
     a = _dense_positive(16, 0.5)
     est = iss_constants(dense(a), norm="l1")
-    monkeypatch.setattr(iss, "_decay_vector", lambda a, z: None)
+    monkeypatch.setattr(iss, "_cw_bounds", lambda a, z, cone: (-np.inf, np.inf))
     block = iss_constants(dense(a), norm="l1")
     assert (est.tail_rule, block.tail_rule) == ("decay_vector", "block")
     assert est.K < block.K
@@ -352,9 +353,9 @@ def test_a_bad_decay_vector_leaves_the_block_rule(monkeypatch, plant):
         z[2] = -1.0  # every ratio (T z)_i / z_i is below 1, but z is not interior
     else:
         z[2] = 1e-3  # (T z)_2 / z_2 is far above 1
-    real = iss._decay_vector
-    assert real(a, z) is None
-    monkeypatch.setattr(iss, "_decay_vector", lambda a, perron: real(a, z))
+    assert not iss._cw_bounds(a, z, orthant(6))[1] < 1.0
+    real = iss.spectral_radius
+    monkeypatch.setattr(iss, "spectral_radius", lambda T: replace(real(T), perron_vector=z))
     est = iss_constants(dense(a))
     assert est.tail_rule == "block"
     pn = power_norms(dense(a), est.K, "linf")
