@@ -152,7 +152,7 @@ def _cmd_lyapunov(args):
         cert = solve_stein(T)
         payload = {
             "mode": "stein",
-            "Q": [[float(v) for v in row] for row in cert.Q],
+            "Q": np.asarray(cert.Q, dtype=float).tolist(),
             "residual": float(cert.residual),
             "tail_bound": float(cert.tail_bound),
             "n_terms": int(cert.n_terms),

@@ -87,7 +87,7 @@ class Witness:
         for name in ("vector", "functional", "z_prime", "z"):
             v = getattr(self, name)
             if v is not None:
-                d[name] = [float(t) for t in np.asarray(v)]
+                d[name] = np.asarray(v, dtype=float).tolist()
         if self.perturbation_norm is not None:
             d["perturbation_norm"] = float(self.perturbation_norm)
         if self.column is not None:
@@ -139,7 +139,7 @@ class StrictDecayCertificate:
 
     def to_dict(self):
         return {
-            "z": [float(v) for v in self.z],
+            "z": np.asarray(self.z, dtype=float).tolist(),
             "lambda": float(self.lam),
             "realized_lambda": float(self.realized_lambda),
             "interior_margin": float(self.interior_margin),
@@ -648,6 +648,8 @@ def strict_decay_point(T, cone, lam, y):
     One `operators._shifted_lu` solve, checked as a certificate: (a) z >=
     y / lam, (b) realized, `operators._cw_bounds`' bound on the least t with
     Tz <= t z, is <= lam (rigorous for T >= 0 on the orthant), (c) z interior.
+    A T that `is_positive` rejects raises ValueError: such a map need not
+    have any interior z with Tz <= lam z.
     """
     est = spectral_radius(T)
     if not lam < 1.0:
@@ -658,6 +660,8 @@ def strict_decay_point(T, cone, lam, y):
     y = np.asarray(y, dtype=float)
     if cone.dim != T.dim:
         raise DimensionMismatchError("cone and operator dimensions differ")
+    if not is_positive(T, cone)[0]:
+        raise ValueError("no strict decay point: T must be positive on the cone")
     if not is_interior(cone, y)[0]:
         raise ValueError("y must be an interior point of the cone")
     a = materialize(T)
@@ -856,7 +860,7 @@ def cross_check(T, cone, config=None, extra_notes=()):
         lyapunov_section = {
             "stein_residual": float(stein.residual),
             "stein_tail_bound": float(stein.tail_bound),
-            "Q": [[float(v) for v in row] for row in stein.Q],
+            "Q": np.asarray(stein.Q, dtype=float).tolist(),
             "equivalent_norm": norm_cert.to_dict(),
         }
         iss_section = iss_mod.iss_constants(T, norm=cone.norm).to_dict()

@@ -75,7 +75,7 @@ class InputSignal:
     def to_dict(self):
         d = {
             "class": self.declared_class,
-            "values": [[float(v) for v in row] for row in self.values],
+            "values": np.asarray(self.values, dtype=float).tolist(),
         }
         if self.p is not None:
             d["p"] = float(self.p)

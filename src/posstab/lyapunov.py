@@ -37,10 +37,13 @@ def solve_stein(T):
     A = T^(2^J).  The rest of the series is A^T Q A, whose l2 norm is at
     most ||A||^2 ||Q|| / (1 - ||A||^2) by submultiplicativity; both norms
     are bounded by min(||.||_F, sqrt(||.||_1 ||.||_inf)), and the iteration
-    stops once that tail is below u ||Q||.  A spectral upper bound >= 1, or
-    no convergence within STEIN_MAX_SQUARINGS, raises DivergenceError.  A
-    residual max|T^T Q T - Q + I| above STEIN_RESIDUAL_FACTOR n u
-    (1 + max|Q|)^2 raises ArithmeticError: it is an internal error.
+    stops once that tail is below u ||Q||.  That test can pass only when
+    ||A||_2 <= sqrt(u / (1 + u)), and ||A||_2 >= max|a_ij|, so it is
+    skipped while max|a_ij| > 2 sqrt(u); the 2 covers rounding in the
+    bound.  A spectral upper bound >= 1, or no convergence within
+    STEIN_MAX_SQUARINGS, raises DivergenceError.  A residual
+    max|T^T Q T - Q + I| above STEIN_RESIDUAL_FACTOR n u (1 + max|Q|)^2
+    raises ArithmeticError: it is an internal error.
     """
     est = spectral_radius(T)
     if est.upper >= 1.0:
@@ -52,8 +55,11 @@ def solve_stein(T):
     q, p = np.eye(n), a
     for j in range(1, STEIN_MAX_SQUARINGS + 1):
         q, p = _smith_step(q, p)
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+        p_max = np.max(np.abs(p))
+        if not (np.isfinite(p_max) and np.all(np.isfinite(q))):
             raise DivergenceError("Stein series terms are diverging")
+        if p_max > 2.0 * np.sqrt(UNIT_ROUNDOFF):
+            continue  # ||A||_2 >= max|a_ij|: the stop test cannot pass yet
         (p_norm, q_norm), _ = l2_upper_bounds(np.stack([p, q]), max_steps=0)
         if p_norm**2 <= UNIT_ROUNDOFF * (1.0 - p_norm**2):
             tail_bound = p_norm**2 * q_norm / (1.0 - p_norm**2)

@@ -158,9 +158,9 @@ def _transpose(T):
 
 def operator_to_dict(T):
     if isinstance(T, DenseOperator):
-        return {"variant": "dense", "rows": [[float(v) for v in row] for row in T.matrix]}
+        return {"variant": "dense", "rows": np.asarray(T.matrix, dtype=float).tolist()}
     if isinstance(T, DiagonalOperator):
-        return {"variant": "diagonal", "entries": [float(v) for v in T.entries]}
+        return {"variant": "diagonal", "entries": np.asarray(T.entries, dtype=float).tolist()}
     return {"variant": "shift", "dim": int(T.dim), "factor": float(T.factor)}
 
 
@@ -287,7 +287,7 @@ class SpectralEstimate:
         }
         if self.perron_value is not None:
             d["perron_value"] = float(self.perron_value)
-            d["perron_vector"] = [float(v) for v in self.perron_vector]
+            d["perron_vector"] = np.asarray(self.perron_vector, dtype=float).tolist()
             d["residual"] = float(self.residual)
         return d
 

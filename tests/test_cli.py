@@ -103,6 +103,16 @@ def test_decay_point_bad_lambda_exit_one(files, capsys):
     assert code == 1
 
 
+def test_decay_point_refuses_a_map_that_is_not_positive(tmp_path, capsys):
+    path = tmp_path / "signed.json"
+    path.write_text(json.dumps({"variant": "dense", "rows": [[0.5, -1.0], [0.0, 0.5]]}))
+    code = run(["decay-point", "--matrix", str(path), "--lambda", "0.75", "--no-timestamp"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "T must be positive on the cone" in err
+    assert "internal error" not in err
+
+
 def test_lyapunov_stein(files, capsys):
     code = run(["lyapunov", "--matrix", files["upper2x2.json"], "--mode", "stein",
                 "--no-timestamp"])

@@ -404,6 +404,24 @@ def test_strict_decay_argument_errors():
         strict_decay_point(UPPER2X2, orthant(3), 0.75, np.ones(3))
 
 
+@pytest.mark.parametrize(
+    "T, cone",
+    [
+        (dense([[0.5, -1.0], [0.0, 0.5]]), CONE2),  # the solve gives z = (-12, 4)
+        (dense([[0.5, 0.0, 0.0]] * 3), lorentz(3)),  # maps (1, 0, 0) to (0.5, 0.5, 0.5)
+    ],
+    ids=["orthant", "lorentz"],
+)
+def test_strict_decay_refuses_a_map_that_is_not_positive(T, cone):
+    from posstab import DimensionMismatchError
+
+    assert not is_positive(T, cone)[0]
+    with pytest.raises(ValueError, match="T must be positive on the cone"):
+        strict_decay_point(T, cone, 0.75, interior_point(cone))
+    with pytest.raises(DimensionMismatchError):
+        strict_decay_point(T, orthant(T.dim + 1), 0.75, np.ones(T.dim + 1))
+
+
 def test_strict_decay_names_lam_when_the_solve_is_not_finite(monkeypatch):
     import posstab.criteria as crit
     from posstab import SpectralProximityError
@@ -1294,3 +1312,45 @@ def test_cross_check_searches_the_envelope_once(monkeypatch):
     assert eq["s"] == 1.0 / rep.iss["a"]
     assert eq["K"] == geometric_envelope(T, rep.iss["a"], "linf")[1]
     assert len(calls) == 1
+
+
+# ------------------------------------------------- serialization
+
+def test_report_dict_holds_builtins_equal_to_elementwise_floats():
+    import copy
+    import json
+
+    from posstab import solve_stein
+
+    T = dense(_stable_positive("orthant", 8, seed=3))
+    rep = cross_check(T, orthant(8, "l2"))
+    d = rep.to_dict()
+
+    def builtin(x):
+        if type(x) is dict:
+            return all(type(k) is str and builtin(v) for k, v in x.items())
+        if type(x) is list:
+            return all(builtin(v) for v in x)
+        return x is None or type(x) in (str, int, float, bool)
+
+    assert builtin(d)
+    # the same dict with every array rebuilt one float(v) at a time
+    ref = copy.deepcopy(d)
+    ref["operator"]["rows"] = [[float(v) for v in row] for row in materialize(T)]
+    ref["spectral"]["perron_vector"] = [float(v) for v in rep.spectral.perron_vector]
+    for r, v in zip(ref["criteria"], rep.criteria):
+        for name in ("vector", "functional", "z_prime", "z"):
+            arr = getattr(v.witness, name) if v.witness is not None else None
+            if arr is not None:
+                r["witness"][name] = [float(t) for t in np.asarray(arr)]
+    ref["lyapunov"]["Q"] = [[float(v) for v in row] for row in solve_stein(T).Q]
+    assert json.dumps(d) == json.dumps(ref)
+
+
+def test_integer_arrays_serialize_as_floats():
+    from posstab import StrictDecayCertificate, Witness
+
+    w = Witness("flag", vector=np.array([1, 0, 2]), z=np.array([3])).to_dict()
+    cert = StrictDecayCertificate(np.array([3, 4]), 0.5, 0.4, 3.0).to_dict()
+    for got, want in ((w["vector"], [1.0, 0.0, 2.0]), (w["z"], [3.0]), (cert["z"], [3.0, 4.0])):
+        assert got == want and all(type(v) is float for v in got)

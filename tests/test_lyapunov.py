@@ -17,6 +17,7 @@ from posstab import (
     vec_norm,
     verify_lyapunov,
 )
+from posstab.norms import UNIT_ROUNDOFF, l2_upper_bounds
 
 UPPER2X2 = dense([[0.5, 1.0], [0.0, 0.5]])
 SIGNED2X2 = dense([[0.5, -1.0], [0.0, 0.5]])  # stable, not positive on the orthant
@@ -84,6 +85,52 @@ def test_stein_matches_kronecker_near_the_boundary():
     # 2^J terms with ||T^(2^J)||^2 below the unit roundoff: J = 15 squarings at this radius
     assert cert.n_terms <= 2**16
     assert cert.tail_bound <= 1e-15 * np.max(np.abs(cert.Q))
+
+
+def _stein_with_every_stop_test(a):
+    """(Q, tail_bound, n_terms, stop tests): Smith's doubling with the l2 stop test at every step."""
+    import posstab.lyapunov as lyap
+
+    q, p = np.eye(a.shape[0]), a
+    for j in range(1, lyap.STEIN_MAX_SQUARINGS + 1):
+        q, p = lyap._smith_step(q, p)
+        (p_norm, q_norm), _ = l2_upper_bounds(np.stack([p, q]), max_steps=0)
+        if p_norm**2 <= UNIT_ROUNDOFF * (1.0 - p_norm**2):
+            return 0.5 * (q + q.T), p_norm**2 * q_norm / (1.0 - p_norm**2), 2**j, j
+    raise AssertionError("reference loop did not stop")
+
+
+def _dense_at_radius(n, rho, seed):
+    a = np.random.default_rng(seed).uniform(0.0, 1.0, size=(n, n))
+    return dense(a * (rho / float(np.max(np.abs(np.linalg.eigvals(a))))))
+
+
+@pytest.mark.parametrize(
+    "T, stop_tests",
+    [
+        (_dense_at_radius(8, 0.5, 1), 1),
+        (_dense_at_radius(8, 0.97, 2), 1),
+        (_dense_at_radius(64, 0.5, 3), 1),
+        (_dense_at_radius(64, 0.97, 4), 2),
+        # entries 0.97^512/64 < 2 sqrt(u) at J = 9, but the norm 0.97^512 fails the test there
+        (dense(np.full((64, 64), 0.97 / 64)), 2),
+        (dense(np.random.default_rng(5).normal(size=(6, 6)) / 6.0), 1),
+        (diagonal([0.9, -0.5, 0.0, 0.3]), 1),
+        (shift(5, 3.0), 1),
+    ],
+    ids=["n8-rho0.5", "n8-rho0.97", "n64-rho0.5", "n64-rho0.97", "flat64", "signed", "diagonal", "shift"],
+)
+def test_stein_gate_skips_only_stop_tests_that_cannot_pass(monkeypatch, T, stop_tests):
+    import posstab.lyapunov as lyap
+
+    q_ref, tail_ref, terms_ref, tests_ref = _stein_with_every_stop_test(materialize(T))
+    tests = []
+    monkeypatch.setattr(lyap, "l2_upper_bounds", lambda *a, **k: tests.append(1) or l2_upper_bounds(*a, **k))
+    cert = solve_stein(T)
+    assert cert.n_terms == terms_ref
+    assert cert.tail_bound == tail_ref
+    assert cert.Q.tobytes() == q_ref.tobytes()
+    assert len(tests) == stop_tests < tests_ref
 
 
 @pytest.mark.parametrize("step", [1, 2, 5])

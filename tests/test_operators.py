@@ -802,6 +802,18 @@ def test_operator_json_roundtrip():
         assert operator_to_dict(T2) == d
 
 
+@pytest.mark.parametrize("variant", ["dense", "diagonal"])
+def test_operator_dict_roundtrips_bit_for_bit(variant):
+    values = [-0.0, 5e-324, 1.7976931348623157e308, 0.1]
+    T = dense(np.diag(values)) if variant == "dense" else diagonal(values)
+    d = operator_to_dict(T)
+    leaves = d["rows"] if variant == "dense" else [d["entries"]]
+    assert all(type(v) is float for row in leaves for v in row)
+    T2 = operator_from_dict(d)
+    assert materialize(T2).tobytes() == materialize(T).tobytes()
+    assert operator_to_dict(T2) == d
+
+
 def test_operator_csv():
     T = operator_from_csv("0.5, 1.0\n0.0, 0.5\n")
     np.testing.assert_array_equal(materialize(T), materialize(UPPER2X2))
