@@ -28,12 +28,15 @@ from .cones import (
     random_points,
 )
 from .errors import DimensionMismatchError, SpectralProximityError, UnsupportedConeNormError
-from .norms import UNIT_ROUNDOFF, _l2_induced, batch_vec_norm, dual_norm, induced_norm, vec_norm
+from .lyapunov import _stein_rider
+from .norms import _l2_induced, batch_vec_norm, dual_norm, induced_norm, vec_norm
 from .operators import (
     POSITIVITY_TOL,
     DenseOperator,
     _cw_bounds,
     _decay_rate,
+    _doubling,
+    _inverse_rider,
     _memo,
     _resolvent_inverse,
     _shifted_lu,
@@ -230,41 +233,19 @@ def _resolvent_positivity(T, cone, tol):
     )
 
 
-def mbi_constant(T, cone, rng=None):
+def mbi_constant(T, cone):
     """Monotone bounded invertibility: (I-T)x <= y forces ||x|| <= c ||y||.
 
-    Returns c = C * ||(I-T)^{-1}|| in the cone's norm (`_resolvent_norm`); a randomized
-    falsification search over cone pairs confirms the bound before the
-    verdict is issued.  A violating pair is the witness: x in `vector`, y
-    in `z`.  MBI needs a positive inverse, so it fails with the
+    Returns c = C * ||R|| in the cone's norm, R = (I-T)^{-1}, from the norm
+    that `_resolvent_norm` has checked at its attaining vector: for x, y in
+    the cone with (I-T)x <= y, R >= 0 gives x <= Ry, so ||x|| <= C ||R|| ||y||
+    by normality.  MBI needs a positive inverse, so it fails with the
     RESOLVENT_POS verdict when that fails.
     """
     base = check_resolvent_positivity(T, cone)
     if not base.holds:
         return float("inf"), CriterionVerdict("MBI", False, base.margin, base.witness)
     c = cone_constants(cone).normality_C * _resolvent_norm(T, cone)[0]
-    rng = np.random.default_rng(0) if rng is None else rng
-    a = materialize(T)
-    n = cone.dim
-    amb = np.eye(n) - a
-    X = random_points(cone, rng, 1000)
-    # rows y = w + z + s r, built in place over w = (I - T) x: w + z is the
-    # positive part of w (decompose), r is cone noise, so y >= w and y is in the cone
-    Y = X @ amb.T
-    Y += decompose(cone, Y)[1]
-    scales = rng.uniform(0.0, 1.0, size=(len(X), 1))
-    Y += scales * random_points(cone, rng, len(X))
-    nx = batch_vec_norm(X, cone.norm)
-    ny = batch_vec_norm(Y, cone.norm)
-    bad = np.nonzero(nx > c * ny + 1e-9)[0]
-    if bad.size:
-        i = int(bad[0])
-        return c, CriterionVerdict(
-            "MBI",
-            False,
-            c,
-            Witness("cone_vector", X[i], z=Y[i], note="falsification pair violates ||x|| <= c ||y||"),
-        )
     return c, CriterionVerdict("MBI", True, c, None)
 
 
@@ -342,22 +323,25 @@ def uniform_small_gain_margin(T, cone, rng=None):
     Certified closed form when R = (I - T)^{-1} is positive: for y = (I - T)x
     on a self-dual cone, dist((T - I)x, K) = ||P_K y|| (Moreau) and x <= R P_K y,
     so with C = 1, eta = 1/||R||, attained at x = Rv/||Rv|| for a cone vector
-    v attaining ||R|| (`_resolvent_usg`).  Otherwise eta is the lowest seed
-    value, an upper bound on the infimum, and that seed is the witness; the
-    seeds include the Perron vector, which is the `_growth_vector`.
+    v attaining ||R|| (`_resolvent_norm`, which checks it there).  A lower search
+    seed is an internal error, except under l2, where both power runs can stop
+    low when the top singular values cluster: there the seed is taken.
+    Otherwise eta is the lowest seed value, an upper bound on the
+    infimum, and that seed is the witness; the seeds include the Perron
+    vector, which is the `_growth_vector`.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    amI = materialize(T) - np.eye(cone.dim)
-
-    def f(X):
-        return batch_distance(cone, X @ amI.T)
-
     X = _cone_unit_rows(cone, _usg_seeds(T, cone, rng, 64))
-    vals = f(X)
-    gate = check_resolvent_positivity(T, cone).holds
-    closed = _resolvent_usg(T, cone, f, vals) if gate else None
+    vals = batch_distance(cone, X @ (materialize(T) - np.eye(cone.dim)).T)
     i = int(np.argmin(vals))
-    best_v, best_x = closed if closed is not None else (float(vals[i]), X[i].copy())
+    best_v, best_x = float(vals[i]), X[i].copy()
+    if check_resolvent_positivity(T, cone).holds:
+        norm, x = _resolvent_norm(T, cone)
+        eta = 1.0 / norm
+        if best_v >= eta * (1.0 - 1e-9):
+            best_v, best_x = eta, x
+        elif cone.norm != "l2":
+            raise ArithmeticError(f"a search seed goes below eta = {eta!r}; internal error")
     eta_emp = max(best_v, 0.0)
     holds = eta_emp > _decision_tol(spectral_radius(T))
     witness = None if holds else Witness("cone_vector", best_x, note="dist((T-I)x, cone) ~ 0")
@@ -373,6 +357,8 @@ def _resolvent_norm(T, cone):
     the interior point (R^T R maps K into K, so every iterate lies in K).
     Under l2 ||R|| is the larger of that run's estimate and `induced_norm`'s
     (equal on the orthant, whose interior point is one of its starts).
+    Checked before anyone reads it: dist((T - I)x, K) must be 1/||R|| within
+    1e-9 relative (`uniform_small_gain_margin`), with Tx from `apply`, not R.
     """
 
     def make():
@@ -386,61 +372,12 @@ def _resolvent_norm(T, cone):
         x = inv @ v
         x /= vec_norm(x, cone.norm)
         x.setflags(write=False)
+        eta, at = 1.0 / norm, float(distance(cone, apply(T, x) - x))
+        if abs(at - eta) > 1e-9 * eta:
+            raise ArithmeticError(f"eta = {eta!r} is not attained ({at!r}); internal error")
         return norm, x
 
     return _memo(T, ("resolvent_norm", cone), make)
-
-
-def _resolvent_usg(T, cone, f, seed_vals):
-    """(1/||R||, the unit x attaining it) from `_resolvent_norm`, checked at x and on
-    the seeds.  Under l2 both of its power runs can stop low when the top singular
-    values cluster, so a lower seed returns None."""
-    norm, x = _resolvent_norm(T, cone)
-    eta = 1.0 / norm
-    at = float(f(x[None, :])[0])
-    if abs(at - eta) > 1e-9 * eta:
-        raise ArithmeticError(f"eta = {eta!r} is not attained ({at!r}); internal error")
-    if float(np.min(seed_vals)) < eta * (1.0 - 1e-9):
-        if cone.norm == "l2":
-            return None
-        raise ArithmeticError(f"a search seed goes below eta = {eta!r}; internal error")
-    return eta, x
-
-
-def _monotone_point(a, cone, X, w):
-    """First row x with ax + w - x in the cone (within 1e-12) of up to 90 steps
-    of x <- normalize(project(ax + w)) on the unit cone rows X, or None.
-
-    None also comes early, once a step leaves the rows unchanged to rounding
-    (same shape, every entry within 16 ulps of the largest) while every margin
-    is below -1e-12 - g.  The rows are then the step's fixed point, so each
-    later step repeats this step's failed hit test up to rounding, and
-    g = L (16 + 4 (n + 2)) u s, s = ||a||_inf + ||w||_inf + 1, u the unit
-    roundoff, bounds how far that rounding moves a margin.  Entries of unit
-    rows are <= 1, so a row change d <= 16u moves ax - x entrywise by
-    <= d (||a||_inf + 1); on each step the computed ax + w - x is within
-    2 (n + 2) u s of its exact value; and a margin moves by <= L times an
-    entrywise change, L = 1 on the orthant and 1 + sqrt(n - 1) on the
-    Lorentz cone.  A margin within g of -1e-12 keeps the full 90 steps.
-    """
-    n = cone.dim
-    lip = 1.0 if cone.kind == "orthant" else 1.0 + np.sqrt(n - 1)
-    s = float(np.max(np.abs(a).sum(axis=1))) + float(np.max(np.abs(w))) + 1.0
-    g = lip * (16.0 + 4.0 * (n + 2)) * UNIT_ROUNDOFF * s
-    for _ in range(90):
-        W = X @ a.T + w
-        m = margin(cone, W - X)
-        hit = np.nonzero(m >= -1e-12)[0]
-        if hit.size:
-            return X[int(hit[0])].copy()
-        Y = _cone_unit_rows(cone, W)
-        if Y.size == 0:
-            return None
-        if Y.shape == X.shape and np.max(m) < -1e-12 - g:
-            if np.max(np.abs(Y - X)) <= 16.0 * UNIT_ROUNDOFF * np.max(np.abs(Y)):
-                return None
-        X = Y
-    return None
 
 
 def small_gain_certificate(T, cone):
@@ -593,22 +530,15 @@ def dual_small_gain(T, cone):
     return CriterionVerdict("DUAL_SG", holds, 1.0 - est_adj.point, witness)
 
 
-def interior_small_gain(T, cone, z, rng=None):
+def interior_small_gain(T, cone, z):
     """Largest eta such that no unit cone vector x satisfies Tx >= x - eta ||x|| z.
 
     Closed form when R = (I - T)^{-1} is positive: (I - T)x <= eta z forces
     x <= eta Rz, so with normality constant C = 1 (every supported pair)
-    eta = 1/||Rz||, attained at x = Rz/||Rz||.  Independent route: x must
-    be feasible at eta, and the monotone iteration x <- normalize(project(Tx
-    + eta*z)) of `_monotone_point`, run once just below eta on the
-    `_usg_seeds` rows (n + 18 on the orthant: ones, the e_i, the Perron
-    vector and 16 random points; 2n + 17 on the Lorentz cone: ones, the
-    interior point, the 2(n - 1) rays e_0 +- e_i, the Perron vector and 16
-    random points), must find nothing; a failure is an internal error.  The
-    probe stops after 90 steps, or earlier once a step leaves its rows
-    unchanged to rounding with every margin below the hit threshold by more
-    than rounding can move it: each later step would repeat the hit test
-    that this step failed, so stopping there misses no hit of the 90 steps.
+    eta = 1/||Rz||, attained at x = Rz/||Rz||.  It is checked at x, with Tx
+    from `apply`: (I - T)x = eta z within 1e-6 eta margin(z) + 1e-12 on both
+    sides, one showing x feasible at eta, the other, with R >= 0, that no
+    unit vector is feasible below it; a failure is an internal error.
     Without a positive inverse (spectral radius >= 1, or the solve was
     refused) eta = 0; the witness is the unit `_growth_vector`, feasible at
     eta = 0, or else the RESOLVENT_POS gate's own witness.
@@ -624,19 +554,17 @@ def interior_small_gain(T, cone, z, rng=None):
             "cone_vector", x, note="Tx >= x, feasible at eta = 0"
         )
         return 0.0, CriterionVerdict("INTERIOR_SG", False, 0.0, witness)
-    rng = np.random.default_rng(0) if rng is None else rng
-    a = materialize(T)
-    seeds = _cone_unit_rows(cone, _usg_seeds(T, cone, rng, 16))
     rz = _resolvent_inverse(T) @ z
     eta = 1.0 / vec_norm(rz, cone.norm)
     x = eta * rz
     # margin measures against e = ones or the axis, and e <= z / margin(z):
-    # a margin slack s is an eta slack s / margin(z); 1e-12 is _monotone_point's own
+    # a margin slack s is an eta slack s / margin(z)
     slack = 1e-6 * eta * mz + 1e-12
-    if margin(cone, a @ x - x + eta * z) < -slack:
+    gap = apply(T, x) - x + eta * z
+    if margin(cone, gap) < -slack:
         raise ArithmeticError(f"Rz/||Rz|| is not feasible at eta = {eta!r}; internal error")
-    if _monotone_point(a, cone, seeds, (eta - slack / mz) * z) is not None:
-        raise ArithmeticError(f"a feasibility probe succeeds below eta = {eta!r}; internal error")
+    if margin(cone, -gap) < -slack:
+        raise ArithmeticError(f"(I - T)x falls short of eta z at eta = {eta!r}; internal error")
     holds = eta > DEFAULT_TOL
     witness = None if holds else Witness("cone_vector", x, note="feasible x at vanishing eta")
     return eta, CriterionVerdict("INTERIOR_SG", holds, eta, witness)
@@ -685,10 +613,13 @@ def quasi_compact_suite(T, cone, rng=None):
     exponential stability: both hold iff `geometric_envelope` certifies
     ||T^k|| <= M a^k, a = `_decay_rate(T)` < 1, from the ISS power-norm table.
     Failing verdicts carry the shared `_growth_vector`.  Falsification:
-    32 unit interior starts at k = 1, 2, 4, ..., 2^J by squaring, up to
-    the first M a^(2^J) <= 1e-9 (2^8 when failing) or a sample above 1e280
-    or not finite; a start above 1e-6 at 2^J under an envelope, or a
-    growth vector while every start decays, is an internal error.
+    32 unit interior starts at k = 1, 2, 4, ..., 2^J on a `_doubling` chain
+    of T's squares, up to the first M a^(2^J) <= 1e-9 (2^8 when failing) or
+    a sample above 1e280 or not finite; a start above 1e-6 at 2^J under an
+    envelope, or a growth vector while every start decays, is an internal
+    error.  The chain also carries, each with its own stop rule, Smith's
+    doubling for `solve_stein` and the Neumann probe of `_resolvent_inverse`
+    (`_stein_rider`, `operators._inverse_rider`), which read them from T.
     """
     est = spectral_radius(T)
     rng = np.random.default_rng(0) if rng is None else rng
@@ -709,20 +640,19 @@ def quasi_compact_suite(T, cone, rng=None):
             last, r = last + 1, r * r
     X = random_points(cone, rng, 32, interior=True)
     X /= batch_vec_norm(X, cone.norm)[:, None]
-    P = materialize(T)
-    least = np.ones(len(X))  # k = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(last + 1):
-            P = P @ P if j else P
-            frac = np.nan_to_num(batch_vec_norm(X @ P.T, cone.norm), nan=np.inf)
-            least = np.minimum(least, frac)
-            if not frac.max() <= 1e280:
-                break
-    worst = float(frac.max())
+    fracs = [np.ones(len(X))]  # k = 0, then k = 2^j for j = 0, 1, ...
+
+    def sample(j, p):
+        fracs.append(np.nan_to_num(batch_vec_norm(X @ p.T, cone.norm), nan=np.inf))
+        return j < last and fracs[-1].max() <= 1e280
+
+    riders = [r for r in (_stein_rider(T), _inverse_rider(T)) if r is not None]
+    _doubling(apply(T, np.eye(T.dim)), [sample, *riders])
+    worst, least = float(fracs[-1].max()), np.min(fracs, axis=0)
     if (worst > 1e-6) if holds else (worst <= 1e-6 and _growth_vector(T, cone) is not None):
         raise ArithmeticError(
             f"envelope verdict holds={holds}, but the worst sampled start keeps {worst!r} "
-            f"of its norm at k = {2**j}; internal error"
+            f"of its norm at k = {2 ** (len(fracs) - 2)}; internal error"
         )
     strong_wit = _growth_witness(T, cone, holds, "Perron vector with Tx >= x: T^k x does not decay")
     weak_wit = _growth_witness(T, cone, holds, "Perron vector with Tx >= x: inf_k ||T^k x|| > 0")
@@ -800,7 +730,8 @@ def cross_check(T, cone, config=None, extra_notes=()):
 
     cfg = config or CrossCheckConfig()
     # stream 0 is unused: positivity samples the fixed rays that gate the
-    # spectral bracket, so both agree; the other streams keep their seeds
+    # spectral bracket, so both agree; streams 1 and 3 are unused since MBI and
+    # INTERIOR_SG are checked in closed form; streams 2 and 4 keep their seeds
     streams = np.random.SeedSequence(cfg.seed).spawn(5)
     rngs = [np.random.default_rng(s) for s in streams]
     est = spectral_radius(T)
@@ -819,12 +750,13 @@ def cross_check(T, cone, config=None, extra_notes=()):
                 "is a randomized certificate"
             )
 
+        # first: its chain of T's squares also runs the inverse's Neumann probe and Stein's series
+        quasi_v = quasi_compact_suite(T, cone, rng=rngs[4])
         res_v = check_resolvent_positivity(T, cone)
-        _, mbi_v = mbi_constant(T, cone, rng=rngs[1])
+        _, mbi_v = mbi_constant(T, cone)
         eta_emp, usg_v = uniform_small_gain_margin(T, cone, rng=rngs[2])
         dual_v = dual_small_gain(T, cone)
-        _, isg_v = interior_small_gain(T, cone, interior_point(cone), rng=rngs[3])
-        quasi_v = quasi_compact_suite(T, cone, rng=rngs[4])
+        _, isg_v = interior_small_gain(T, cone, interior_point(cone))
 
         if mbi_v.holds:
             eta_cert = small_gain_certificate(T, cone)
@@ -882,20 +814,18 @@ def reverify_witness(T, cone, verdict):
     """Independently re-check the witness of a failing verdict.
 
     Returns True when the witness reproduces the claimed violation; used
-    by the test-suite and callers that audit reports.  Accepted unchecked:
-    `flag` and `strict_decay_pair` witnesses.
+    by the test-suite and callers that audit reports.  A `flag` is accepted
+    unchecked: it claims no violation, only that none was found or that
+    the computation was refused.  A `strict_decay_pair` certifies decay, so
+    on a failing verdict it is rejected, as is any kind not listed here.
     """
     w, tol = verdict.witness, DEFAULT_TOL
     if w is None or verdict.holds:
         return True
+    if w.kind == "flag":
+        return True
     if w.kind == "cone_vector" and w.vector is not None:
         x = np.asarray(w.vector, dtype=float)
-        if verdict.id == "MBI" and w.z is not None:
-            # falsification pair: x, y and y - (I - T)x in K, yet ||x|| > c ||y||
-            y = np.asarray(w.z, dtype=float)
-            slack = tol * (1.0 + float(np.max(np.abs(x))) + float(np.max(np.abs(y))))
-            ordered = all(contains(cone, v, slack) for v in (x, y, y - x + apply(T, x)))
-            return ordered and vec_norm(x, cone.norm) > verdict.margin * vec_norm(y, cone.norm)
         if verdict.id in ("SUBFIXED_POS", "RESOLVENT_POS", "MBI"):
             # (I - T)x in K while x is not: x is the negated growth vector, or
             # (Lorentz) the image of a cone ray under (I - T)^{-1}, which MBI
@@ -922,4 +852,4 @@ def reverify_witness(T, cone, verdict):
         r[w.column] -= 1.0
         solves = float(np.max(np.abs(r))) <= 1e-8 * (1.0 + float(np.max(np.abs(v))))
         return solves and not contains(cone, v, tol)
-    return True
+    return False

@@ -6,7 +6,10 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DivergenceError
 from .norms import UNIT_ROUNDOFF, batch_vec_norm, l2_upper_bounds, vec_norm
-from .operators import _decay_rate, geometric_envelope, is_positive, materialize, spectral_radius
+from .operators import (
+    _decay_rate, _doubling, _rider, _taken, apply, geometric_envelope, is_positive, materialize,
+    spectral_radius,
+)
 
 #: squarings after which solve_stein gives up: 2^64 series terms
 STEIN_MAX_SQUARINGS = 64
@@ -34,7 +37,9 @@ def solve_stein(T):
 
     Q = sum_k (T^T)^k T^k is summed by doubling: Q <- Q + A^T Q A, A <- A^2
     from Q = I, A = T, so after J steps Q holds the first 2^J terms and
-    A = T^(2^J).  The rest of the series is A^T Q A, whose l2 norm is at
+    A = T^(2^J), on a `_doubling` chain of T's squares, or read, bit for bit
+    the same, from the chain that `criteria.quasi_compact_suite` ran with a
+    `_stein_rider`.  The rest of the series is A^T Q A, whose l2 norm is at
     most ||A||^2 ||Q|| / (1 - ||A||^2) by submultiplicativity; both norms
     are bounded by min(||.||_F, sqrt(||.||_1 ||.||_inf)), and the iteration
     stops once that tail is below u ||Q||.  That test can pass only when
@@ -50,22 +55,14 @@ def solve_stein(T):
         raise DivergenceError(
             f"Stein series requires a spectral upper bound < 1 (got {est.upper})"
         )
-    a = materialize(T)
-    n = a.shape[0]
-    q, p = np.eye(n), a
-    for j in range(1, STEIN_MAX_SQUARINGS + 1):
-        q, p = _smith_step(q, p)
-        p_max = np.max(np.abs(p))
-        if not (np.isfinite(p_max) and np.all(np.isfinite(q))):
-            raise DivergenceError("Stein series terms are diverging")
-        if p_max > 2.0 * np.sqrt(UNIT_ROUNDOFF):
-            continue  # ||A||_2 >= max|a_ij|: the stop test cannot pass yet
-        (p_norm, q_norm), _ = l2_upper_bounds(np.stack([p, q]), max_steps=0)
-        if p_norm**2 <= UNIT_ROUNDOFF * (1.0 - p_norm**2):
-            tail_bound = p_norm**2 * q_norm / (1.0 - p_norm**2)
-            break
-    else:
-        raise DivergenceError(f"Stein series did not converge in {STEIN_MAX_SQUARINGS} squarings")
+    series = _taken(T, "stein")
+    if series is None:
+        series = _Stein(T.dim)
+        _doubling(apply(T, np.eye(T.dim)), [series])
+    if isinstance(series.result, Exception):
+        raise series.result
+    q, tail_bound, n_terms = series.result
+    a, n = materialize(T), T.dim
     q = 0.5 * (q + q.T)
     residual = float(np.max(np.abs(a.T @ q @ a - q + np.eye(n))))
     bound = STEIN_RESIDUAL_FACTOR * n * UNIT_ROUNDOFF * (1.0 + float(np.max(np.abs(q)))) ** 2
@@ -73,12 +70,38 @@ def solve_stein(T):
         raise ArithmeticError(
             f"Stein residual {residual:.3e} exceeds {bound:.3e}; this is an internal error"
         )
-    return QuadraticCertificate(Q=q, residual=residual, tail_bound=tail_bound, n_terms=2**j)
+    return QuadraticCertificate(Q=q, residual=residual, tail_bound=tail_bound, n_terms=n_terms)
 
 
-def _smith_step(q, p):
-    """One doubling: Q holds 2^(J+1) terms instead of 2^J, and A = T^(2^J) is squared."""
-    return q + p.T @ q @ p, p @ p
+def _stein_rider(T):
+    """A `_Stein` left on T for a chain of T's squares, or None (upper >= 1, or one is there)."""
+    return _rider(T, "stein", lambda: _Stein(T.dim)) if spectral_radius(T).upper < 1.0 else None
+
+
+class _Stein:
+    """`_doubling` consumer for `solve_stein`: at A = T^(2^J) the stop test on Q (2^J
+    terms), then Q += A^T Q A; `result` becomes (Q, tail_bound, n_terms) or an error."""
+
+    def __init__(self, n):
+        self.q, self.result = np.eye(n), None
+
+    def __call__(self, j, p):
+        if j:
+            p_max = np.max(np.abs(p))
+            if not (np.isfinite(p_max) and np.all(np.isfinite(self.q))):
+                self.result = DivergenceError("Stein series terms are diverging")
+                return False
+            # ||A||_2 >= max|a_ij|: the stop test cannot pass while the gate is shut
+            if p_max <= 2.0 * np.sqrt(UNIT_ROUNDOFF):
+                (p_norm, q_norm), _ = l2_upper_bounds(np.stack([p, self.q]), max_steps=0)
+                if p_norm**2 <= UNIT_ROUNDOFF * (1.0 - p_norm**2):
+                    self.result = (self.q, p_norm**2 * q_norm / (1.0 - p_norm**2), 2**j)
+                    return False
+            if j == STEIN_MAX_SQUARINGS:
+                self.result = DivergenceError(f"Stein series did not converge in {j} squarings")
+                return False
+        self.q = self.q + p.T @ self.q @ p
+        return True
 
 
 def quadratic_decrease_check(Q, T, samples, tol=1e-8):

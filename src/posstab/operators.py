@@ -104,6 +104,29 @@ def _memo(T, key, make):
     return memo[key]
 
 
+def _rider(T, key, make):
+    """make(), a `_doubling` consumer left on T for one `_taken`, or None if one is there."""
+    memo = vars(T).setdefault("_memo", {})
+    return None if key in memo else memo.setdefault(key, make())
+
+
+def _taken(T, key):
+    """The consumer that `_rider` left on T under `key`, removed from T, or None."""
+    return vars(T).get("_memo", {}).pop(key, None)
+
+
+def _doubling(p, consumers):
+    """Feed S_0 = p, S_1 = S_0 S_0, ... to each consumer as consumer(j, S_j) until it
+    returns False, squaring only while one still wants the next square and keeping
+    only the current one; consumers test what they read for overflow.  Returns
+    the number of squarings."""
+    j = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while consumers := [c for c in consumers if c(j, p)]:
+            p, j = np.matmul(p, p), j + 1
+    return j
+
+
 def materialize(T):
     """Dense matrix of the operator (read-only view where possible)."""
     if isinstance(T, DenseOperator):
@@ -532,9 +555,10 @@ def resolvent_apply(T, lam, y):
     column whose solve is not finite (a signed map may have an eigenvalue
     below the bracket) raises SpectralProximityError.  For lam above the
     bracket the solution is checked against the Neumann series from
-    `apply`, summed by doubling (skipped at upper/lam > 0.995, where it may
-    not converge within 2^16 terms).  A vector is checked on y itself, a
-    block in one series on a probe: all-ones and a seeded positive mix.
+    `apply`, summed on a `_doubling` chain of the squares of T/lam (skipped
+    at upper/lam > 0.995, where it may not converge within 2^16 terms).  A
+    vector is checked on y itself, a block in one series on a probe:
+    all-ones and a seeded positive mix, which `quasi_compact_suite` may have summed.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2) or y.shape[0] != T.dim:
@@ -597,20 +621,40 @@ def _probe(k):
 
 
 def _neumann_resolvent(T, lam, y):
-    """sum_k T^k y / lam^(k+1) for a block y; None if not finite within 2^16 terms.
+    """sum_k T^k y / lam^(k+1) for a block y, None if not finite within 2^16 terms: s += P s
+    on the chain of P = T/lam (`apply`, not the LU's matrix), or an `_inverse_rider`'s sum."""
+    series = _taken(T, ("neumann", lam))
+    if series is None or not np.array_equal(series.y, y):
+        series = _Neumann(y, lam)
+        _doubling(apply(T, np.eye(T.dim)) / lam, [series])
+    return series.result
 
-    Doubling from s = y/lam, P = T/lam (`apply`, not the LU's matrix): s += P s, P = P^2."""
-    p, total = apply(T, np.eye(T.dim)) / lam, y / lam
-    tol = 1e-13 * np.maximum(np.linalg.norm(y, axis=0), 1e-300)
-    for _ in range(16):
-        chunk = np.matmul(p, total)
-        total = total + chunk
-        if not np.all(np.isfinite(total)):
-            return None
-        if np.all(np.linalg.norm(chunk, axis=0) <= tol):
-            return total
-        p = np.matmul(p, p)
-    return None
+
+class _Neumann:
+    """`_doubling` consumer on the squares of T/lam: `result` becomes sum_k T^k y / lam^(k+1),
+    or stays None when a partial sum is not finite or 2^16 terms miss the tolerance."""
+
+    def __init__(self, y, lam):
+        self.y, self.total, self.result = y, y / lam, None
+        self.tol = 1e-13 * np.maximum(np.linalg.norm(y, axis=0), 1e-300)
+
+    def __call__(self, j, p):
+        chunk = np.matmul(p, self.total)
+        self.total = self.total + chunk
+        if not np.all(np.isfinite(self.total)):
+            return False
+        if np.all(np.linalg.norm(chunk, axis=0) <= self.tol):
+            self.result = self.total
+            return False
+        return j < 15
+
+
+def _inverse_rider(T):
+    """The Neumann consumer of `_resolvent_inverse`'s check (lam = 1, the block probe),
+    left on T for a chain of T's squares; None where that check does not run."""
+    if spectral_radius(T).upper > 0.995:
+        return None
+    return _rider(T, ("neumann", 1.0), lambda: _Neumann(_probe(T.dim), 1.0))
 
 
 #: entries of the (b, n, n) buffer that extends a dense power table by b powers

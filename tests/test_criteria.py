@@ -40,7 +40,9 @@ from posstab import (
     uniform_small_gain_margin,
     vec_norm,
 )
-from posstab.criteria import CriterionVerdict
+from posstab.cones import batch_vec_norm, decompose, margin, random_points
+from posstab.criteria import CriterionVerdict, Witness, _cone_unit_rows, _usg_seeds
+from posstab.norms import UNIT_ROUNDOFF, induced_norm
 
 UPPER2X2 = dense([[0.5, 1.0], [0.0, 0.5]])
 CONE2 = orthant(2, "linf")
@@ -860,6 +862,21 @@ def test_rank1_sg_reports_robust_sg_result():
     assert rank1.to_dict() == {**robust.to_dict(), "id": "RANK1_SG"}
 
 
+def test_reverify_checks_every_kind_and_rejects_the_rest():
+    # a flag claims no violation and passes through its own branch; a strict
+    # decay pair certifies decay, so on a failing verdict it is no witness;
+    # a kind reverify_witness does not know is rejected, not accepted
+    T, cone = UPPER2X2, CONE2
+    flag = CriterionVerdict("ROBUST_SG", False, -1.0, Witness(kind="flag", note="no violation found"))
+    assert reverify_witness(T, cone, flag)
+    cert = strict_decay_point(T, cone, 0.75, np.ones(2))
+    pair = Witness("strict_decay_pair", cert.z, lam=cert.realized_lambda)
+    assert reverify_witness(T, cone, CriterionVerdict("STRICT_DECAY", True, 0.25, pair))
+    assert not reverify_witness(T, cone, CriterionVerdict("STRICT_DECAY", False, 0.25, pair))
+    unknown = Witness(kind="growth_ray", vector=np.ones(2))
+    assert not reverify_witness(T, cone, CriterionVerdict("SPR", False, -0.1, unknown))
+
+
 def test_reverify_column_witness_must_solve():
     T = diagonal([1.5, 0.5])  # (I - T)^{-1} = diag(-2, 2)
     cone = orthant(2, "linf")
@@ -932,7 +949,7 @@ def test_lorentz_resolvent_witness_reverify():
 
 
 def test_lorentz_cross_check_seeds_with_the_perron_vector(monkeypatch):
-    # USG and ISG seed their searches with the Lorentz Perron vector of the
+    # USG seeds its search with the Lorentz Perron vector of the
     # spectral bracket; no approximate eigenvector is searched for
     import posstab.criteria as crit
 
@@ -1184,15 +1201,16 @@ def _with_planted_inverse(a, factor):
 @pytest.mark.parametrize(
     "factor,caught_by",
     [
-        (0.99, "feasibility probe succeeds below"),
-        (0.9999, "feasibility probe succeeds below"),
-        (0.99999, "feasibility probe succeeds below"),
+        (0.99, "falls short of eta z"),
+        (0.9999, "falls short of eta z"),
+        (0.99999, "falls short of eta z"),
         (1.01, "is not feasible at"),
     ],
 )
 def test_interior_small_gain_catches_planted_inverse(kind, norm, factor, caught_by):
-    # R*0.99 puts eta 1% high: the probe just below it finds a feasible point;
-    # so it does with eta 1e-4 and 1e-5 high, before its rows settle.
+    # x = eta R z is the true Rz/||Rz|| for every factor, so (I - T)x = eta_true z.
+    # R*0.99 puts eta 1% high: (I - T)x falls short of eta z, and so it does
+    # with eta 1e-4 and 1e-5 high, beyond the 1e-6 relative slack.
     # R*1.01 puts eta 1% low: x = Rz/||Rz|| is not feasible there.
     n = 16
     a = _stable_positive(kind, n, seed=3)
@@ -1238,25 +1256,126 @@ def test_lorentz_uniform_small_gain_makes_two_distance_calls(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["orthant", "lorentz"])
 def test_mbi_falsification_pair_reverifies(kind):
-    # R*0.2 makes c five times too small: the falsification search fires, and
-    # its pair (x, y) is checked: x, y, y - (I - T)x in K and ||x|| > c ||y||
+    # R*0.2 makes c five times too small: MBI reads the norm that `_resolvent_norm`
+    # checks at its attaining vector, so it raises before issuing c; against that c
+    # the sampled search `_falsification_pair` finds a pair (x, y) with x, y and
+    # y - (I - T)x in K and ||x|| > c ||y||
     n = 16
-    T = _with_planted_inverse(_stable_positive(kind, n, seed=7), 0.2)
+    a = _stable_positive(kind, n, seed=7)
+    T = _with_planted_inverse(a, 0.2)
     cone = orthant(n, "l2") if kind == "orthant" else lorentz(n, "l2")
-    c, v = mbi_constant(T, cone)
-    assert not v.holds and v.witness.kind == "cone_vector" and v.witness.z is not None
-    assert reverify_witness(T, cone, v)
-    scaled = replace(v, witness=replace(v.witness, z=10.0 * v.witness.z))
-    assert not reverify_witness(T, cone, scaled)
-    outside = replace(v, witness=replace(v.witness, vector=-v.witness.vector))
-    assert not reverify_witness(T, cone, outside)
+    assert check_resolvent_positivity(T, cone).holds
+    with pytest.raises(ArithmeticError, match="is not attained"):
+        mbi_constant(T, cone)
+    c = induced_norm(0.2 * np.linalg.inv(np.eye(n) - a), "l2")  # C = 1 on both cones under l2
+    pair = _falsification_pair(T, cone, c)
+    assert pair is not None
+    x, y = pair
+    assert all(contains(cone, v, 1e-12) for v in (x, y, y - x + apply(T, x)))
+    assert vec_norm(x, "l2") > c * vec_norm(y, "l2")
+
+
+def _falsification_pair(T, cone, c):
+    """First of 1000 random cone pairs (x, y) with (I - T)x <= y and ||x|| > c ||y|| + 1e-9,
+    or None: a sampled search for a violation of MBI's bound c."""
+    rng = np.random.default_rng(0)
+    X = random_points(cone, rng, 1000)
+    # rows y = w + z + s r over w = (I - T) x: w + z is the positive part of w
+    # (decompose), r is cone noise, so y >= w and y is in the cone
+    Y = X - apply(T, X.T).T
+    Y += decompose(cone, Y)[1]
+    Y += rng.uniform(0.0, 1.0, size=(len(X), 1)) * random_points(cone, rng, len(X))
+    bad = np.nonzero(batch_vec_norm(X, cone.norm) > c * batch_vec_norm(Y, cone.norm) + 1e-9)[0]
+    return (X[bad[0]], Y[bad[0]]) if bad.size else None
+
+
+def _monotone_point(a, cone, X, w):
+    """First row x with ax + w - x in the cone (within 1e-12) of up to 90 steps of
+    x <- normalize(project(ax + w)) on the unit cone rows X, or None: a sampled
+    search for a point that is feasible for INTERIOR_SG at the eta of w = eta z.
+
+    None also comes early, once a step leaves the rows unchanged to rounding
+    (every entry within 16 ulps of the largest) while every margin is below
+    -1e-12 - g, g = L (16 + 4 (n + 2)) u s, s = ||a||_inf + ||w||_inf + 1, L = 1
+    on the orthant and 1 + sqrt(n - 1) on the Lorentz cone: g bounds how far
+    rounding moves a margin, so each later step would repeat this step's
+    failed hit test.
+    """
+    n = cone.dim
+    lip = 1.0 if cone.kind == "orthant" else 1.0 + np.sqrt(n - 1)
+    s = float(np.max(np.abs(a).sum(axis=1))) + float(np.max(np.abs(w))) + 1.0
+    g = lip * (16.0 + 4.0 * (n + 2)) * UNIT_ROUNDOFF * s
+    for _ in range(90):
+        W = X @ a.T + w
+        m = margin(cone, W - X)
+        hit = np.nonzero(m >= -1e-12)[0]
+        if hit.size:
+            return X[int(hit[0])].copy()
+        Y = _cone_unit_rows(cone, W)
+        if Y.size == 0:
+            return None
+        if Y.shape == X.shape and np.max(m) < -1e-12 - g:
+            if np.max(np.abs(Y - X)) <= 16.0 * UNIT_ROUNDOFF * np.max(np.abs(Y)):
+                return None
+        X = Y
+    return None
+
+
+def _feasible_below(T, cone, z, eta):
+    """`_monotone_point` just below eta from the `_usg_seeds` rows: the ones vector, the
+    e_i or the rays e_0 +- e_i and the interior point, the Perron vector and 16 random points."""
+    mz = float(margin(cone, z))
+    slack = 1e-6 * eta * mz + 1e-12
+    seeds = _cone_unit_rows(cone, _usg_seeds(T, cone, np.random.default_rng(0), 16))
+    return _monotone_point(materialize(T), cone, seeds, (eta - slack / mz) * z)
+
+
+def _oracle_cases():
+    for name in gallery_names():
+        entry = gallery_build(name)
+        yield pytest.param(entry.operator, entry.cone, id=f"gallery-{name}")
+    for rho in (0.5, 0.97):
+        for n in (8, 16, 64):
+            for norm in ("linf", "l2"):
+                a = np.random.default_rng(n).uniform(0.0, 1.0, size=(n, n))
+                a *= rho / float(np.max(np.abs(np.linalg.eigvals(a))))
+                yield pytest.param(dense(a), orthant(n, norm), id=f"orthant-{norm}-n{n}-rho{rho}")
+        for n in (8, 16):
+            a = _lorentz_positive(np.random.default_rng(n), n, rho)
+            yield pytest.param(dense(a), lorentz(n, "l2"), id=f"lorentz-n{n}-rho{rho}")
+
+
+@pytest.mark.parametrize("T, cone", _oracle_cases())
+def test_sampling_oracles_find_nothing_against_the_closed_forms(T, cone):
+    # the searches that MBI and INTERIOR_SG ran on every call before their
+    # closed forms were checked at the attaining vectors
+    if not check_resolvent_positivity(T, cone).holds:
+        pytest.skip("no positive inverse: MBI and INTERIOR_SG fail with RESOLVENT_POS")
+    c, mbi = mbi_constant(T, cone)
+    z = interior_point(cone)
+    eta, isg = interior_small_gain(T, cone, z)
+    assert mbi.holds and isg.holds
+    assert _falsification_pair(T, cone, c) is None
+    assert _feasible_below(T, cone, z, eta) is None
+
+
+@pytest.mark.parametrize("kind,norm", [("orthant", "linf"), ("orthant", "l2"), ("lorentz", "l2")])
+def test_sampling_oracles_fire_on_planted_inverses(kind, norm):
+    # R*0.99 puts ISG's eta 1% high and R*0.2 MBI's c five times too low
+    n = 16
+    a = _stable_positive(kind, n, seed=3)
+    cone = orthant(n, norm) if kind == "orthant" else lorentz(n, norm)
+    z = interior_point(cone)
+    inv = np.linalg.inv(np.eye(n) - a)
+    T = dense(a)
+    eta = 1.0 / vec_norm(0.99 * inv @ z, norm)
+    assert _feasible_below(T, cone, z, eta) is not None
+    assert _falsification_pair(T, cone, 0.2 * induced_norm(inv, norm)) is not None
 
 
 def test_interior_small_gain_makes_at_most_one_probe(monkeypatch):
-    # each step of a feasibility probe calls `margin` once, and a probe that
-    # finds nothing stops once its rows settle (15 steps here, at most 90);
-    # besides one probe, the closed form calls it for the positivity gate,
-    # margin(z) and the witness check
+    # the closed form runs no feasibility probe: `margin` is called for
+    # margin(z), the positivity gate and the two sides of the check at x = eta Rz
     import posstab.criteria as crit
 
     n = 64
@@ -1271,7 +1390,7 @@ def test_interior_small_gain_makes_at_most_one_probe(monkeypatch):
     T, cone = dense(_stable_positive("orthant", n, seed=9, rho=0.97)), orthant(n, "l2")
     eta, v = interior_small_gain(T, cone, np.ones(n))
     assert v.holds
-    assert len(calls) <= 24 + 3
+    assert calls == [(n,), (n, n), (n,), (n,)]
 
 
 def test_resolvent_positivity_checked_once_per_cone(monkeypatch):
@@ -1312,6 +1431,68 @@ def test_cross_check_searches_the_envelope_once(monkeypatch):
     assert eq["s"] == 1.0 / rep.iss["a"]
     assert eq["K"] == geometric_envelope(T, rep.iss["a"], "linf")[1]
     assert len(calls) == 1
+
+
+def _dense_positive(n, rho):
+    """certbench's inputs.dense_positive(default_rng(0), n, rho)."""
+    a = np.random.default_rng(0).uniform(0.0, 1.0, size=(n, n))
+    return a * (rho / float(np.max(np.abs(np.linalg.eigvals(a)))))
+
+
+def _count_chains(monkeypatch):
+    """Record the squarings of every `_doubling` chain, wherever it is called from."""
+    import posstab.criteria as crit
+    import posstab.lyapunov as lyap
+    import posstab.operators as ops
+
+    real, chains = ops._doubling, []
+
+    def counting(p, consumers):
+        chains.append(real(p, consumers))
+        return chains[-1]
+
+    for mod in (crit, lyap, ops):
+        monkeypatch.setattr(mod, "_doubling", counting)
+    return chains
+
+
+@pytest.mark.parametrize("rho, squarings", [(0.97, 11), (0.5, 7), (1.05, 8)])
+def test_cross_check_squares_t_on_one_chain(monkeypatch, rho, squarings):
+    # the quasi-compact samples, Stein's doubling (upper < 1) and the inverse's
+    # Neumann probe (upper <= 0.995) read one chain T, T^2, T^4, ...
+    chains = _count_chains(monkeypatch)
+    n = 64
+    rep = cross_check(dense(_dense_positive(n, rho)), orthant(n, "l2"))
+    assert rep.consensus == ("STABLE" if rho < 1.0 else "UNSTABLE")
+    assert chains == [squarings]
+
+
+@pytest.mark.parametrize("rho, alone", [(0.97, (11, 11, 10)), (0.5, (7, 6, 5))])
+def test_shared_chain_gives_the_results_of_the_chains_alone(monkeypatch, rho, alone):
+    # quasi-compact samples, Neumann probe and Stein each on their own chain
+    # (squarings: quasi, Neumann, Stein) against the one chain they share
+    from posstab import resolvent_apply, solve_stein
+    from posstab.operators import _neumann_resolvent, _probe, _taken
+
+    chains = _count_chains(monkeypatch)
+    n = 64
+    a, cone = _dense_positive(n, rho), orthant(n, "l2")
+    shared, own = dense(a), dense(a)
+    fused = quasi_compact_suite(shared, cone)
+    # the riders stay on `shared` until they are read, so this chain runs alone
+    quasi = quasi_compact_suite(shared, cone)
+    assert [v.to_dict() for v in quasi] == [v.to_dict() for v in fused]
+    probe = vars(shared)["_memo"][("neumann", 1.0)].result
+    inv = resolvent_apply(shared, 1.0, np.eye(n))
+    assert _taken(shared, ("neumann", 1.0)) is None  # read once, then dropped
+    stein = solve_stein(shared)
+    assert chains == [alone[0], alone[0]]
+    assert _neumann_resolvent(own, 1.0, _probe(n)).tobytes() == probe.tobytes()
+    assert resolvent_apply(own, 1.0, np.eye(n)).tobytes() == inv.tobytes()
+    ref = solve_stein(own)
+    assert chains == [alone[0], alone[0], alone[1], alone[1], alone[2]]
+    assert ref.Q.tobytes() == stein.Q.tobytes()
+    assert (ref.n_terms, ref.tail_bound, ref.residual) == (stein.n_terms, stein.tail_bound, stein.residual)
 
 
 # ------------------------------------------------- serialization

@@ -93,7 +93,7 @@ def _stein_with_every_stop_test(a):
 
     q, p = np.eye(a.shape[0]), a
     for j in range(1, lyap.STEIN_MAX_SQUARINGS + 1):
-        q, p = lyap._smith_step(q, p)
+        q, p = q + p.T @ q @ p, p @ p
         (p_norm, q_norm), _ = l2_upper_bounds(np.stack([p, q]), max_steps=0)
         if p_norm**2 <= UNIT_ROUNDOFF * (1.0 - p_norm**2):
             return 0.5 * (q + q.T), p_norm**2 * q_norm / (1.0 - p_norm**2), 2**j, j
@@ -141,21 +141,19 @@ def test_stein_residual_catches_a_corrupted_doubling_step(monkeypatch, step):
     a = rng.uniform(0.0, 1.0, size=(5, 5))
     a *= 0.95 / float(np.max(np.abs(np.linalg.eigvals(a))))
     T = dense(a)
-    real = lyap._smith_step
-    calls = []
+    real = lyap._Stein.__call__
 
-    def corrupted(q, p):
-        q, p = real(q, p)
-        calls.append(1)
-        if len(calls) == step:
-            q = q.copy()
-            q[0, 1] += 1e-6 * float(np.max(np.abs(q)))
-        return q, p
+    def corrupted(self, j, p):
+        more = real(self, j, p)
+        if more and j + 1 == step:  # Q now holds 2^step terms
+            self.q = self.q.copy()
+            self.q[0, 1] += 1e-6 * float(np.max(np.abs(self.q)))
+        return more
 
-    monkeypatch.setattr(lyap, "_smith_step", corrupted)
+    monkeypatch.setattr(lyap._Stein, "__call__", corrupted)
     with pytest.raises(ArithmeticError, match="Stein residual"):
         solve_stein(T)
-    monkeypatch.setattr(lyap, "_smith_step", real)
+    monkeypatch.setattr(lyap._Stein, "__call__", real)
     assert solve_stein(T).residual <= 1e-12
 
 
