@@ -64,8 +64,12 @@ def batch_induced_norm(P, norm="linf", start=None):
     l1 and linf are the floating-point column and row sums, in the same
     arithmetic as `induced_norm`.  l2 entries are certified upper bounds from
     `l2_upper_bounds`, whose power steps begin at `start` (a unit vector of
-    length n, or None); the returned start is the last matrix's refined
-    vector, for the next stack of a sequence (None for l1 and linf).
+    length n, or None) and stop once every matrix is converged and usable
+    or all have stalled; a matrix left unconverged or unusable (top
+    two singular values close) is certified by one O(n^3) floating-point
+    Cholesky, after an eigvalsh where its Rayleigh quotient has not
+    converged.  The returned start is the last matrix's refined vector,
+    for the next stack of a sequence (None for l1 and linf).
     """
     P = np.asarray(P, dtype=float)
     if norm == "l1":
@@ -81,7 +85,7 @@ def batch_induced_norm(P, norm="linf", start=None):
 def l2_upper_bounds(P, start=None, max_steps=64):
     """(bounds, vectors): certified upper bounds on ||P_i||_2 for a stack of shape (b, m, n).
 
-    Each bound is sqrt(min(||P||_F^2, ||P||_1 ||P||_inf, theta + r)), every
+    Each bound is sqrt(min(||P||_F^2, ||P||_1 ||P||_inf, theta + r, s)), every
     term rounded up by a gamma_k margin for the k operations behind it
     (Higham, Accuracy and Stability, 3.1; Rump, Acta Numerica 19, 2010).
     theta and r are the Rayleigh quotient and residual norm of a power step
@@ -89,10 +93,21 @@ def l2_upper_bounds(P, start=None, max_steps=64):
     sum to at most trace(B) - theta + r, so theta + r bounds the largest
     one when ||P||_F^2 = trace(B) <= 2 theta.  The power steps start at
     `start` (default: a graded positive vector) and run on the whole stack
-    until every residual is below L2_RESIDUAL_RTOL * theta or max_steps is
-    reached; each step's bound is kept when it is the smallest so far.
-    Each matrix is first scaled by a power of two, which is exact.
-    `vectors` holds the refined unit vectors, one per matrix.
+    for at most max_steps; each step's bound is kept when it is the
+    smallest so far.  They stop once every matrix is converged (r <=
+    L2_RESIDUAL_RTOL * theta) and usable (||P||_F^2 <= 2 theta), or once
+    every matrix has stalled: r/theta fell by less than half over the last
+    two steps, or r = 0.  A converged matrix stalls at its rounding floor;
+    one that is not stalls when its top two singular values are close,
+    where theta + r is unusable or loose.
+    When max_steps > 0, each matrix that is not converged and usable then
+    gets s from `_cholesky_upper`: a floating-point Cholesky that
+    certifies lambda_max(P^T P) <= s, tried first at theta and, where that
+    fails, at the top eigenvalue of fl(P^T P) from `numpy.linalg.eigvalsh`.
+    That costs O(m n^2 + n^3) per such matrix; with max_steps = 0 neither
+    the steps nor the certificate run.  Each matrix is first scaled by a
+    power of two, which is exact.  `vectors` holds the refined unit
+    vectors, one per matrix.
     """
     P = np.asarray(P, dtype=float)
     b, m, n = P.shape
@@ -107,6 +122,7 @@ def l2_upper_bounds(P, start=None, max_steps=64):
     slack = _gamma(2 * (m + n) + 8) * fro2
     v = 1.0 + 1e-3 * np.arange(n) if start is None else np.asarray(start, dtype=float)
     v = np.tile(v / np.linalg.norm(v), (b, 1))
+    done, seen = np.ones(b, dtype=bool), []
     for _ in range(max_steps):
         w = np.einsum("bij,bj->bi", P, v)
         theta = np.einsum("bi,bi->b", w, w)
@@ -115,13 +131,79 @@ def l2_upper_bounds(P, start=None, max_steps=64):
         r_up = r * (1.0 + _gamma(2 * n + 4)) / np.sqrt(np.einsum("bi,bi->b", v, v)) + slack
         usable = fro2 <= 2.0 * theta
         best = np.where(usable, np.minimum(best, (theta + r_up) * (1.0 + _gamma(1))), best)
+        done = usable & (r <= L2_RESIDUAL_RTOL * theta)
         gn = np.linalg.norm(g, axis=1)
         if not np.any(gn > 0.0):
             break
         v = np.where(gn[:, None] > 0.0, g / np.where(gn > 0.0, gn, 1.0)[:, None], v)
-        if np.all(r <= L2_RESIDUAL_RTOL * theta):
+        if np.all(done):
             break
+        seen.append((r, theta))
+        if len(seen) > 2:
+            # every matrix stalled: r/theta fell by less than half since two steps back, or
+            # r = 0; converged ones too, so that their theta + r reaches its rounding floor
+            r2, theta2 = seen[-3]
+            if np.all((r * theta2 >= 0.5 * r2 * theta) | (r == 0.0)):
+                break
+    if not np.all(done):
+        todo = np.flatnonzero(~done)
+        Q = P if len(todo) == b else P[todo]
+        # numpy's cholesky and eigvalsh read only the lower triangle, so the matrix they see is
+        # symmetric, and each entry a computed dot product within gamma_m (|P|^T |P|)_ij of P^T P
+        B = np.matmul(np.swapaxes(Q, 1, 2), Q)
+        e = _gamma(m + 1) * fro2[todo]  # ||fl(P^T P) - P^T P||_2 <= gamma_m || |P| ||_2^2
+        # a converged theta (all singular values close) is tried first: no eigensolver
+        s = np.full(len(todo), np.inf)
+        first = np.flatnonzero(r[todo] <= L2_RESIDUAL_RTOL * theta[todo])
+        if len(first):
+            s[first] = _cholesky_upper(B[first], e[first], theta[todo][first])
+        miss = np.flatnonzero(np.isinf(s))
+        if len(miss):
+            s[miss] = _cholesky_upper(B[miss], e[miss], np.linalg.eigvalsh(B[miss])[:, -1])
+        best[todo] = np.minimum(best[todo], s)
     return np.ldexp(np.sqrt(best * (1.0 + _gamma(8))), exponent), v
+
+
+def _cholesky_upper(B, e, lam):
+    """Certified upper bounds on lambda_max(B + E) for ||E||_2 <= e, one per matrix of a
+    symmetric stack B of shape (k, n, n), from estimates lam of lambda_max(B); inf where
+    the certificate fails.
+
+    The candidate is t = lam (1 + 4 n gamma_(n+2)) + 2 e, which covers an
+    error of about 4 n^2 u in lam.  A floating-point Cholesky of
+    A = fl(t I - B) that runs to completion gives R^T R = A + D with
+    |D| <= gamma_(n+2) |R^T| |R| (Demmel's bound, Higham, Accuracy and
+    Stability, Thm 10.3, with one more rounding where LAPACK scales a
+    column by the reciprocal of its pivot).  As ||R e_j||^2 <= A_jj / (1 -
+    gamma_(n+2)), ||D||_2 <= gamma_(n+2) / (1 - gamma_(n+2)) trace(A), so
+    (t + c) I - B is positive definite for c that multiple of trace(A),
+    plus u max_i A_ii for the rounding of A's diagonal and a term for
+    underflow: the shift of Rump's criterion ("Verification of positive
+    definiteness", BIT 46, 2006), read off the matrix that was factored.
+    The bound is t + c + e, rounded up.  A candidate t below
+    lambda_max(B) leaves A indefinite, and its Cholesky fails.  Costs one
+    batched O(n^3) Cholesky, plus one per matrix when any of them fails.
+    """
+    k, n, _ = B.shape
+    g = _gamma(n + 2)
+    t = lam * (1.0 + 4 * n * g) + 2.0 * e
+    A = -B
+    diag = A.reshape(k, n * n)[:, :: n + 1]  # a view of the diagonals
+    diag += t[:, None]
+    try:
+        ok = np.isfinite(np.linalg.cholesky(A)).all(axis=(1, 2))
+    except np.linalg.LinAlgError:  # raised for the whole stack when one matrix fails
+        ok = np.zeros(k, dtype=bool)
+        for i, a in enumerate(A):
+            try:
+                ok[i] = np.isfinite(np.linalg.cholesky(a)).all()
+            except np.linalg.LinAlgError:
+                pass
+    # a sum of n positive terms, rounded up; max_i A_ii <= trace(A); 2^-1000 (n+1)^2 (1 + trace)
+    # exceeds every underflow term of the factorization, each a few n^2 (1 + max A_ii) 2^-1074
+    tr = diag.sum(axis=1) * (1.0 + _gamma(n))
+    c = (g / (1.0 - g) + UNIT_ROUNDOFF) * tr + 2.0**-1000 * (n + 1) ** 2 * (1.0 + tr)
+    return np.where(ok, (t + c * (1.0 + _gamma(4)) + e) * (1.0 + _gamma(3)), np.inf)
 
 
 def _l2_induced(a, start=None):

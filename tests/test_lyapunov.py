@@ -133,6 +133,23 @@ def test_stein_gate_skips_only_stop_tests_that_cannot_pass(monkeypatch, T, stop_
     assert len(tests) == stop_tests < tests_ref
 
 
+def test_stein_stop_test_never_runs_the_l2_certificate(monkeypatch):
+    # the stop test asks for max_steps=0: no power steps and no O(n^3) Cholesky,
+    # even on a stack whose singular values all agree
+    import posstab.lyapunov as lyap
+    import posstab.norms as norms
+
+    q, _ = np.linalg.qr(np.random.default_rng(6).normal(size=(6, 6)))
+    tests, certified = [], []
+    real = norms._cholesky_upper
+    monkeypatch.setattr(norms, "_cholesky_upper", lambda *a: certified.append(1) or real(*a))
+    monkeypatch.setattr(lyap, "l2_upper_bounds", lambda *a, **k: tests.append(k) or l2_upper_bounds(*a, **k))
+    for T in (dense(0.5 * q), _dense_at_radius(8, 0.97, 2), dense(np.full((64, 64), 0.97 / 64))):
+        solve_stein(T)
+    assert tests and all(k == {"max_steps": 0} for k in tests)
+    assert not certified
+
+
 @pytest.mark.parametrize("step", [1, 2, 5])
 def test_stein_residual_catches_a_corrupted_doubling_step(monkeypatch, step):
     import posstab.lyapunov as lyap

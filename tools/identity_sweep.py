@@ -28,7 +28,11 @@ stable orthant maps that are not positive: [[0.5, -1], [0, 0.5]] on
 orthant-linf and normal(0, 1) matrices rescaled to rho in {0.5, 0.9},
 n in {4, 8}, on orthant-linf and orthant-l2; these get the restricted
 report, whose Lyapunov section uses the plain (not the lattice)
-equivalent norm.  For each op of
+equivalent norm.  Then, from its own rng, the l2-clustered family on
+orthant-l2: certbench's `l2-counterexample` map and 0.9 * Q for a 12 x 12
+orthogonal Q, whose powers keep their top singular values close, so
+that their l2 power-norm table is certified by Cholesky rather than by
+power steps.  For each op of
 `build_ops("simulate", s)`, s in {0, 1}, it records the SHA-256 of
 `simulate(T, x0, u, K).states.tobytes()` and `iss_constants(T).to_dict()`.
 A case that raises is recorded as {"error": "<Type>: <message>"}.  It
@@ -146,6 +150,11 @@ def cases(np, inputs, ps):
             for rho in (0.5, 0.9):
                 a = inputs.rescaled(rng.normal(size=(n, n)), rho)
                 yield f"signed/{norm}/n{n}/rho{rho}", ps.dense(a), ps.orthant(n, norm), (), SEED
+    rng = np.random.default_rng(SEED + 4)
+    yield "l2-clustered/counterexample", ps.dense(inputs.L2_COUNTEREXAMPLE), ps.orthant(2, "l2"), (), SEED
+    q, r = np.linalg.qr(rng.normal(size=(12, 12)))
+    a = 0.9 * q * np.sign(np.diag(r))
+    yield "l2-clustered/orthogonal12", ps.dense(a), ps.orthant(12, "l2"), (), SEED
 
 
 def _record(report):
