@@ -65,11 +65,11 @@ def batch_induced_norm(P, norm="linf", start=None):
     arithmetic as `induced_norm`.  l2 entries are certified upper bounds from
     `l2_upper_bounds`, whose power steps begin at `start` (a unit vector of
     length n, or None) and stop once every matrix is converged and usable
-    or all have stalled; a matrix left unconverged or unusable (top
-    two singular values close) is certified by one O(n^3) floating-point
-    Cholesky, after an eigvalsh where its Rayleigh quotient has not
-    converged.  The returned start is the last matrix's refined vector,
-    for the next stack of a sequence (None for l1 and linf).
+    or, with none converged, all have stalled; a matrix left unconverged or
+    unusable (top two singular values close) is certified by one eigvalsh
+    and one floating-point Cholesky, O(n^3) each.  The returned start is
+    the last matrix's refined vector, for the next stack of a sequence
+    (None for l1 and linf).
     """
     P = np.asarray(P, dtype=float)
     if norm == "l1":
@@ -96,18 +96,18 @@ def l2_upper_bounds(P, start=None, max_steps=64):
     for at most max_steps; each step's bound is kept when it is the
     smallest so far.  They stop once every matrix is converged (r <=
     L2_RESIDUAL_RTOL * theta) and usable (||P||_F^2 <= 2 theta), or once
-    every matrix has stalled: r/theta fell by less than half over the last
-    two steps, or r = 0.  A converged matrix stalls at its rounding floor;
-    one that is not stalls when its top two singular values are close,
-    where theta + r is unusable or loose.
+    none is converged and every one has stalled: r/theta fell by less than
+    half over the last two steps, or r = 0, as when the top two singular
+    values are close and theta + r is unusable or loose.  While one matrix
+    is converged, the stack takes the steps it would take without the stall
+    rule, so a converged matrix gets the bound it would get without it.
     When max_steps > 0, each matrix that is not converged and usable then
     gets s from `_cholesky_upper`: a floating-point Cholesky that
-    certifies lambda_max(P^T P) <= s, tried first at theta and, where that
-    fails, at the top eigenvalue of fl(P^T P) from `numpy.linalg.eigvalsh`.
-    That costs O(m n^2 + n^3) per such matrix; with max_steps = 0 neither
-    the steps nor the certificate run.  Each matrix is first scaled by a
-    power of two, which is exact.  `vectors` holds the refined unit
-    vectors, one per matrix.
+    certifies lambda_max(P^T P) <= s at the top eigenvalue of fl(P^T P)
+    from `numpy.linalg.eigvalsh`.  That costs O(m n^2 + n^3) per such
+    matrix; with max_steps = 0 neither the steps nor the certificate run.
+    Each matrix is first scaled by a power of two, which is exact.
+    `vectors` holds the refined unit vectors, one per matrix.
     """
     P = np.asarray(P, dtype=float)
     b, m, n = P.shape
@@ -140,10 +140,10 @@ def l2_upper_bounds(P, start=None, max_steps=64):
             break
         seen.append((r, theta))
         if len(seen) > 2:
-            # every matrix stalled: r/theta fell by less than half since two steps back, or
-            # r = 0; converged ones too, so that their theta + r reaches its rounding floor
+            # none converged and all stalled: r/theta fell by less than half since two steps
+            # back, or r = 0; while one is converged, the stack steps on as without this rule
             r2, theta2 = seen[-3]
-            if np.all((r * theta2 >= 0.5 * r2 * theta) | (r == 0.0)):
+            if np.all(~done & ((r * theta2 >= 0.5 * r2 * theta) | (r == 0.0))):
                 break
     if not np.all(done):
         todo = np.flatnonzero(~done)
@@ -152,15 +152,7 @@ def l2_upper_bounds(P, start=None, max_steps=64):
         # symmetric, and each entry a computed dot product within gamma_m (|P|^T |P|)_ij of P^T P
         B = np.matmul(np.swapaxes(Q, 1, 2), Q)
         e = _gamma(m + 1) * fro2[todo]  # ||fl(P^T P) - P^T P||_2 <= gamma_m || |P| ||_2^2
-        # a converged theta (all singular values close) is tried first: no eigensolver
-        s = np.full(len(todo), np.inf)
-        first = np.flatnonzero(r[todo] <= L2_RESIDUAL_RTOL * theta[todo])
-        if len(first):
-            s[first] = _cholesky_upper(B[first], e[first], theta[todo][first])
-        miss = np.flatnonzero(np.isinf(s))
-        if len(miss):
-            s[miss] = _cholesky_upper(B[miss], e[miss], np.linalg.eigvalsh(B[miss])[:, -1])
-        best[todo] = np.minimum(best[todo], s)
+        best[todo] = np.minimum(best[todo], _cholesky_upper(B, e, np.linalg.eigvalsh(B)[:, -1]))
     return np.ldexp(np.sqrt(best * (1.0 + _gamma(8))), exponent), v
 
 
@@ -170,16 +162,17 @@ def _cholesky_upper(B, e, lam):
     the certificate fails.
 
     The candidate is t = lam (1 + 4 n gamma_(n+2)) + 2 e, which covers an
-    error of about 4 n^2 u in lam.  A floating-point Cholesky of
-    A = fl(t I - B) that runs to completion gives R^T R = A + D with
-    |D| <= gamma_(n+2) |R^T| |R| (Demmel's bound, Higham, Accuracy and
-    Stability, Thm 10.3, with one more rounding where LAPACK scales a
-    column by the reciprocal of its pivot).  As ||R e_j||^2 <= A_jj / (1 -
-    gamma_(n+2)), ||D||_2 <= gamma_(n+2) / (1 - gamma_(n+2)) trace(A), so
-    (t + c) I - B is positive definite for c that multiple of trace(A),
+    error of about 4 n^2 u in lam.  The proof is Higham's (Accuracy and
+    Stability, Thm 10.3): a floating-point Cholesky of A = fl(t I - B) that
+    runs to completion gives R^T R = A + D with |D| <= gamma_(n+2) |R^T| |R|,
+    one rounding more than the theorem's gamma_(n+1) for the reciprocal of
+    the pivot by which LAPACK scales a column.  As ||R e_j||^2 <= A_jj /
+    (1 - gamma_(n+2)), ||D||_2 <= gamma_(n+2) / (1 - gamma_(n+2)) trace(A),
+    so (t + c) I - B is positive definite for c that multiple of trace(A),
     plus u max_i A_ii for the rounding of A's diagonal and a term for
-    underflow: the shift of Rump's criterion ("Verification of positive
-    definiteness", BIT 46, 2006), read off the matrix that was factored.
+    underflow.  This follows the approach of Rump ("Verification of
+    positive definiteness", BIT 46, 2006), but c has not been compared with
+    the constant of Rump's corollary.
     The bound is t + c + e, rounded up.  A candidate t below
     lambda_max(B) leaves A indefinite, and its Cholesky fails.  Costs one
     batched O(n^3) Cholesky, plus one per matrix when any of them fails.

@@ -79,7 +79,7 @@ def test_cholesky_refuses_a_candidate_below_the_top_eigenvalue(monkeypatch, kind
     e = np.array([_gamma(len(a) + 1) * float(np.sum(a * a))])
     assert norms._cholesky_upper((a.T @ a)[None], e, np.array([lam]))[0] >= lam
     assert norms._cholesky_upper((a.T @ a)[None], e, np.array([0.999 * lam]))[0] == np.inf
-    # planted in both candidates, the old bound stands and stays above the norm
+    # planted in the eigvalsh candidate, the old bound stands and stays above the norm
     real = norms._cholesky_upper
     monkeypatch.setattr(norms, "_cholesky_upper", lambda B, e, lam: real(B, e, 0.999 * lam))
     (bound,), _ = l2_upper_bounds(a[None])
@@ -244,3 +244,22 @@ def test_stalled_table_blocks_stop_after_three_steps(monkeypatch):
         assert steps <= 3
         exact = np.array([np.linalg.norm(p, 2) for p in P])
         assert np.all(exact <= bounds) and np.all(bounds <= exact * (1.0 + 1e-12))
+
+
+def test_a_converged_matrix_keeps_stepping_beside_a_stalled_one(monkeypatch):
+    # the stall rule stops a stack only when none of its matrices has converged, so a
+    # converged matrix takes every step it would take without that rule
+    a = np.diag([1.0, 0.5, 0.25]) + 0.01
+    q = _orthogonal(np.random.default_rng(7), 3)
+    counter = _StepCounter()
+    monkeypatch.setattr(norms, "np", counter)
+    (alone,), _ = l2_upper_bounds(a[None])
+    counter.steps = 0
+    (beside, bound_q), _ = l2_upper_bounds(np.stack([a, q]))
+    assert counter.steps == 64
+    counter.steps = 0
+    l2_upper_bounds(np.stack([q, 2.0 * q]))
+    assert counter.steps <= 3
+    monkeypatch.undo()
+    assert np.linalg.norm(a, 2) <= beside <= alone
+    assert np.linalg.norm(q, 2) <= bound_q <= 1.0 + 1e-10
