@@ -3,7 +3,7 @@ input-class response checks and the summability (Datko) test.
 
 Simulation always runs two routes -- the recurrence and the convolution
 solution formula x(k+1) = T^{k+1} x(0) + sum_j T^{k-j} u(j), evaluated in
-blocks of at most 32 steps from T^0..T^32 alone, so in time linear in K --
+blocks of at most 8 steps from T^0..T^8 alone, so in time linear in K --
 and treats any disagreement as an internal error.  Convergence
 classifications over a finite horizon are necessarily heuristic; their
 thresholds are fixed constants and the spectral criterion stays the
@@ -35,7 +35,7 @@ DYADIC_BLOCK_FRACTION = 0.10
 BLOCK_RATIO_CONVERGENT = 0.9
 
 #: steps per block of the solution-formula route in `simulate`
-_CONVOLUTION_BLOCK = 32
+_CONVOLUTION_BLOCK = 8
 
 #: the block rule of `iss_constants` closes once its certified tail is at most this
 ISS_TAIL_TOL = 1e-10
@@ -103,15 +103,26 @@ class Trajectory:
         return self.states.shape[0]
 
 
+def _recurrence(a, x0, uv, K):
+    """x(0..K) of x(k+1) = T x(k) + u(k), one matvec per step."""
+    states = np.empty((K + 1, x0.shape[0]))
+    states[0] = x0
+    for k in range(K):
+        states[k + 1] = a @ states[k] + uv[k]
+    return states
+
+
 def _convolution_states(a, x0, uv, K):
-    """x(0..K) from the solution formula, evaluated in blocks of B = min(K, 32) steps.
+    """x(0..K) from the solution formula, evaluated in blocks of B = min(K, 8) steps.
 
     x(qB + r) = T^r x(qB) + sum_{i<r} T^{r-1-i} u(qB + i) for r = 1..B, with
     each block start x(qB) taken from this route's own previous block, never
     from the recurrence.  T^0..T^B are held in one (B+1, n, n) array; the
     input part of every block is B batched matmuls over the zero-padded
-    inputs, the state part one matmul per block.  Cost O(K B n^2) flops in
-    about K/B + B numpy calls, memory O(B n^2 + K n).
+    inputs, the state part one matmul per block.  Cost O(K 8 n^2) flops in
+    about K/8 + 8 numpy calls, memory O(8 n^2 + K n): a larger B buys fewer
+    calls with more flops, and at B = 32 the check cost more than the
+    recurrence it checks.
     """
     n = x0.shape[0]
     B = max(min(K, _CONVOLUTION_BLOCK), 1)
@@ -136,8 +147,8 @@ def simulate(T, x0, u, K=None, norm="linf", check_tol=1e-10):
     """Trajectory of x(k+1) = T x(k) + u(k) for k < K.
 
     The recurrence gives the states.  The solution formula, evaluated in
-    blocks of at most 32 steps (`_convolution_states`: linear in K, no K+1
-    stored powers), must agree with it at every step k within
+    blocks of at most 8 steps (`_convolution_states`: O(K 8 n^2) flops, no
+    K+1 stored powers), must agree with it at every step k within
     `check_tol` (1 + ||x(k)||_2); a disagreement raises ArithmeticError
     naming the first bad step and must never happen.
     """
@@ -152,14 +163,12 @@ def simulate(T, x0, u, K=None, norm="linf", check_tol=1e-10):
         raise DimensionMismatchError("input vectors must match the state dimension")
     if K is None:
         K = uv.shape[0]
+    if K < 0:
+        raise ValueError(f"K must be >= 0, got {K}")
     if K > uv.shape[0]:
         raise ValueError("K exceeds the available input length")
     a = materialize(T)
-    n = T.dim
-    states = np.empty((K + 1, n))
-    states[0] = x0
-    for k in range(K):
-        states[k + 1] = a @ states[k] + uv[k]
+    states = _recurrence(a, x0, uv, K)
     gaps = np.linalg.norm(_convolution_states(a, x0, uv, K)[1:] - states[1:], axis=1)
     bad = np.nonzero(gaps > check_tol * (1.0 + np.linalg.norm(states[1:], axis=1)))[0]
     if bad.size:
@@ -328,25 +337,31 @@ def verify_iss_bound(T, est, trials=100, rng=None, tol=1e-8):
 
     Each trial runs 100 steps from a normal x0 with inputs uniform in
     [-1, 1], batched through the same recurrence arithmetic as `simulate`;
-    the bound must hold at every step of every trial.
+    the bound must hold at every step of every trial.  Each step's inputs
+    are drawn inside the loop, in the order of one (100, trials, n) draw,
+    and only the state norms and each trial's running max input norm are
+    kept, so memory is O(trials (100 + n)).  The bounds are checked after
+    the loop, since each needs its trial's final ||u||_inf.  A non-finite
+    state norm returns False at once and skips the draws that are left.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     a = materialize(T)
-    n = T.dim
-    X = rng.normal(size=(trials, n))
+    X = rng.normal(size=(trials, T.dim))
     K = 100
-    U = rng.uniform(-1.0, 1.0, size=(K, trials, n))
-    x0n = batch_vec_norm(X, est.norm)
-    un = batch_vec_norm(U, est.norm).max(axis=0)
-    cur = X.copy()
-    for k in range(K + 1):
-        xn = batch_vec_norm(cur, est.norm)
-        bound = est.M * est.a**k * x0n + est.C * un + tol
-        if np.any(xn > bound):
+    xn = np.empty((K + 1, trials))
+    xn[0] = x0n = batch_vec_norm(X, est.norm)
+    un = np.zeros(trials)
+    cur = X
+    for k in range(K):
+        u = rng.uniform(-1.0, 1.0, size=X.shape)
+        np.maximum(un, batch_vec_norm(u, est.norm), out=un)
+        cur = cur @ a.T
+        cur += u
+        xn[k + 1] = batch_vec_norm(cur, est.norm)
+        if not np.all(np.isfinite(xn[k + 1])):
             return False
-        if k < K:
-            cur = cur @ a.T + U[k]
-    return True
+    scale = np.array([est.M * est.a**k for k in range(K + 1)])
+    return not np.any(xn > scale[:, None] * x0n + est.C * un + tol)
 
 
 @dataclass
@@ -380,15 +395,8 @@ def response_class_check(T, u, mode, rng=None, ag_eps=1e-3, norm="linf"):
     uv[: len(u)] = u.values
     a = materialize(T)
 
-    def run(x0):
-        states = np.empty((H + 1, n))
-        states[0] = x0
-        for k in range(H):
-            states[k + 1] = a @ states[k] + uv[k]
-        return batch_vec_norm(states, norm)
-
-    norms0 = run(np.zeros(n))
-    norms_r = run(rng.normal(size=n))
+    norms0 = batch_vec_norm(_recurrence(a, np.zeros(n), uv, H), norm)
+    norms_r = batch_vec_norm(_recurrence(a, rng.normal(size=n), uv, H), norm)
     detail = {"horizon": H}
 
     if mode == "lp":
@@ -470,6 +478,8 @@ def datko_test(T, x, p, K=64, norm="linf"):
     """
     if p < 1.0:
         raise ValueError("p must be >= 1")
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     x = np.asarray(x, dtype=float)
     if x.shape != (T.dim,):
         raise DimensionMismatchError(f"x must have shape ({T.dim},)")

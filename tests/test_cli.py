@@ -199,6 +199,19 @@ def test_simulate_csv_and_summary(files, tmp_path, capsys):
         float(ln.split(",")[-1])
 
 
+@pytest.mark.parametrize(
+    "command, steps, message",
+    [("simulate", "-1", "K must be >= 0, got -1"), ("datko", "0", "K must be >= 1, got 0")],
+)
+def test_invalid_horizons_are_usage_errors(files, command, steps, message, capsys):
+    argv = [command, "--matrix", files["upper2x2.json"], "--steps", steps]
+    if command == "simulate":
+        argv += ["--input", files["u.json"]]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_datko_csv_and_classification(files, tmp_path, capsys):
     out = str(tmp_path / "datko.csv")
     code = run(

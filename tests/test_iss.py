@@ -113,7 +113,7 @@ def _solution_formula(a, x0, uv, K):
 
 
 @pytest.mark.parametrize("kind", ["positive", "signed", "jordan"])
-@pytest.mark.parametrize("K", [0, 1, 2, 31, 32, 33, 97, 200])
+@pytest.mark.parametrize("K", [0, 1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 97, 200])
 def test_convolution_route_matches_the_explicit_solution_formula(kind, K):
     a = _route_operators()[kind]
     rng = np.random.default_rng(K)
@@ -132,7 +132,7 @@ def _simulate_case(n=16, K=100):
     return dense(a), rng.uniform(0.0, 1.0, size=n), rng.uniform(-1.0, 1.0, size=(K, n))
 
 
-@pytest.mark.parametrize("j", [0, 31, 32, 70])
+@pytest.mark.parametrize("j", [0, 7, 8, 31, 32, 70])
 def test_simulate_catches_a_corrupted_convolution_term(monkeypatch, j):
     # u(j) perturbed where only the convolution route sees it: first seen at step j + 1
     T, x0, u = _simulate_case()
@@ -148,7 +148,7 @@ def test_simulate_catches_a_corrupted_convolution_term(monkeypatch, j):
         simulate(T, x0, u)
 
 
-@pytest.mark.parametrize("k", [1, 32, 33, 100])
+@pytest.mark.parametrize("k", [1, 8, 9, 32, 33, 100])
 def test_simulate_catches_a_corrupted_state(monkeypatch, k):
     T, x0, u = _simulate_case()
     real = iss._convolution_states
@@ -161,6 +161,12 @@ def test_simulate_catches_a_corrupted_state(monkeypatch, k):
     monkeypatch.setattr(iss, "_convolution_states", planted)
     with pytest.raises(ArithmeticError, match=rf"at step {k} \("):
         simulate(T, x0, u)
+
+
+def test_simulate_rejects_a_negative_horizon():
+    with pytest.raises(ValueError, match="K must be >= 0, got -1"):
+        simulate(UPPER2X2, np.zeros(2), np.ones((3, 2)), K=-1)
+    assert len(simulate(UPPER2X2, np.ones(2), np.ones((3, 2)), K=0)) == 1
 
 
 def test_simulate_memory_is_bounded_at_long_horizons():
@@ -429,6 +435,82 @@ def test_verify_iss_bound_input_norms_match_the_per_trial_values(norm):
     assert not verify_iss_bound(diagonal(np.zeros(n)), low, rng=np.random.default_rng(6), tol=0.0)
 
 
+def _verify_iss_bound_one_shot(T, est, trials=100, rng=None, tol=1e-8):
+    """Reference: every input drawn up front as one (100, trials, n) block."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    a = materialize(T)
+    n = T.dim
+    X = rng.normal(size=(trials, n))
+    K = 100
+    U = rng.uniform(-1.0, 1.0, size=(K, trials, n))
+    x0n = batch_vec_norm(X, est.norm)
+    un = batch_vec_norm(U, est.norm).max(axis=0)
+    cur = X.copy()
+    for k in range(K + 1):
+        xn = batch_vec_norm(cur, est.norm)
+        bound = est.M * est.a**k * x0n + est.C * un + tol
+        if np.any(xn > bound):
+            return False
+        if k < K:
+            cur = cur @ a.T + U[k]
+    return True
+
+
+def _assert_matches_the_one_shot_loop(T, est, seed, expected, **kw):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert verify_iss_bound(T, est, rng=rng, **kw) is expected
+    assert _verify_iss_bound_one_shot(T, est, rng=ref_rng, **kw) is expected
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("n", [7, 16, 64])
+def test_verify_iss_bound_matches_the_one_shot_loop(n, norm):
+    rng = np.random.default_rng(n)
+    T = dense(_scaled(rng.uniform(0.0, 1.0, size=(n, n)), 0.95))
+    _assert_matches_the_one_shot_loop(T, iss_constants(T, norm=norm), n, True)
+
+
+def test_verify_iss_bound_matches_the_one_shot_loop_on_planted_constants():
+    est = iss_constants(UPPER2X2)
+    # M has room on these trials, C has none
+    _assert_matches_the_one_shot_loop(UPPER2X2, replace(est, M=est.M / 2), 5, True)
+    _assert_matches_the_one_shot_loop(UPPER2X2, replace(est, C=est.C / 2), 5, False)
+    for norm in ("l1", "l2", "linf"):
+        exact = ISSEstimate(M=1e6, a=1e-200, C=1.0, tail_bound=0.0, norm=norm, K=0)
+        zero = diagonal(np.zeros(7))
+        _assert_matches_the_one_shot_loop(zero, exact, 6, True, tol=0.0)
+        _assert_matches_the_one_shot_loop(zero, replace(exact, C=1.0 - 1e-15), 6, False, tol=0.0)
+    made_up = ISSEstimate(M=1.0, a=0.5, C=1.0, tail_bound=0.0, norm="linf", K=0)
+    _assert_matches_the_one_shot_loop(diagonal(2.0 * np.ones(3)), made_up, 7, False)
+
+
+def test_verify_iss_bound_stops_at_a_non_finite_state():
+    # the states overflow at step 2, where an infinite C would leave every bound unbroken
+    est = ISSEstimate(M=1.0, a=0.5, C=np.inf, tail_bound=0.0, norm="linf", K=0)
+    rng = np.random.default_rng(8)
+    with np.errstate(over="ignore"):
+        assert not verify_iss_bound(diagonal([1e200]), est, rng=rng)
+    ref = np.random.default_rng(8)
+    ref.normal(size=(100, 1))
+    ref.uniform(-1.0, 1.0, size=(2, 100, 1))  # the draws of steps 0 and 1 only
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_verify_iss_bound_memory_does_not_hold_the_input_block():
+    # the (100, 100, 64) input block and its |U| temporary take 10 MiB
+    rng = np.random.default_rng(64)
+    T = dense(_scaled(rng.uniform(0.0, 1.0, size=(64, 64)), 0.95))
+    est = iss_constants(T)
+    tracemalloc.start()
+    try:
+        assert verify_iss_bound(T, est, trials=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
 # ---------------------------------------------------------------- response classes
 
 def test_response_lp_convergent():
@@ -468,6 +550,12 @@ def test_response_ag_finite_time():
 
 
 # ---------------------------------------------------------------- datko
+
+@pytest.mark.parametrize("K", [0, -1])
+def test_datko_rejects_a_horizon_below_one(K):
+    with pytest.raises(ValueError, match=rf"K must be >= 1, got {K}"):
+        datko_test(dense([[2.0]]), [1.0], 1.0, K=K)
+
 
 def test_datko_scalar_convergent():
     res = datko_test(diagonal([0.5]), [1.0], 2, K=64)

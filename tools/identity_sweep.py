@@ -34,7 +34,10 @@ orthogonal Q, whose powers keep their top singular values close, so
 that their l2 power-norm table is certified by Cholesky rather than by
 power steps.  For each op of
 `build_ops("simulate", s)`, s in {0, 1}, it records the SHA-256 of
-`simulate(T, x0, u, K).states.tobytes()` and `iss_constants(T).to_dict()`.
+`simulate(T, x0, u, K).states.tobytes()`, `iss_constants(T).to_dict()`,
+the verdict of `verify_iss_bound(T, est)` on that estimate and
+`response_class_check(T, u, mode).to_dict()` for each mode "lp", "linf",
+"c0" and "ag".
 A case that raises is recorded as {"error": "<Type>: <message>"}.  It
 writes one JSON object keyed by case name.  `--src` picks the `posstab`
 source tree to import (default: this repository's `src`), so one script
@@ -168,9 +171,13 @@ def _record(report):
 def _simulate_report(ps, op):
     T = ps.dense(op.matrix)
     states = ps.simulate(T, op.x0, op.u, op.K).states
+    est = ps.iss_constants(T)
+    modes = ("lp", "linf", "c0", "ag")
     return {
         "states_sha256": hashlib.sha256(states.tobytes()).hexdigest(),
-        "iss": ps.iss_constants(T).to_dict(),
+        "iss": est.to_dict(),
+        "iss_bound_verified": bool(ps.verify_iss_bound(T, est)),
+        "response": {m: ps.response_class_check(T, op.u, m).to_dict() for m in modes},
     }
 
 
