@@ -398,8 +398,8 @@ def approximate_positive_eigenvector(T, cone, n_steps=30):
 
     Shifts follow the geometric schedule r_k = upper + 2^{-k} down towards
     the spectral bracket.  x_k is (r_k*I - T)^{-1} e, e the cone's interior
-    point, from one LU of r_k*I - T and one refinement step, projected onto
-    the cone and scaled to a unit vector; the reported residual measures
+    point, from one unrefined LU solve with r_k*I - T, projected onto the
+    cone and scaled to a unit vector; the reported residual measures
     ||(upper*I - T) x_k||.  The sequence stops early when the shift
     numerically enters the bracket or a solve is not finite.
     """
@@ -410,13 +410,9 @@ def approximate_positive_eigenvector(T, cone, n_steps=30):
         r_k = upper + 2.0 ** (-k)
         if r_k - upper < max(1e-12 * max(1.0, upper), 1e-13):
             break
-        xk = _shifted_lu(a, r_k)[2](e)
-        alpha = vec_norm(xk, cone.norm)
-        if not np.isfinite(alpha) or alpha <= 0.0:
-            break
-        x = project(cone, xk / alpha)
+        x = project(cone, _shifted_lu(a, r_k)[1](e))  # projection commutes with positive scaling
         nx = vec_norm(x, cone.norm)
-        if nx <= 0.0:
+        if not (np.isfinite(nx) and nx > 0.0):
             break
         x = x / nx
         residual = vec_norm(apply(T, x) - upper * x, cone.norm)
@@ -573,8 +569,8 @@ def interior_small_gain(T, cone, z):
 def strict_decay_point(T, cone, lam, y):
     """Point of strict decay z = (lam*I - T)^{-1} y with verified certificate.
 
-    One `operators._shifted_lu` solve, checked as a certificate: (a) z >=
-    y / lam, (b) realized, `operators._cw_bounds`' bound on the least t with
+    One unrefined `operators._shifted_lu` solve, checked as a certificate: (a)
+    z >= y / lam, (b) realized, `operators._cw_bounds`' bound on the least t with
     Tz <= t z, is <= lam (rigorous for T >= 0 on the orthant), (c) z interior.
     A T that `is_positive` rejects raises ValueError: such a map need not
     have any interior z with Tz <= lam z.
@@ -593,7 +589,7 @@ def strict_decay_point(T, cone, lam, y):
     if not is_interior(cone, y)[0]:
         raise ValueError("y must be an interior point of the cone")
     a = materialize(T)
-    z = _shifted_lu(a, lam)[2](y)
+    z = _shifted_lu(a, lam)[1](y)
     if not np.all(np.isfinite(z)):
         raise SpectralProximityError(f"strict decay solve at lam={lam} is not finite")
     if not contains(cone, z - y / lam, 1e-10):

@@ -7,14 +7,14 @@ shifted inverse iteration, whose iterates give Collatz-Wielandt bounds on
 both sides and the Perron vector; where it stalls (reducible and defective
 maps), Gelfand bounds from log-scaled repeated squaring, the powers'
 diagonal or trace and a resolvent-positivity bisection close the bracket.
-Other signed maps get the Gelfand and trace bounds.
+Other signed maps get the Gelfand and trace bounds.  Each shifted solve is
+one LAPACK gesv (`lu_factor`), refined only where a residual test fails.
 """
 
 from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .cones import interior_point, lorentz, margin, max_ratio, orthant, project
 from .errors import DimensionMismatchError, SpectralProximityError
@@ -364,20 +364,20 @@ def _power_lower(a, stat, k_max):
     return best
 
 
+def lu_factor(m, b):
+    """Solve m z = b, b of shape (n,) or (n, k), by one LAPACK gesv (LU with partial
+    pivoting) in `np.linalg.solve`; an exactly singular m gives NaN, not an error."""
+    try:
+        return np.linalg.solve(m, b)
+    except np.linalg.LinAlgError:
+        return np.full(np.shape(b), np.nan)
+
+
 def _shifted_lu(a, lam):
-    """(m, lu, solve): m = lam*I - a, its LU, and solve(b), one LU solve plus
-    exactly one refinement step.  A singular m only warns; solve then returns
-    non-finite entries instead of raising."""
+    """(m, solve): m = lam*I - a and solve(b), one `lu_factor` factorization per call."""
     m = np.negative(a)  # no n x n identity temporaries
     m[np.diag_indices(len(a))] += lam
-    lu = lu_factor(m)
-
-    def solve(b):
-        with np.errstate(all="ignore"):
-            z = lu_solve(lu, b)
-            return z + lu_solve(lu, b - m @ z, check_finite=False)
-
-    return m, lu, solve
+    return m, lambda b: lu_factor(m, b)
 
 
 def _semipositivity(a, lam, cone):
@@ -389,12 +389,15 @@ def _semipositivity(a, lam, cone):
     numerically singular lam*I - T proves nothing either way.
     """
     n, e = a.shape[0], interior_point(cone)
-    m, _, solve = _shifted_lu(a, lam)
+    m, solve = _shifted_lu(a, lam)
     z = solve(e)
+    r = e - m @ z
+    if np.max(np.abs(r)) > 1e-14 * n * np.max(np.abs(z)):  # refine once; False for a NaN z
+        z += solve(r)
+        r = e - m @ z
     if not np.all(np.isfinite(z)):
         return None
-    resid = float(np.max(np.abs(m @ z - e)))
-    err = 10.0 * max(resid, 1e-14 * n * float(np.max(np.abs(z))))
+    err = 10.0 * max(float(np.max(np.abs(r))), 1e-14 * n * float(np.max(np.abs(z))))
     if cone.kind == "lorentz":
         err *= 1.0 + np.sqrt(n - 1)  # an entrywise error err moves x0 - ||x_rest|| this far
     zmin = float(margin(cone, z))
@@ -437,7 +440,7 @@ def _noda(a, lo, hi, x, cone):
     width, stalls, steps = hi - lo, 0, 0
     while hi > 0.0:  # the bracket [0, 0] would give mu = 0, a singular shift
         mu = hi + max(1e-3 * (hi - lo), 4.0 * UNIT_ROUNDOFF * hi)
-        y = project(cone, _shifted_lu(a, mu)[2](x))
+        y = project(cone, _shifted_lu(a, mu)[1](x))
         scale = float(np.max(np.abs(y)))
         if not (np.isfinite(scale) and scale > 0.0):
             break
@@ -549,11 +552,11 @@ def resolvent_apply(T, lam, y):
     """Solve (lam*I - T) z = y by LU with partial pivoting.
 
     y is one right-hand side of shape (n,) or a block of shape (n, k); a
-    block shares one factorization and one iterative refinement, and each
-    column must meet the residual test ||(lam*I - T) z_j - y_j|| <=
-    1e-10*||y_j||.  Requires lam outside the certified spectral bracket; a
-    column whose solve is not finite (a signed map may have an eigenvalue
-    below the bracket) raises SpectralProximityError.  For lam above the
+    block shares one `lu_factor` call, the columns that miss the residual test
+    ||(lam*I - T) z_j - y_j|| <= 1e-10*||y_j|| share one refinement call, and a
+    column that still misses it, or whose solve is not finite (a signed map may
+    have an eigenvalue below the bracket), raises SpectralProximityError.
+    Requires lam outside the certified spectral bracket.  For lam above the
     bracket the solution is checked against the Neumann series from
     `apply`, summed on a `_doubling` chain of the squares of T/lam (skipped
     at upper/lam > 0.995, where it may not converge within 2^16 terms).  A
@@ -572,9 +575,9 @@ def resolvent_apply(T, lam, y):
             f"lam={lam} lies inside the spectral bracket [{est.lower}, {est.upper}]"
         )
     a = materialize(T)
-    m, lu, _ = _shifted_lu(a, lam)
+    m, solve = _shifted_lu(a, lam)
     b = y.reshape(a.shape[0], -1)
-    z = lu_solve(lu, b)
+    z = solve(b)
     lost = np.flatnonzero(~np.all(np.isfinite(z), axis=0)).tolist()
     if lost:
         raise SpectralProximityError(f"resolvent solve at lam={lam} is not finite in columns {lost}")
@@ -582,7 +585,7 @@ def resolvent_apply(T, lam, y):
     r = b - m @ z
     bad = np.linalg.norm(r, axis=0) > bound
     if bad.any():
-        z[:, bad] += lu_solve(lu, r[:, bad])
+        z[:, bad] += solve(r[:, bad])
         bad = np.linalg.norm(b - m @ z, axis=0) > bound
     if bad.any():
         raise SpectralProximityError(

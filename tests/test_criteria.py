@@ -428,7 +428,7 @@ def test_strict_decay_names_lam_when_the_solve_is_not_finite(monkeypatch):
     import posstab.criteria as crit
     from posstab import SpectralProximityError
 
-    monkeypatch.setattr(crit, "_shifted_lu", lambda a, lam: (None, None, lambda y: np.full(len(y), np.nan)))
+    monkeypatch.setattr(crit, "_shifted_lu", lambda a, lam: (None, lambda y: np.full(len(y), np.nan)))
     with pytest.raises(SpectralProximityError, match="lam=0.75"):
         strict_decay_point(UPPER2X2, CONE2, 0.75, np.ones(2))
 
@@ -454,7 +454,7 @@ def test_strict_decay_catches_a_planted_solve(monkeypatch, T, cone, z):
     # z >= y/lam holds, but the least t with Tz <= t z is 1.0 (orthant) and 1.2 (Lorentz)
     import posstab.criteria as crit
 
-    monkeypatch.setattr(crit, "_shifted_lu", lambda a, lam: (None, None, lambda y: np.array(z)))
+    monkeypatch.setattr(crit, "_shifted_lu", lambda a, lam: (None, lambda y: np.array(z)))
     with pytest.raises(ArithmeticError, match=r"Tz <= lam\*z"):
         strict_decay_point(T, cone, 0.9, interior_point(cone))
 
