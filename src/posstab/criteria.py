@@ -29,7 +29,7 @@ from .cones import (
 )
 from .errors import DimensionMismatchError, SpectralProximityError, UnsupportedConeNormError
 from .lyapunov import _stein_rider
-from .norms import _l2_induced, batch_vec_norm, dual_norm, induced_norm, vec_norm
+from .norms import batch_induced_norm, batch_vec_norm, dual_norm, vec_norm
 from .operators import (
     POSITIVITY_TOL,
     DenseOperator,
@@ -322,26 +322,22 @@ def uniform_small_gain_margin(T, cone, rng=None):
 
     Certified closed form when R = (I - T)^{-1} is positive: for y = (I - T)x
     on a self-dual cone, dist((T - I)x, K) = ||P_K y|| (Moreau) and x <= R P_K y,
-    so with C = 1, eta = 1/||R||, attained at x = Rv/||Rv|| for a cone vector
-    v attaining ||R|| (`_resolvent_norm`, which checks it there).  A lower search
-    seed is an internal error, except under l2, where both power runs can stop
-    low when the top singular values cluster: there the seed is taken.
-    Otherwise eta is the lowest seed value, an upper bound on the
-    infimum, and that seed is the witness; the seeds include the Perron
-    vector, which is the `_growth_vector`.
+    so with C = 1, eta = 1/||R||, a lower bound under l2, whose ||R|| is a
+    certified upper bound.  x = Rv/||Rv|| from `_resolvent_norm`, which checks
+    it, is the witness; no search runs.  Otherwise eta is the lowest value
+    over search seeds, an upper bound on the infimum, and that seed is the
+    witness; the seeds include the Perron vector, which is the
+    `_growth_vector`.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
-    X = _cone_unit_rows(cone, _usg_seeds(T, cone, rng, 64))
-    vals = batch_distance(cone, X @ (materialize(T) - np.eye(cone.dim)).T)
-    i = int(np.argmin(vals))
-    best_v, best_x = float(vals[i]), X[i].copy()
     if check_resolvent_positivity(T, cone).holds:
-        norm, x = _resolvent_norm(T, cone)
-        eta = 1.0 / norm
-        if best_v >= eta * (1.0 - 1e-9):
-            best_v, best_x = eta, x
-        elif cone.norm != "l2":
-            raise ArithmeticError(f"a search seed goes below eta = {eta!r}; internal error")
+        norm, best_x = _resolvent_norm(T, cone)
+        best_v = 1.0 / norm
+    else:
+        rng = np.random.default_rng(0) if rng is None else rng
+        X = _cone_unit_rows(cone, _usg_seeds(T, cone, rng, 64))
+        vals = batch_distance(cone, X @ (materialize(T) - np.eye(cone.dim)).T)
+        i = int(np.argmin(vals))
+        best_v, best_x = float(vals[i]), X[i].copy()
     eta_emp = max(best_v, 0.0)
     holds = eta_emp > _decision_tol(spectral_radius(T))
     witness = None if holds else Witness("cone_vector", best_x, note="dist((T-I)x, cone) ~ 0")
@@ -352,29 +348,33 @@ def _resolvent_norm(T, cone):
     """(||R||, x) for a positive R = (I - T)^{-1}, in the cone's norm, once per operator
     and cone: MBI's c, the uniform margin 1/||R|| and `small_gain_certificate` read it.
 
-    x = Rv/||Rv|| (read-only) for a cone vector v attaining ||R||: a column of R
-    (l1), the ones vector (linf) or the power-method vector of R^T R (l2) from
-    the interior point (R^T R maps K into K, so every iterate lies in K).
-    Under l2 ||R|| is the larger of that run's estimate and `induced_norm`'s
-    (equal on the orthant, whose interior point is one of its starts).
-    Checked before anyone reads it: dist((T - I)x, K) must be 1/||R|| within
-    1e-9 relative (`uniform_small_gain_margin`), with Tx from `apply`, not R.
+    ||R|| is one `batch_induced_norm` of R: the exact column or row sum under
+    l1 and linf, and under l2 the certified upper bound, whose power steps on
+    R^T R start at the interior point (R^T R maps K into K, so every iterate
+    lies in K).  x = Rv/||Rv|| (read-only) for the cone vector v: a column of
+    R of largest sum (l1), the ones vector (linf) or the refined power vector
+    (l2).  Checked before anyone reads it, with Tx from `apply`, not R:
+    ||Rv|| <= ||R|| within 1e-9 relative, and dist((T - I)x, K) ||Rv|| = 1
+    within 1e-9, with ||R|| in place of ||Rv|| under l1 and linf, where v
+    attains it.
     """
 
     def make():
         inv = _resolvent_inverse(T)
-        norm, v = induced_norm(inv, cone.norm), np.ones(cone.dim)
+        (norm,), v = batch_induced_norm(inv[None], cone.norm, interior_point(cone))
+        norm = float(norm)
         if cone.norm == "l1":
             v = np.eye(cone.dim)[int(np.argmax(np.abs(inv).sum(axis=0)))]
-        elif cone.norm == "l2":
-            top, v = _l2_induced(inv, start=interior_point(cone))
-            norm = max(norm, top)
+        elif cone.norm == "linf":
+            v = np.ones(cone.dim)
         x = inv @ v
-        x /= vec_norm(x, cone.norm)
+        rv = vec_norm(x, cone.norm)
+        x /= rv
         x.setflags(write=False)
-        eta, at = 1.0 / norm, float(distance(cone, apply(T, x) - x))
-        if abs(at - eta) > 1e-9 * eta:
-            raise ArithmeticError(f"eta = {eta!r} is not attained ({at!r}); internal error")
+        at = float(distance(cone, apply(T, x) - x))
+        tight = rv if cone.norm == "l2" else norm  # under l1 and linf v attains ||R||
+        if abs(at * tight - 1.0) > 1e-9 or rv > norm * (1.0 + 1e-9):
+            raise ArithmeticError(f"eta = {1.0 / norm!r} is not attained ({at!r}); internal error")
         return norm, x
 
     return _memo(T, ("resolvent_norm", cone), make)
@@ -727,7 +727,8 @@ def cross_check(T, cone, config=None, extra_notes=()):
     cfg = config or CrossCheckConfig()
     # stream 0 is unused: positivity samples the fixed rays that gate the
     # spectral bracket, so both agree; streams 1 and 3 are unused since MBI and
-    # INTERIOR_SG are checked in closed form; streams 2 and 4 keep their seeds
+    # INTERIOR_SG are checked in closed form; stream 2 feeds USG's seeds, drawn only
+    # where (I - T)^{-1} is not positive; streams 2 and 4 keep their seeds
     streams = np.random.SeedSequence(cfg.seed).spawn(5)
     rngs = [np.random.default_rng(s) for s in streams]
     est = spectral_radius(T)

@@ -40,36 +40,28 @@ def _gamma(k):
 
 
 def induced_norm(a, norm="linf"):
-    """Operator norm of a dense matrix induced by the given vector norm.
+    """Operator norm of a dense matrix induced by the given vector norm: the
+    one-matrix case of `batch_induced_norm`.
 
     l1 is the maximal absolute column sum, linf the maximal absolute row
-    sum.  l2 is a lower estimate: a 200-step power method on A^T A with a
-    Rayleigh-quotient convergence test at relative tolerance 1e-12, which
-    can stop low on clustered singular values.  Certified l2 upper bounds
-    come from `batch_induced_norm`.
+    sum, both in floating point; l2 is the certified upper bound of
+    `l2_upper_bounds`.
     """
-    a = np.asarray(a, dtype=float)
-    if norm == "l1":
-        return float(np.abs(a).sum(axis=0).max())
-    if norm == "linf":
-        return float(np.abs(a).sum(axis=1).max())
-    if norm == "l2":
-        return _l2_induced(a)[0]
-    raise ValueError(f"unknown norm {norm!r}")
+    return float(batch_induced_norm(np.asarray(a, dtype=float)[None], norm)[0][0])
 
 
 def batch_induced_norm(P, norm="linf", start=None):
     """(norms, start): the induced norm of every matrix of a stack P of shape (b, m, n).
 
-    l1 and linf are the floating-point column and row sums, in the same
-    arithmetic as `induced_norm`.  l2 entries are certified upper bounds from
-    `l2_upper_bounds`, whose power steps begin at `start` (a unit vector of
-    length n, or None) and stop once every matrix is converged and usable
-    or, with none converged, all have stalled; a matrix left unconverged or
-    unusable (top two singular values close) is certified by one eigvalsh
-    and one floating-point Cholesky, O(n^3) each.  The returned start is
-    the last matrix's refined vector, for the next stack of a sequence
-    (None for l1 and linf).
+    l1 and linf are the floating-point column and row sums.  l2 entries
+    are certified upper bounds from `l2_upper_bounds`, whose power steps
+    begin at `start` (a unit vector of length n, or None) and stop once
+    every matrix is converged and usable or, with none converged, all have
+    stalled; none runs when no matrix can become usable.  A matrix left
+    unconverged or unusable (top two singular values close) is certified
+    by one eigvalsh and one floating-point Cholesky, O(n^3) each.  The
+    returned start is the last matrix's refined vector, for the next stack
+    of a sequence (None for l1 and linf).
     """
     P = np.asarray(P, dtype=float)
     if norm == "l1":
@@ -101,6 +93,8 @@ def l2_upper_bounds(P, start=None, max_steps=64):
     values are close and theta + r is unusable or loose.  While one matrix
     is converged, the stack takes the steps it would take without the stall
     rule, so a converged matrix gets the bound it would get without it.
+    No step runs when ||P||_F^2 > 2 best for every matrix, best the bound
+    before any step: theta <= best then keeps every matrix unusable.
     When max_steps > 0, each matrix that is not converged and usable then
     gets s from `_cholesky_upper`: a floating-point Cholesky that
     certifies lambda_max(P^T P) <= s at the top eigenvalue of fl(P^T P)
@@ -122,8 +116,8 @@ def l2_upper_bounds(P, start=None, max_steps=64):
     slack = _gamma(2 * (m + n) + 8) * fro2
     v = 1.0 + 1e-3 * np.arange(n) if start is None else np.asarray(start, dtype=float)
     v = np.tile(v / np.linalg.norm(v), (b, 1))
-    done, seen = np.ones(b, dtype=bool), []
-    for _ in range(max_steps):
+    done, seen = np.full(b, max_steps == 0), []
+    for _ in range(max_steps if np.any(fro2 <= 2.0 * best) else 0):
         w = np.einsum("bij,bj->bi", P, v)
         theta = np.einsum("bi,bi->b", w, w)
         g = np.einsum("bij,bi->bj", P, w)
@@ -198,32 +192,3 @@ def _cholesky_upper(B, e, lam):
     c = (g / (1.0 - g) + UNIT_ROUNDOFF) * tr + 2.0**-1000 * (n + 1) ** 2 * (1.0 + tr)
     return np.where(ok, (t + c * (1.0 + _gamma(4)) + e) * (1.0 + _gamma(3)), np.inf)
 
-
-def _l2_induced(a, start=None):
-    """(estimate of ||A||_2, the unit power-method vector v with ||Av||_2 equal to it),
-    the larger over a graded and a flat positive start, or from `start` alone."""
-    n = a.shape[1]
-    if not np.any(a):
-        return 0.0, np.ones(n) / np.sqrt(n)
-    b = a.T @ a
-    # graded deterministic start; generic against symmetric invariant subspaces
-    best, best_v = 0.0, None
-    starts = (1.0 + 1e-3 * np.arange(n), np.ones(n)) if start is None else (start,)
-    for v in starts:
-        v = v / np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(200):
-            w = b @ v
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                lam = 0.0
-                break
-            v = w / nw
-            new_lam = float(v @ (b @ v))
-            if abs(new_lam - lam) <= 1e-12 * max(1.0, abs(new_lam)):
-                lam = new_lam
-                break
-            lam = new_lam
-        if best_v is None or lam > best:
-            best, best_v = max(lam, 0.0), v
-    return float(np.sqrt(best)), best_v

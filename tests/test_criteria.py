@@ -1,9 +1,14 @@
+import importlib.util
+import os
+import pathlib
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import posstab
 from posstab import (
     CrossCheckConfig,
     adjoint,
@@ -40,7 +45,7 @@ from posstab import (
     uniform_small_gain_margin,
     vec_norm,
 )
-from posstab.cones import batch_vec_norm, decompose, margin, random_points
+from posstab.cones import batch_distance, batch_vec_norm, decompose, margin, random_points
 from posstab.criteria import CriterionVerdict, Witness, _cone_unit_rows, _usg_seeds
 from posstab.norms import UNIT_ROUNDOFF, induced_norm
 
@@ -738,18 +743,18 @@ def test_mbi_and_usg_read_one_resolvent_norm(monkeypatch):
     # uniform margin 1/||R|| read one memoized norm, so c * eta is 1 up to one rounding
     import posstab.criteria as crit
 
-    calls = []
-    for name in ("induced_norm", "_l2_induced"):  # the two l2 power runs on R
-        real = getattr(crit, name)
-        spy = lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)
-        monkeypatch.setattr(crit, name, spy)
+    calls, real = [], crit.batch_induced_norm
+    spy = lambda P, *a, **k: calls.append(np.array(P)) or real(P, *a, **k)
+    monkeypatch.setattr(crit, "batch_induced_norm", spy)
     a = next(b for j, b, _ in _boost_rotation_maps() if j == 5)
     T, cone = dense(a), lorentz(len(a), "l2")
     rep = cross_check(T, cone, CrossCheckConfig(seed=5))
     c, eta = rep.verdict("MBI").margin, rep.verdict("UNIFORM_SG").margin
     assert c * eta == pytest.approx(1.0, rel=2.3e-16, abs=0.0)
     assert small_gain_certificate(T, cone) == 1.0 / (c * cone_constants(cone).decomposition_M)
-    assert sorted(calls) == ["_l2_induced", "induced_norm"]
+    # one certified norm of R, the only norm call on it
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], crit._resolvent_inverse(T)[None])
 
 
 @pytest.mark.parametrize("i", [3, 10])
@@ -1158,7 +1163,7 @@ _USG_CONES = [
 @pytest.mark.parametrize("kind,norm", _USG_CONES)
 def test_orthant_uniform_small_gain_equals_inverse_norm_oracle(kind, norm, n):
     # eta_USG = 1/||(I - T)^{-1}|| on both cones; l1/linf norms are exact
-    # sums, l2 is induced_norm's power method (1e-12)
+    # sums, l2 is a certified upper bound (1e-12)
     a = _stable_positive(kind, n, seed=100 + n)
     cone = orthant(n, norm) if kind == "orthant" else lorentz(n, norm)
     T = dense(a)
@@ -1234,24 +1239,101 @@ def test_orthant_uniform_small_gain_catches_planted_inverse(kind, norm, factor):
         uniform_small_gain_margin(T, cone)
 
 
-def test_lorentz_uniform_small_gain_makes_two_distance_calls(monkeypatch):
-    # one call on the seeds and one at x = Rv/||Rv||: the closed form runs no search
+def _usg_seed_cases():
+    for kind, norm in _CLOSED_FORM_CONES:
+        for n in (4, 16, 64):
+            cone = orthant(n, norm) if kind == "orthant" else lorentz(n, norm)
+            yield pytest.param(dense(_stable_positive(kind, n, seed=n)), cone, id=f"{kind}-{norm}-n{n}")
+    entry = gallery_build("diag_strong_stable")
+    yield pytest.param(entry.operator, entry.cone, id="gallery-diag_strong_stable")
+
+
+@pytest.mark.parametrize("T, cone", _usg_seed_cases())
+def test_usg_search_seeds_find_nothing_below_the_closed_form(T, cone):
+    # the seeds that UNIFORM_SG searched on every call before its closed form
+    # 1/||R|| was taken as certified wherever R = (I - T)^{-1} is positive
+    assert check_resolvent_positivity(T, cone).holds
+    eta, v = uniform_small_gain_margin(T, cone)
+    assert v.holds
+    X = _cone_unit_rows(cone, _usg_seeds(T, cone, np.random.default_rng(0), 64))
+    vals = batch_distance(cone, X @ (materialize(T) - np.eye(cone.dim)).T)
+    assert vals.min() >= eta * (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("kind", ["orthant", "lorentz"])
+def test_uniform_small_gain_catches_an_understated_l2_bound(monkeypatch, kind):
+    # ||Rv|| above the certified ||R||: a bound 1e-6 low fails the check at x = Rv/||Rv||
+    import posstab.criteria as crit
+
+    real = crit.batch_induced_norm
+
+    def understated(*args):
+        norms, v = real(*args)
+        return 0.999999 * norms, v
+
+    monkeypatch.setattr(crit, "batch_induced_norm", understated)
+    n = 16
+    T = dense(_stable_positive(kind, n, seed=5))
+    cone = orthant(n, "l2") if kind == "orthant" else lorentz(n, "l2")
+    assert check_resolvent_positivity(T, cone).holds
+    with pytest.raises(ArithmeticError, match="is not attained"):
+        uniform_small_gain_margin(T, cone)
+
+
+def _sweep_cases():
+    """(name, operator, cone) of `tools/identity_sweep.py`'s case set."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("identity_sweep", root / "tools" / "identity_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):  # the sweep pins BLAS threads for its own process
+        spec.loader.exec_module(sweep)
+    spec = importlib.util.spec_from_file_location("certbench_inputs", root / "certbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [(name, T, cone) for name, T, cone, _, _ in sweep.cases(np, inputs, posstab)]
+
+
+def test_l2_uniform_margin_is_certified_on_the_sweep():
+    # under l2 eta = 1/||R|| from a certified upper bound on ||R||: never above
+    # numpy's 1/||R||_2, and within 1e-10 of it, on every sweep case with a positive R
+    families = set()
+    for name, T, cone in _sweep_cases():
+        if cone.norm != "l2" or not check_resolvent_positivity(T, cone).holds:
+            continue
+        eta, _ = uniform_small_gain_margin(T, cone)
+        oracle = 1.0 / np.linalg.norm(np.linalg.inv(np.eye(cone.dim) - materialize(T)), 2)
+        assert oracle * (1.0 - 1e-10) <= eta <= oracle, name
+        families.add(name.split("/")[0])
+    assert families == {
+        "gallery", "orthant", "lorentz", "diagonal", "shift", "certbench-lorentz", "lorentz-fuzz",
+        "near1", "lorentz-nilpotent",
+    }
+
+
+def test_diag_strong_stable_mbi_constant_is_not_understated():
+    # ||(I - T)^{-1}||_2 = 65 exactly (slowest mode 1 - 1/65); C = 1 on the l2 orthant
+    entry = gallery_build("diag_strong_stable")
+    c, v = mbi_constant(entry.operator, entry.cone)
+    assert v.holds
+    assert 65.0 <= c <= 65.0 * (1.0 + 1e-10)
+
+
+def test_lorentz_uniform_small_gain_makes_one_distance_call(monkeypatch):
+    # one distance, at x = Rv/||Rv||, where `_resolvent_norm` checks the closed form:
+    # with a positive inverse no seed is searched
     import posstab.criteria as crit
 
     n = 16
     calls = []
-    real = crit.batch_distance
-
-    def counting(cone, X):
-        calls.append(np.shape(X))
-        return real(cone, X)
-
-    monkeypatch.setattr(crit, "batch_distance", counting)
+    for name in ("distance", "batch_distance"):
+        real = getattr(crit, name)
+        spy = lambda cone, X, real=real: calls.append(np.shape(X)) or real(cone, X)
+        monkeypatch.setattr(crit, name, spy)
     T, cone = dense(_stable_positive("lorentz", n, seed=5)), lorentz(n, "l2")
     assert check_resolvent_positivity(T, cone).holds
     eta, v = uniform_small_gain_margin(T, cone)
     assert v.holds
-    assert len(calls) <= 3
+    assert calls == [(n,)]
 
 
 @pytest.mark.parametrize("kind", ["orthant", "lorentz"])

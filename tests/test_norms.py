@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import posstab.norms as norms
+import posstab.operators as ops
 from posstab import cross_check, dense, lorentz, orthant
 from posstab.norms import L2_RESIDUAL_RTOL, _gamma, batch_induced_norm, induced_norm, l2_upper_bounds
 
@@ -116,10 +117,11 @@ def test_l2_bound_of_a_stack_matches_bounds_one_at_a_time():
 
 
 def test_l2_bound_catches_the_power_method_counterexample():
-    # the power-method estimate stops low; the certified bound does not
-    assert induced_norm(COUNTEREXAMPLE, "l2") < np.linalg.norm(COUNTEREXAMPLE, 2)
+    # a power method stops low here; induced_norm is the certified bound, which does not
+    exact = np.linalg.norm(COUNTEREXAMPLE, 2)
+    assert exact <= induced_norm(COUNTEREXAMPLE, "l2") <= exact + 1e-10
     (bound,), _ = l2_upper_bounds(COUNTEREXAMPLE[None])
-    assert bound >= np.linalg.norm(COUNTEREXAMPLE, 2)
+    assert bound >= exact
 
 
 def test_l2_bound_scales_without_overflow():
@@ -160,18 +162,35 @@ class _StepCounter:
 
 def _record_l2_calls(monkeypatch):
     """(calls, certified): every l2_upper_bounds call of the power-norm table as
-    (P, start, steps, (bounds, vectors)), and one entry per `_cholesky_upper` call."""
-    counter, calls, certified = _StepCounter(), [], []
+    (P, start, steps, (bounds, vectors)), and one entry per `_cholesky_upper` call
+    made for it; other callers, such as the resolvent norm of the criteria, are not
+    recorded."""
+    counter, calls, certified, in_table = _StepCounter(), [], [], []
     monkeypatch.setattr(norms, "np", counter)
     real_cholesky, real_bounds = norms._cholesky_upper, norms.l2_upper_bounds
-    monkeypatch.setattr(norms, "_cholesky_upper", lambda *a: certified.append(1) or real_cholesky(*a))
+    real_batch = ops.batch_induced_norm
+
+    def table_norms(*args):
+        in_table.append(True)
+        try:
+            return real_batch(*args)
+        finally:
+            in_table.pop()
+
+    def cholesky(*args):
+        if in_table:
+            certified.append(1)
+        return real_cholesky(*args)
 
     def recording(P, start=None, max_steps=64):
         counter.steps = 0
         out = real_bounds(P, start, max_steps)
-        calls.append((np.array(P), None if start is None else np.array(start), counter.steps, out))
+        if in_table:
+            calls.append((np.array(P), None if start is None else np.array(start), counter.steps, out))
         return out
 
+    monkeypatch.setattr(ops, "batch_induced_norm", table_norms)
+    monkeypatch.setattr(norms, "_cholesky_upper", cholesky)
     monkeypatch.setattr(norms, "l2_upper_bounds", recording)
     return calls, certified
 
@@ -263,3 +282,21 @@ def test_a_converged_matrix_keeps_stepping_beside_a_stalled_one(monkeypatch):
     monkeypatch.undo()
     assert np.linalg.norm(a, 2) <= beside <= alone
     assert np.linalg.norm(q, 2) <= bound_q <= 1.0 + 1e-10
+
+
+def test_no_power_step_runs_where_no_matrix_can_be_usable(monkeypatch):
+    # ||P||_F^2 = 4 ||P||_1 ||P||_inf for P = I and 2I (n = 4): theta <= ||P||_2^2 can
+    # never reach ||P||_F^2 / 2, so the stack goes straight to the Cholesky certificate
+    counter, certified = _StepCounter(), []
+    monkeypatch.setattr(norms, "np", counter)
+    real = norms._cholesky_upper
+    monkeypatch.setattr(norms, "_cholesky_upper", lambda *a: certified.append(len(a[0])) or real(*a))
+    stack = np.stack([np.eye(4), 2.0 * np.eye(4)])
+    bounds, _ = l2_upper_bounds(stack)
+    (one,), start = batch_induced_norm(stack[:1], "l2", np.arange(1.0, 5.0))
+    monkeypatch.undo()
+    assert counter.steps == 0 and certified == [2, 1]
+    for b, s in zip(bounds, (1.0, 2.0)):
+        assert s <= b <= s * (1.0 + 1e-10)
+    assert 1.0 <= one <= 1.0 + 1e-10
+    np.testing.assert_array_equal(start, np.arange(1.0, 5.0) / np.linalg.norm(np.arange(1.0, 5.0)))
