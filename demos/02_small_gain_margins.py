@@ -42,7 +42,8 @@ print("eta (no positive inverse):", eta_emp, "holds:", verdict.holds)
 print("witness x:", verdict.witness.vector, "-> Tx >= x along this direction")
 
 print("\nrobustness: perturbations below eta/2 are certified harmless;")
-print("above that the verdict falls back to an adversarial search")
+print("above that the verdict fails, with the rank-one destabilizer built from")
+print("the growth vector where there is one, else with a flag")
 T = ps.diagonal([0.5])
 for eps in (0.2, 0.3):
     v = ps.robust_small_gain(T, ps.orthant(1, "linf"), eps=eps)

@@ -2,8 +2,9 @@
 
 Exit codes compose in shell pipelines: 0 = consensus STABLE or requested
 artifact produced, 2 = UNSTABLE, 3 = BOUNDARY or INCONSISTENT, 1 = usage
-or I/O error.  A fixed seed makes every randomized search, and therefore
-every report, reproducible; --no-timestamp yields byte-identical output.
+or I/O error.  A fixed seed makes every random draw (the quasi-compact
+starts, the ISS check's inputs), and therefore every report, reproducible;
+--no-timestamp yields byte-identical output.
 """
 
 import argparse

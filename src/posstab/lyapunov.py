@@ -162,13 +162,16 @@ def equivalent_norm(T, cone, s=None):
 
     K is the m of `geometric_envelope(T, 1/s, cone.norm)`.  s defaults to
     1/`_decay_rate(T)`, the rate of the STRONG_STAB/WEAK_ATTR and ISS
-    envelopes, so all three read one memoized search; s > 1 and s * upper < 1
-    are required.  The lattice variant is used exactly when T is positive on
-    the orthant.  Raises ValueError when the power-norm table ends before
-    the envelope's m, DimensionMismatchError for a cone of another dimension.
+    envelopes, so all three read one memoized search; a finite s > 1 with
+    s * upper < 1 is required.  The lattice variant is used exactly when T
+    is positive on the orthant.  Raises ValueError when the power-norm table
+    ends before the envelope's m, DimensionMismatchError for a cone of
+    another dimension.
     """
     if cone.dim != T.dim:
         raise DimensionMismatchError("cone and operator dimensions differ")
+    if s is not None and not np.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     upper = spectral_radius(T).upper
     # the default rate itself, not 1/(1/a), keys the envelope search that cross_check shares
     a = _decay_rate(T) if s is None else None

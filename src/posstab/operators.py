@@ -785,8 +785,8 @@ def geometric_envelope(T, a_env, norm="linf"):
     spectral radius, overflow, or POWER_HORIZON), and for a_env >= 1, which
     certifies no decay.  Searched once per operator, a_env and norm.
     """
-    if a_env <= 0.0:
-        raise ValueError("a_env must be positive")
+    if not a_env > 0.0:  # also NaN, which would pass every later test
+        raise ValueError(f"a_env must be positive, got {a_env}")
     if a_env >= 1.0:
         return None
     return _memo(T, ("envelope", a_env, norm), lambda: _envelope(T, a_env, norm))

@@ -142,6 +142,12 @@ def test_lyapunov_norm_mode_signed_map_gets_the_plain_variant(files, capsys):
     assert payload["contraction_factor"] <= 1.0 / payload["s"] + 1e-8
 
 
+def test_lyapunov_norm_mode_rejects_a_nan_s(files, capsys):
+    code = run(["lyapunov", "--matrix", files["upper2x2.json"], "--mode", "norm", "--s", "nan"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: s must be finite")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -45,8 +45,10 @@ from posstab import (
     uniform_small_gain_margin,
     vec_norm,
 )
-from posstab.cones import batch_distance, batch_vec_norm, decompose, margin, random_points
-from posstab.criteria import CriterionVerdict, Witness, _cone_unit_rows, _usg_seeds
+from posstab.cones import (
+    DEFAULT_TOL, batch_distance, batch_vec_norm, decompose, margin, project, random_points,
+)
+from posstab.criteria import CriterionVerdict, Witness, _cone_unit_rows
 from posstab.norms import UNIT_ROUNDOFF, induced_norm
 
 UPPER2X2 = dense([[0.5, 1.0], [0.0, 0.5]])
@@ -953,21 +955,25 @@ def test_lorentz_resolvent_witness_reverify():
         assert not reverify_witness(T, cone, wrong)
 
 
-def test_lorentz_cross_check_seeds_with_the_perron_vector(monkeypatch):
-    # USG seeds its search with the Lorentz Perron vector of the
-    # spectral bracket; no approximate eigenvector is searched for
-    import posstab.criteria as crit
-
+def test_lorentz_usg_and_isg_witness_the_unit_growth_vector(monkeypatch):
+    # without a positive inverse USG and ISG take eta = 0 and one witness: the
+    # Lorentz Perron vector of the spectral bracket, projected and scaled to unit
+    # norm; no approximate eigenvector is searched for, on either side of rho = 1
     eig_calls = _count_calls(monkeypatch, "approximate_positive_eigenvector")
     for n in (8, 32):
-        T = dense(_lorentz_positive(np.random.default_rng(1), n, 0.9))
+        stable = dense(_lorentz_positive(np.random.default_rng(1), n, 0.9))
+        assert cross_check(stable, lorentz(n, "l2")).consensus == "STABLE"
+        T = dense(_lorentz_positive(np.random.default_rng(1), n, 1.05))
         cone = lorentz(n, "l2")
-        v = spectral_radius(T).perron_vector
-        assert v is not None and contains(cone, v, 0.0)
-        seeds = crit._usg_seeds(T, cone, np.random.default_rng(0), 0)
-        assert any(np.array_equal(row, v) for row in seeds)
         rep = cross_check(T, cone)
-        assert rep.consensus == "STABLE"
+        assert rep.consensus == "UNSTABLE" and not rep.verdict("RESOLVENT_POS").holds
+        x = project(cone, spectral_radius(T).perron_vector)
+        x /= vec_norm(x, "l2")
+        for cid in ("UNIFORM_SG", "INTERIOR_SG"):
+            v = rep.verdict(cid)
+            assert not v.holds and v.margin == 0.0 and v.witness.kind == "cone_vector", cid
+            np.testing.assert_array_equal(v.witness.vector, x)
+            assert reverify_witness(T, cone, v), cid
     assert eig_calls == []
 
 
@@ -1239,6 +1245,28 @@ def test_orthant_uniform_small_gain_catches_planted_inverse(kind, norm, factor):
         uniform_small_gain_margin(T, cone)
 
 
+def _usg_seeds(T, cone, rng, n_starts):
+    """Seed rows of a search oracle for the uniform margin: the ones vector, the
+    e_i (orthant) or the interior point and the rays e_0 +- e_i (Lorentz), the
+    projected Perron vector and n_starts random cone points."""
+    n = cone.dim
+    seeds = [np.ones(n)]
+    if cone.kind == "orthant":
+        seeds.extend(np.eye(n))
+    else:
+        seeds.append(interior_point(cone))
+        for i in range(1, n):
+            for s in (1.0, -1.0):
+                ray = np.zeros(n)
+                ray[0] = 1.0
+                ray[i] = s
+                seeds.append(ray)
+    v = spectral_radius(T).perron_vector
+    if v is not None:
+        seeds.append(project(cone, v))
+    return np.vstack([np.array(seeds), random_points(cone, rng, n_starts)])
+
+
 def _usg_seed_cases():
     for kind, norm in _CLOSED_FORM_CONES:
         for n in (4, 16, 64):
@@ -1287,10 +1315,15 @@ def _sweep_cases():
     sweep = importlib.util.module_from_spec(spec)
     with mock.patch.dict(os.environ):  # the sweep pins BLAS threads for its own process
         spec.loader.exec_module(sweep)
-    spec = importlib.util.spec_from_file_location("certbench_inputs", root / "certbench" / "inputs.py")
+    return [(name, T, cone) for name, T, cone, _, _ in sweep.cases(np, _certbench_inputs(), posstab)]
+
+
+def _certbench_inputs():
+    path = pathlib.Path(__file__).resolve().parents[1] / "certbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("certbench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
-    return [(name, T, cone) for name, T, cone, _, _ in sweep.cases(np, inputs, posstab)]
+    return inputs
 
 
 def test_l2_uniform_margin_is_certified_on_the_sweep():
@@ -1310,6 +1343,85 @@ def test_l2_uniform_margin_is_certified_on_the_sweep():
     }
 
 
+def test_usg_without_a_positive_inverse_takes_isg_rule_on_the_sweep():
+    # one rule for both margins where (I - T)^{-1} is not positive: eta = 0, and
+    # the unit growth vector or else the RESOLVENT_POS gate's witness
+    failing = []
+    for name, T, cone in _sweep_cases():
+        if check_resolvent_positivity(T, cone).holds:
+            continue
+        eta, usg = uniform_small_gain_margin(T, cone)
+        _, isg = interior_small_gain(T, cone, interior_point(cone))
+        assert eta == 0.0 and usg.margin == 0.0 and not usg.holds, name
+        assert usg.witness.kind == isg.witness.kind, name
+        if isg.witness.vector is None:
+            assert usg.witness.vector is None, name
+        else:
+            np.testing.assert_array_equal(usg.witness.vector, isg.witness.vector, err_msg=name)
+        failing.append(name)
+    assert len(failing) >= 50 and "jordan/n16/rho0.9" in failing
+
+
+def _jordan16():
+    """0.9 (I + 0.5 N) on orthant-linf, N the superdiagonal shift: sweep case jordan/n16/rho0.9."""
+    a = 0.9 * (np.eye(16) + 0.5 * np.eye(16, k=1))
+    return dense(a), orthant(16, "linf")
+
+
+def test_jordan16_usg_robust_and_rank1_fail_where_the_seed_search_overstated_eta():
+    # R = (I - T)^{-1} >= 0 exactly, but ||R||_inf = 8.1e10 puts eta = 1/||R||_inf
+    # below DEFAULT_TOL, and the resolvent solve is refused, so USG, ROBUST_SG and
+    # RANK1_SG fail.  A seed search overstates eta here by more than 1e8.
+    T, cone = _jordan16()
+    a = materialize(T)
+    rep = cross_check(T, cone)
+    gate = rep.verdict("RESOLVENT_POS")
+    assert not gate.holds and gate.witness.note.startswith("SPECTRAL_PROXIMITY")
+    usg = rep.verdict("UNIFORM_SG")
+    assert not usg.holds and usg.margin == 0.0 and usg.witness == gate.witness
+    for cid in ("ROBUST_SG", "RANK1_SG"):
+        v = rep.verdict(cid)
+        assert not v.holds and v.margin == -1e-3 and v.witness.note == "no violation found", cid
+    assert rep.consensus == "INCONSISTENT"
+    # (I - T)x = 1 by back substitution, exact: R >= 0, so ||R||_inf = max x = x_0
+    d, s = 1 - Fraction(a[0, 0]), Fraction(a[0, 1])
+    x = Fraction(0)
+    for _ in range(16):
+        x = (1 + s * x) / d
+    eta = float(1 / x)
+    assert 1.2e-11 < eta < 1.3e-11 < DEFAULT_TOL
+    X = _cone_unit_rows(cone, _usg_seeds(T, cone, np.random.default_rng(0), 64))
+    assert batch_distance(cone, X @ (a - np.eye(16)).T).min() > 1e8 * eta
+
+
+def _benchmark_maps():
+    """Each certify op with n <= 64 of the certbench workloads at seed 0, and jordan/n16/rho0.9."""
+    inputs = _certbench_inputs()
+    for workload in ("dense-orthant", "near-boundary", "lorentz"):
+        for op in inputs.build_ops(workload, 0):
+            if op.dim <= 64:
+                cone = orthant(op.dim, op.norm) if op.cone == "orthant" else lorentz(op.dim, op.norm)
+                yield op.matrix, cone
+    T, cone = _jordan16()
+    yield materialize(T), cone
+
+
+def test_cross_check_seed_moves_only_the_quasi_compact_margins():
+    # the seed feeds only the quasi-compact starts: two seeds give the same
+    # report except for the sampled STRONG_STAB and WEAK_ATTR margins
+    def report(a, cone, seed):
+        d = cross_check(dense(a), cone, CrossCheckConfig(seed=seed)).to_dict()
+        for v in d["criteria"]:
+            if v["id"] in ("STRONG_STAB", "WEAK_ATTR"):
+                v["margin"] = None
+        return d
+
+    maps = list(_benchmark_maps())
+    assert len(maps) == 39
+    for a, cone in maps:
+        assert report(a, cone, 0) == report(a, cone, 1)
+
+
 def test_diag_strong_stable_mbi_constant_is_not_understated():
     # ||(I - T)^{-1}||_2 = 65 exactly (slowest mode 1 - 1/65); C = 1 on the l2 orthant
     entry = gallery_build("diag_strong_stable")
@@ -1320,20 +1432,17 @@ def test_diag_strong_stable_mbi_constant_is_not_understated():
 
 def test_lorentz_uniform_small_gain_makes_one_distance_call(monkeypatch):
     # one distance, at x = Rv/||Rv||, where `_resolvent_norm` checks the closed form:
-    # with a positive inverse no seed is searched
+    # no seed is searched, and criteria imports no batch distance to search with
     import posstab.criteria as crit
 
     n = 16
-    calls = []
-    for name in ("distance", "batch_distance"):
-        real = getattr(crit, name)
-        spy = lambda cone, X, real=real: calls.append(np.shape(X)) or real(cone, X)
-        monkeypatch.setattr(crit, name, spy)
+    calls, real = [], crit.distance
+    monkeypatch.setattr(crit, "distance", lambda cone, X: calls.append(np.shape(X)) or real(cone, X))
     T, cone = dense(_stable_positive("lorentz", n, seed=5)), lorentz(n, "l2")
     assert check_resolvent_positivity(T, cone).holds
     eta, v = uniform_small_gain_margin(T, cone)
     assert v.holds
-    assert calls == [(n,)]
+    assert calls == [(n,)] and not hasattr(crit, "batch_distance")
 
 
 @pytest.mark.parametrize("kind", ["orthant", "lorentz"])

@@ -292,6 +292,15 @@ def test_equivalent_norm_rejects_bad_s():
         equivalent_norm(diagonal([0.5]), orthant(1), 0.9)
 
 
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), -float("inf")])
+def test_equivalent_norm_rejects_a_non_finite_s_before_any_power(s):
+    # NaN passes every comparison with s; unchecked, it builds the whole power table first
+    T = dense([[0.5, 0.25], [0.125, 0.5]])
+    with pytest.raises(ValueError, match="s must be finite"):
+        equivalent_norm(T, orthant(2, "linf"), s)
+    assert ("powers", "linf") not in vars(T).get("_memo", {})
+
+
 def test_equivalent_norm_rejects_a_cone_of_another_dimension():
     with pytest.raises(DimensionMismatchError):
         equivalent_norm(UPPER2X2, orthant(3))

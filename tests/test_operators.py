@@ -836,6 +836,14 @@ def test_blocked_table_is_bitwise_equal_to_the_per_power_chain(n, norm):
         np.testing.assert_array_equal(power_norms(dense(a), K, norm), chain)
 
 
+def test_geometric_envelope_rejects_nan_before_any_power():
+    # NaN passes every comparison with a_env; unchecked, it builds the whole table for a None
+    T = dense([[0.5, 0.25], [0.125, 0.5]])
+    with pytest.raises(ValueError, match="a_env must be positive"):
+        geometric_envelope(T, float("nan"), "linf")
+    assert ("powers", "linf") not in vars(T).get("_memo", {})
+
+
 def test_geometric_envelope_certifies():
     T = UPPER2X2
     est = spectral_radius(T)

@@ -10,9 +10,9 @@ cases (n in {3, 4, 8, 16}, rho in {0.5, 0.9, 1.05}), 21 diagonal/shift
 cases and the ops of `certbench/inputs.build_ops("lorentz", s)` for
 s in {0, 1}, and the 12 boost-rotation Lorentz maps i = 0..11 of
 `tests/test_criteria.py::test_lorentz_consensus_fuzz`, each with its
-`CrossCheckConfig(seed=i)`; on maps 3 and 10 (I - T)^{-1} is not positive
-and the only uniform small-gain seed that reaches 0 is the Perron
-vector.  Then 4 Jordan-like orthant-linf cases rho * (I + 0.5 N), N the
+`CrossCheckConfig(seed=i)`; on maps 3 and 10 (I - T)^{-1} is not positive,
+and the uniform small-gain margin is 0 with the Perron vector as its
+witness.  Then 4 Jordan-like orthant-linf cases rho * (I + 0.5 N), N the
 superdiagonal shift, n in {8, 16}, rho in {0.9, 1.1}: from n = 16 on,
 the Gelfand squares of these maps underflow.  Three families follow,
 each from its own rng so that no earlier input moves: 4 near-boundary
