@@ -1,12 +1,13 @@
-"""Small-gain margins: certified lower bound vs the reported margin.
+"""Small-gain margins: the certified margin 1/||(I - T)^{-1}|| vs its bound 1/(c*M).
 
 For a stable positive system the distance of (T - I)x to the cone is
 bounded below by eta = 1/(c*M) where c is the monotone-bounded-
 invertibility constant and M the cone decomposition constant.  With
-R = (I - T)^{-1} positive, `uniform_small_gain_margin` returns the exact
-margin 1/||R|| in closed form on both cones, attained at x = Rv/||Rv||.
-On the orthant C = M = 1, so the two columns below are equal; on the
-Lorentz cone M = 1 + sqrt(2), and the margin is M times the bound.
+R = (I - T)^{-1} positive, `uniform_small_gain_margin` holds and returns
+the certified margin 1/||R|| in closed form on both cones, attained at
+x = Rv/||Rv||; nothing is sampled.  On the orthant C = M = 1, so the two
+columns below are equal; on the Lorentz cone M = 1 + sqrt(2), and the
+margin is M times the bound.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ a = rng.uniform(0.0, 1.0, size=(5, 5))
 a *= 0.8 / ps.spectral_radius(ps.dense(a)).point
 systems["random stable"] = ps.dense(a)
 
-print(f"{'system':<16} {'c (MBI)':>9} {'eta certified':>14} {'eta reported':>14}")
+print(f"{'system':<16} {'c (MBI)':>9} {'1/(c*M)':>14} {'1/||R||':>14}")
 for name, T in systems.items():
     cone = ps.orthant(T.dim, "linf")
     c, _ = ps.mbi_constant(T, cone)

@@ -31,12 +31,12 @@ from .lyapunov import _stein_rider
 from .norms import batch_induced_norm, batch_vec_norm, dual_norm, vec_norm
 from .operators import (
     POSITIVITY_TOL,
-    DenseOperator,
     _cw_bounds,
     _decay_rate,
     _doubling,
     _inverse_rider,
     _memo,
+    _ray_test,
     _resolvent_inverse,
     _shifted_lu,
     adjoint,
@@ -160,12 +160,11 @@ class RankOneDestabilizer:
 
 
 def _decision_tol(est):
-    """Smallest trustworthy small-gain margin.
+    """Tolerance of the growth test `_is_growth` on the Perron vector.
 
     The computed Perron vector x meets Tx >= x only up to the
-    eigen-residual, so the growth test and the holds-decision threshold
-    scale with it; without a Perron pair the residual is undefined and
-    DEFAULT_TOL applies.
+    eigen-residual, so the tolerance scales with it; without a Perron pair
+    the residual is undefined and DEFAULT_TOL applies.
     """
     res = est.residual if np.isfinite(est.residual) else 0.0
     return max(DEFAULT_TOL, 10.0 * res)
@@ -174,18 +173,18 @@ def _decision_tol(est):
 def check_resolvent_positivity(T, cone):
     """Is id - T invertible with a positive inverse?
 
-    Orthant: holds iff every column of (I - T)^{-1} lies in the cone within
-    POSITIVITY_TOL; the margin is the minimal entry of the inverse.
-    Lorentz: basis vectors do not generate the cone, so the inverse is
-    tested as a cone map on boundary rays instead; the margin is the worst
-    membership margin of a mapped ray.  The inverse, and the verdict per
-    cone, are computed once per operator: RESOLVENT_POS, MBI and the
-    closed-form small-gain margins share them.
+    Orthant: holds iff every column of R = (I - T)^{-1} lies in the cone
+    within POSITIVITY_TOL; the margin is the minimal entry of R.  Lorentz:
+    basis vectors do not generate the cone, so R is tested as a cone map by
+    `is_positive`'s rule on its fixed rays (`_ray_test`); the margin is the
+    worst membership margin of a mapped unit ray, the witness R times the
+    first failing ray.  Computed once per operator and cone: RESOLVENT_POS,
+    MBI, UNIFORM_SG, INTERIOR_SG, ROBUST_SG and RANK1_SG hold exactly when it does.
     """
-    return _memo(T, ("resolvent_pos", cone), lambda: _resolvent_positivity(T, cone, POSITIVITY_TOL))
+    return _memo(T, ("resolvent_pos", cone), lambda: _resolvent_positivity(T, cone))
 
 
-def _resolvent_positivity(T, cone, tol):
+def _resolvent_positivity(T, cone):
     inv = _resolvent_inverse(T)
     if isinstance(inv, SpectralProximityError):
         return CriterionVerdict(
@@ -198,7 +197,7 @@ def _resolvent_positivity(T, cone, tol):
         margins = margin(cone, inv.T)
         worst = int(np.argmin(margins))
         low = float(margins[worst])
-        if low >= -tol:
+        if low >= -POSITIVITY_TOL:
             return CriterionVerdict("RESOLVENT_POS", True, low, None)
         return CriterionVerdict(
             "RESOLVENT_POS",
@@ -211,22 +210,17 @@ def _resolvent_positivity(T, cone, tol):
                 note="column of (I-T)^{-1} outside the cone",
             ),
         )
-    rng = np.random.default_rng(0)
-    rays = _cone_unit_rows(cone, random_points(cone, rng, 256))
-    margins = margin(cone, rays @ inv.T)
-    worst = int(np.argmin(margins))
-    low = float(margins[worst])
-    ok, witness_ray = is_positive(DenseOperator(inv), cone, rng=rng)
-    if ok and low >= -tol:
+    rays, margins, bad = _ray_test(inv, cone)
+    low = float(np.min(margins / batch_vec_norm(rays, "l2")))
+    if not bad.size:
         return CriterionVerdict("RESOLVENT_POS", True, low, None)
-    bad = witness_ray if witness_ray is not None else rays[worst]
     return CriterionVerdict(
         "RESOLVENT_POS",
         False,
         low,
         Witness(
             kind="cone_vector",
-            vector=inv @ bad,
+            vector=inv @ rays[bad[0]],
             note="image of a cone ray under (I-T)^{-1} leaves the cone",
         ),
     )
@@ -244,15 +238,8 @@ def mbi_constant(T, cone):
     base = check_resolvent_positivity(T, cone)
     if not base.holds:
         return float("inf"), CriterionVerdict("MBI", False, base.margin, base.witness)
-    c = cone_constants(cone).normality_C * _resolvent_norm(T, cone)[0]
+    c = cone_constants(cone).normality_C * _resolvent_norm(T, cone)
     return c, CriterionVerdict("MBI", True, c, None)
-
-
-def _cone_unit_rows(cone, X):
-    X = project(cone, X)
-    norms = batch_vec_norm(X, cone.norm)
-    keep = norms > 1e-14
-    return X[keep] / norms[keep, None]
 
 
 def _growth_vector(T, cone):
@@ -313,35 +300,32 @@ def _no_positive_inverse(T, cone, criterion_id, note):
 def uniform_small_gain_margin(T, cone):
     """Uniform small-gain margin eta = inf dist((T - I)x, cone) over unit cone vectors.
 
-    Certified closed form when R = (I - T)^{-1} is positive: for y = (I - T)x
-    on a self-dual cone, dist((T - I)x, K) = ||P_K y|| (Moreau) and x <= R P_K y,
-    so with C = 1, eta = 1/||R||, a lower bound under l2, whose ||R|| is a
-    certified upper bound.  x = Rv/||Rv|| from `_resolvent_norm`, which checks
-    it, is the witness.  Otherwise eta = 0 (`_no_positive_inverse`).
+    Holds exactly when R = (I - T)^{-1} is positive (`check_resolvent_positivity`),
+    with the certified closed form: for y = (I - T)x on a self-dual cone,
+    dist((T - I)x, K) = ||P_K y|| (Moreau) and x <= R P_K y, so with C = 1,
+    eta = 1/||R|| > 0, a lower bound under l2, whose ||R|| is a certified upper
+    bound; `_resolvent_norm` checks it at its attaining vector.  Otherwise
+    eta = 0 (`_no_positive_inverse`).
     """
-    note = "dist((T-I)x, cone) ~ 0"
     if not check_resolvent_positivity(T, cone).holds:
-        return _no_positive_inverse(T, cone, "UNIFORM_SG", note)
-    norm, x = _resolvent_norm(T, cone)
-    eta = 1.0 / norm
-    holds = eta > _decision_tol(spectral_radius(T))
-    witness = None if holds else Witness("cone_vector", x, note=note)
-    return eta, CriterionVerdict("UNIFORM_SG", holds, eta, witness)
+        return _no_positive_inverse(T, cone, "UNIFORM_SG", "dist((T-I)x, cone) ~ 0")
+    eta = 1.0 / _resolvent_norm(T, cone)
+    return eta, CriterionVerdict("UNIFORM_SG", True, eta, None)
 
 
 def _resolvent_norm(T, cone):
-    """(||R||, x) for a positive R = (I - T)^{-1}, in the cone's norm, once per operator
+    """||R|| for a positive R = (I - T)^{-1}, in the cone's norm, once per operator
     and cone: MBI's c, the uniform margin 1/||R|| and `small_gain_certificate` read it.
 
     ||R|| is one `batch_induced_norm` of R: the exact column or row sum under
     l1 and linf, and under l2 the certified upper bound, whose power steps on
     R^T R start at the interior point (R^T R maps K into K, so every iterate
-    lies in K).  x = Rv/||Rv|| (read-only) for the cone vector v: a column of
-    R of largest sum (l1), the ones vector (linf) or the refined power vector
-    (l2).  Checked before anyone reads it, with Tx from `apply`, not R:
+    lies in K).  Checked, before anyone reads it, at x = Rv/||Rv|| for the cone
+    vector v: a column of R of largest sum (l1), the ones vector (linf) or the
+    refined power vector (l2), with Tx from `apply`, not R:
     ||Rv|| <= ||R|| within 1e-9 relative, and dist((T - I)x, K) ||Rv|| = 1
     within 1e-9, with ||R|| in place of ||Rv|| under l1 and linf, where v
-    attains it.
+    attains it; a failed check raises ArithmeticError.
     """
 
     def make():
@@ -355,12 +339,11 @@ def _resolvent_norm(T, cone):
         x = inv @ v
         rv = vec_norm(x, cone.norm)
         x /= rv
-        x.setflags(write=False)
         at = float(distance(cone, apply(T, x) - x))
         tight = rv if cone.norm == "l2" else norm  # under l1 and linf v attains ||R||
         if abs(at * tight - 1.0) > 1e-9 or rv > norm * (1.0 + 1e-9):
             raise ArithmeticError(f"eta = {1.0 / norm!r} is not attained ({at!r}); internal error")
-        return norm, x
+        return norm
 
     return _memo(T, ("resolvent_norm", cone), make)
 
@@ -371,7 +354,7 @@ def small_gain_certificate(T, cone):
     if not check_resolvent_positivity(T, cone).holds:
         return None
     consts = cone_constants(cone)
-    return 1.0 / (consts.normality_C * _resolvent_norm(T, cone)[0] * consts.decomposition_M)
+    return 1.0 / (consts.normality_C * _resolvent_norm(T, cone) * consts.decomposition_M)
 
 
 #: one step of `approximate_positive_eigenvector`: shift, unit cone vector, residual
@@ -448,16 +431,16 @@ def rank_one_destabilizer(T, cone):
 def robust_small_gain(T, cone, eps):
     """(T+P)x >= x impossible for every positive ||P|| <= eps?
 
-    Holds when eps <= eta / 2 (distance argument), eta the margin of
-    `uniform_small_gain_margin`: certified on both cones when (I - T)^{-1}
-    is positive, where eta is the closed-form 1/||(I - T)^{-1}||.
-    Otherwise it fails: with a verified pair (P, x) from
-    `rank_one_destabilizer` (built from the shared growth vector) when
-    ||P|| <= eps, else with a `flag` witness, as nothing certifies it.
+    Holds exactly when (I - T)^{-1} is positive, so that UNIFORM_SG holds,
+    and eps <= eta / 2 (distance argument), eta = 1/||(I - T)^{-1}|| the
+    certified margin of `uniform_small_gain_margin`.  Otherwise it fails:
+    with a verified pair (P, x) from `rank_one_destabilizer` (built from the
+    shared growth vector) when ||P|| <= eps, else with a `flag` witness, as
+    nothing certifies it.
     """
-    eta, _ = uniform_small_gain_margin(T, cone)
+    eta, usg = uniform_small_gain_margin(T, cone)
     headroom = 0.5 * eta - eps
-    if eta > _decision_tol(spectral_radius(T)) and eps <= 0.5 * eta:
+    if usg.holds and eps <= 0.5 * eta:
         return CriterionVerdict("ROBUST_SG", True, headroom, None)
     cand = rank_one_destabilizer(T, cone)
     if cand is not None and cand.norm_p <= eps + 1e-10:
@@ -511,9 +494,10 @@ def dual_small_gain(T, cone):
 def interior_small_gain(T, cone, z):
     """Largest eta such that no unit cone vector x satisfies Tx >= x - eta ||x|| z.
 
-    Closed form when R = (I - T)^{-1} is positive: (I - T)x <= eta z forces
-    x <= eta Rz, so with normality constant C = 1 (every supported pair)
-    eta = 1/||Rz||, attained at x = Rz/||Rz||.  It is checked at x, with Tx
+    Holds exactly when R = (I - T)^{-1} is positive (`check_resolvent_positivity`),
+    with the closed form: (I - T)x <= eta z forces x <= eta Rz, so with
+    normality constant C = 1 (every supported pair) eta = 1/||Rz|| > 0,
+    attained at x = Rz/||Rz||.  It is checked at x, with Tx
     from `apply`: (I - T)x = eta z within 1e-6 eta margin(z) + 1e-12 on both
     sides, one showing x feasible at eta, the other, with R >= 0, that no
     unit vector is feasible below it; a failure is an internal error.
@@ -536,9 +520,7 @@ def interior_small_gain(T, cone, z):
         raise ArithmeticError(f"Rz/||Rz|| is not feasible at eta = {eta!r}; internal error")
     if margin(cone, -gap) < -slack:
         raise ArithmeticError(f"(I - T)x falls short of eta z at eta = {eta!r}; internal error")
-    holds = eta > DEFAULT_TOL
-    witness = None if holds else Witness("cone_vector", x, note="feasible x at vanishing eta")
-    return eta, CriterionVerdict("INTERIOR_SG", holds, eta, witness)
+    return eta, CriterionVerdict("INTERIOR_SG", True, eta, None)
 
 
 def strict_decay_point(T, cone, lam, y):
@@ -716,8 +698,8 @@ def cross_check(T, cone, config=None, extra_notes=()):
     if positive:
         if cone.kind == "lorentz":
             notes.append(
-                "positivity on the Lorentz cone, and therefore the spectral bracket, "
-                "is a randomized certificate"
+                "positivity on the Lorentz cone, and therefore the spectral bracket and "
+                "RESOLVENT_POS, rests on at least 256 fixed boundary rays"
             )
 
         # first: its chain of T's squares also runs the inverse's Neumann probe and Stein's series
@@ -730,8 +712,8 @@ def cross_check(T, cone, config=None, extra_notes=()):
 
         if mbi_v.holds:
             eta_cert = small_gain_certificate(T, cone)
-            notes.append(f"eta certified >= {eta_cert:.6e} (= 1/(c*M)); eta empirical = {eta:.6e}")
-        eps = 0.5 * eta if eta > _decision_tol(est) else 1e-3
+            notes.append(f"eta = 1/||(I-T)^{{-1}}|| = {eta:.6e} >= 1/(c*M) = {eta_cert:.6e}")
+        eps = 0.5 * eta if usg_v.holds else 1e-3
         # RANK1_SG is decided by the same rank-one construction as ROBUST_SG
         robust_v = robust_small_gain(T, cone, eps)
         rank1_v = replace(robust_v, id="RANK1_SG")

@@ -222,43 +222,58 @@ def operator_from_csv(text):
     return dense(rows)
 
 
-def is_positive(T, cone, rng=None):
+def is_positive(T, cone):
     """(positive, witness): does T map the cone into itself?
 
     Orthant: exact entrywise test on the materialized matrix; the witness
-    is the basis vector of a column with a negative entry.  Lorentz:
-    randomized certificate on 256 boundary rays (axis-aligned rays are
-    always included); a violating ray is returned as witness.  Witnesses are
-    read-only; with rng=None the rays are fixed and the answer is memoized.
+    is the basis vector of a column with a negative entry.  Lorentz: a test
+    on 256 fixed boundary rays (`_ray_test`), so a sampled certificate; the
+    first violating ray is the witness.  The answer is memoized per operator
+    and cone kind, and the witness is read-only.
     """
     if cone.dim != T.dim:
         raise DimensionMismatchError("cone and operator dimensions differ")
-    return _positive(T, cone) if rng is None else _positivity(T, cone, rng)
+    return _positive(T, cone)
 
 
-def _positive(T, cone):  # `is_positive` on the fixed rays, memoized per operator and cone kind
-    return _memo(T, ("positive", cone.kind), lambda: _positivity(T, cone, np.random.default_rng(0)))
+def _positive(T, cone):  # `is_positive`, memoized per operator and cone kind
+    return _memo(T, ("positive", cone.kind), lambda: _positivity(T, cone))
 
 
-def _positivity(T, cone, rng):
+def _positivity(T, cone):
     a = materialize(T)
     if cone.kind == "orthant":
         bad = np.argwhere(a < 0.0)
         w = np.eye(1, cone.dim, int(bad[0][1]))[0] if bad.size else None
     else:
-        m = cone.dim - 1
-        eye = np.eye(m)
-        dirs = np.stack([eye, -eye], axis=1).reshape(2 * m, m)  # e1, -e1, e2, -e2, ...
-        extra = rng.normal(size=(max(256 - 2 * m, 0), m))
-        extra /= np.maximum(np.linalg.norm(extra, axis=1, keepdims=True), 1e-300)
-        rest = np.vstack([dirs, extra, np.zeros((1, m))])
-        rays = np.hstack([np.ones((rest.shape[0], 1)), rest])
-        Y = rays @ a.T
-        bad = np.nonzero(margin(cone, Y) < -POSITIVITY_TOL * np.maximum(1.0, batch_vec_norm(Y, "l2")))[0]
+        rays, _, bad = _ray_test(a, cone)
         w = rays[bad[0]].copy() if bad.size else None
     if w is not None:
         w.setflags(write=False)
     return w is None, w
+
+
+def _ray_test(a, cone, rng=None):
+    """(rays, margins, bad): the matrix a on the Lorentz cone's test rays.
+
+    The rays (1, u), in the order tried, take u = +-e_1, ..., +-e_{n-1}, then
+    unit normal directions from `rng` (default_rng(0), so fixed) up to 256
+    rays, then u = 0, the axis.  margins[i] = margin(a rays[i]); ray i fails,
+    and is listed in `bad`, when margins[i] < -POSITIVITY_TOL max(1, ||a rays[i]||_2).
+    `is_positive` and RESOLVENT_POS, on (I - T)^{-1}, both read this test.
+    """
+    m = cone.dim - 1
+    rng = np.random.default_rng(0) if rng is None else rng
+    eye = np.eye(m)
+    dirs = np.stack([eye, -eye], axis=1).reshape(2 * m, m)  # e1, -e1, e2, -e2, ...
+    extra = rng.normal(size=(max(256 - 2 * m, 0), m))
+    extra /= np.maximum(np.linalg.norm(extra, axis=1, keepdims=True), 1e-300)
+    rest = np.vstack([dirs, extra, np.zeros((1, m))])
+    rays = np.hstack([np.ones((rest.shape[0], 1)), rest])
+    Y = rays @ a.T
+    margins = margin(cone, Y)
+    bad = np.nonzero(margins < -POSITIVITY_TOL * np.maximum(1.0, batch_vec_norm(Y, "l2")))[0]
+    return rays, margins, bad
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,8 @@ from posstab import (
 from posstab.cones import (
     DEFAULT_TOL, batch_distance, batch_vec_norm, decompose, margin, project, random_points,
 )
-from posstab.criteria import CriterionVerdict, Witness, _cone_unit_rows
+from posstab.criteria import CriterionVerdict, Witness
+from posstab.operators import _ray_test
 from posstab.norms import UNIT_ROUNDOFF, induced_norm
 
 UPPER2X2 = dense([[0.5, 1.0], [0.0, 0.5]])
@@ -91,6 +92,41 @@ def test_resolvent_positivity_spectral_proximity_flag():
     assert not v.holds
     assert v.witness.kind == "flag"
     assert "SPECTRAL_PROXIMITY" in v.witness.note
+
+
+_NEAR_ONE = 1.0 - 1e-11
+
+
+@pytest.mark.parametrize(
+    "T",
+    [
+        dense([[_NEAR_ONE, 0.1], [0.0, 0.5]]),
+        dense(np.diag([_NEAR_ONE, 0.5])),
+        diagonal([_NEAR_ONE, 0.5]),
+    ],
+    ids=["upper", "dense-diag", "diagonal"],
+)
+def test_small_gain_verdicts_follow_the_resolvent_gate_below_default_tol(T):
+    # rho < 1 with an exact bracket: R = (I - T)^{-1} >= 0, and the margins are
+    # eta = 1/||R||_inf ~ 1e-11, below DEFAULT_TOL, yet every criterion that reads
+    # the gate holds with it; no tolerance of their own can contradict it
+    cone = orthant(2, "linf")
+    a = materialize(T)
+    assert spectral_radius(T).upper < 1.0
+    # exact ||R||_inf of the upper-triangular 2 x 2 from Fraction arithmetic
+    d0, d1, b = 1 - Fraction(a[0, 0]), 1 - Fraction(a[1, 1]), Fraction(a[0, 1])
+    eta_exact = float(1 / max(1 / d0 + b / (d0 * d1), 1 / d1))
+    assert eta_exact < DEFAULT_TOL
+    assert check_resolvent_positivity(T, cone).holds
+    assert mbi_constant(T, cone)[1].holds
+    eta, usg = uniform_small_gain_margin(T, cone)
+    assert usg.holds and usg.witness is None
+    assert eta == pytest.approx(eta_exact, rel=2.3e-16, abs=0.0)
+    eta_i, isg = interior_small_gain(T, cone, np.ones(2))
+    assert isg.holds and isg.witness is None
+    assert eta_i == pytest.approx(eta_exact, rel=2.3e-16, abs=0.0)  # ||R 1||_inf = ||R||_inf, R >= 0
+    robust = robust_small_gain(T, cone, 1e-12)
+    assert robust.holds and robust.margin == 0.5 * eta - 1e-12
 
 
 # ------------------------------------------------- MBI constant
@@ -727,12 +763,10 @@ def _boost_rotation_maps():
 
 
 def test_lorentz_consensus_fuzz():
-    from posstab import is_positive
-
     for i, a, target in _boost_rotation_maps():
         cone = lorentz(len(a), "l2")
-        ok, _ = is_positive(dense(a), cone, rng=np.random.default_rng(i))
-        assert ok
+        _, _, bad = _ray_test(a, cone, np.random.default_rng(i))
+        assert bad.size == 0
         rep = cross_check(dense(a), cone, CrossCheckConfig(seed=i))
         expect = target < 1.0
         assert rep.consensus != "INCONSISTENT"
@@ -955,6 +989,61 @@ def test_lorentz_resolvent_witness_reverify():
         assert not reverify_witness(T, cone, wrong)
 
 
+def _lorentz_gate_cases():
+    for n in (3, 8, 16):
+        for rho in (0.5, 0.9, 1.5):
+            yield dense(_lorentz_positive(np.random.default_rng(n), n, rho)), lorentz(n, "l2")
+    for _, a, _ in _boost_rotation_maps():
+        yield dense(a), lorentz(len(a), "l2")
+
+
+def test_lorentz_resolvent_gate_margin_is_the_worst_unit_ray_of_the_positivity_rays():
+    # margin(R ray) / ||ray||_2, minimized over the fixed rays of `is_positive`, R = (I - T)^{-1}
+    import posstab.criteria as crit
+
+    for T, cone in _lorentz_gate_cases():
+        v = check_resolvent_positivity(T, cone)
+        inv = crit._resolvent_inverse(T)
+        rays = _ray_test(np.eye(cone.dim), cone)[0]
+        assert len(rays) == max(257, 2 * cone.dim - 1)
+        worst = min((y[0] - np.linalg.norm(y[1:])) / np.linalg.norm(r) for r, y in zip(rays, rays @ inv.T))
+        assert v.margin == pytest.approx(worst, rel=1e-12, abs=1e-15)
+        if not v.holds:
+            assert v.witness.kind == "cone_vector" and reverify_witness(T, cone, v)
+
+
+def test_lorentz_gate_margin_reaches_the_boundary_perron_vector():
+    # map 4 is a scaled Lorentz transformation with a boundary Perron vector, so the
+    # exact infimum of the gate margin is 0; the sampled rays reported 0.00423 before
+    a = next(b for j, b, _ in _boost_rotation_maps() if j == 4)
+    v = check_resolvent_positivity(dense(a), lorentz(len(a), "l2"))
+    assert v.holds and abs(v.margin) <= 1e-12
+
+
+def test_lorentz_gate_catches_a_planted_inverse(monkeypatch):
+    # (I - T)^{-1} of the stable boost 0.3 B(-1) sends the rays (1, +-1), its
+    # eigenvectors, onto the boundary; lowering R[0, 0] by 1e-9 sends both out of
+    # the cone, by more than the gate's slack and less than the witness check's
+    import posstab.criteria as crit
+
+    a = 0.3 * _boost(-1.0)
+    cone = lorentz(2, "l2")
+    planted = np.linalg.inv(np.eye(2) - a)
+    planted[0, 0] -= 1e-9
+    planted.setflags(write=False)
+    monkeypatch.setattr(crit, "_resolvent_inverse", lambda T: planted)
+    T = dense(a)
+    gate = check_resolvent_positivity(T, cone)
+    _, mbi = mbi_constant(T, cone)
+    for v in (gate, mbi):
+        assert not v.holds and v.witness.kind == "cone_vector", v.id
+        np.testing.assert_array_equal(v.witness.vector, planted @ [1.0, 1.0])
+        assert reverify_witness(T, cone, v), v.id
+    assert not uniform_small_gain_margin(T, cone)[1].holds
+    monkeypatch.undo()
+    assert check_resolvent_positivity(dense(a), cone).holds
+
+
 def test_lorentz_usg_and_isg_witness_the_unit_growth_vector(monkeypatch):
     # without a positive inverse USG and ISG take eta = 0 and one witness: the
     # Lorentz Perron vector of the spectral bracket, projected and scaled to unit
@@ -1025,14 +1114,24 @@ def test_lorentz_cross_check_searches_once_per_operator(monkeypatch, n):
 
 def test_lorentz_cross_check_samples_positivity_once(monkeypatch):
     # the bracket and cross_check both ask is_positive(T, lorentz) on the
-    # fixed rays: one sampled test answers both, with a read-only witness
+    # fixed rays: one sampled test answers both, with a read-only witness.
+    # The RESOLVENT_POS gate tests (I - T)^{-1} on the same rays (`_ray_test`)
+    # without asking is_positive, and the one random_points draw of a report
+    # is the quasi-compact starts
+    import posstab.criteria as crit
     import posstab.operators as ops
 
     real, seen = ops._positivity, []
-    monkeypatch.setattr(ops, "_positivity", lambda T, cone, rng: seen.append(T) or real(T, cone, rng))
+    monkeypatch.setattr(ops, "_positivity", lambda T, cone: seen.append(T) or real(T, cone))
+    asked, real_is_positive = [], crit.is_positive
+    monkeypatch.setattr(crit, "is_positive", lambda T, cone: asked.append(T) or real_is_positive(T, cone))
+    draws = _count_calls(monkeypatch, "random_points")
     T = dense(_lorentz_positive(np.random.default_rng(1), 8, 0.9))
+    assert check_resolvent_positivity(T, lorentz(8, "l2")).holds
+    assert asked == [] and seen == [T]  # T's own test, for its spectral bracket
     rep = cross_check(T, lorentz(8, "l2"))
     assert rep.positive and sum(t is T for t in seen) == 1
+    assert len(draws) == 1
     signed = dense([[0.5, 0.0], [-0.1, 0.5]])
     positive, w = is_positive(signed, lorentz(2, "l2"))
     assert not positive and not w.flags.writeable
@@ -1245,6 +1344,13 @@ def test_orthant_uniform_small_gain_catches_planted_inverse(kind, norm, factor):
         uniform_small_gain_margin(T, cone)
 
 
+def _cone_unit_rows(cone, X):
+    X = project(cone, X)
+    norms = batch_vec_norm(X, cone.norm)
+    keep = norms > 1e-14
+    return X[keep] / norms[keep, None]
+
+
 def _usg_seeds(T, cone, rng, n_starts):
     """Seed rows of a search oracle for the uniform margin: the ones vector, the
     e_i (orthant) or the interior point and the rays e_0 +- e_i (Lorentz), the
@@ -1345,13 +1451,20 @@ def test_l2_uniform_margin_is_certified_on_the_sweep():
 
 def test_usg_without_a_positive_inverse_takes_isg_rule_on_the_sweep():
     # one rule for both margins where (I - T)^{-1} is not positive: eta = 0, and
-    # the unit growth vector or else the RESOLVENT_POS gate's witness
+    # the unit growth vector or else the RESOLVENT_POS gate's witness; on every
+    # positive case, MBI, USG, ISG, ROBUST_SG and RANK1_SG (ROBUST_SG's verdict
+    # renamed) hold exactly when the gate holds
     failing = []
     for name, T, cone in _sweep_cases():
-        if check_resolvent_positivity(T, cone).holds:
-            continue
+        gate = check_resolvent_positivity(T, cone).holds
         eta, usg = uniform_small_gain_margin(T, cone)
         _, isg = interior_small_gain(T, cone, interior_point(cone))
+        if is_positive(T, cone)[0]:
+            robust = robust_small_gain(T, cone, 0.5 * eta if usg.holds else 1e-3)
+            verdicts = (mbi_constant(T, cone)[1], usg, isg, robust)
+            assert [v.holds for v in verdicts] == [gate] * 4, name
+        if gate:
+            continue
         assert eta == 0.0 and usg.margin == 0.0 and not usg.holds, name
         assert usg.witness.kind == isg.witness.kind, name
         if isg.witness.vector is None:
@@ -1591,16 +1704,16 @@ def test_resolvent_positivity_checked_once_per_cone(monkeypatch):
     real = crit._resolvent_positivity
     seen = []
 
-    def counting(T, cone, tol):
-        seen.append((cone, tol))
-        return real(T, cone, tol)
+    def counting(T, cone):
+        seen.append(cone)
+        return real(T, cone)
 
     monkeypatch.setattr(crit, "_resolvent_positivity", counting)
     n = 12
     T = dense(_stable_positive("orthant", n, seed=2))
     rep = cross_check(T, orthant(n, "linf"))
     assert rep.consensus == "STABLE"
-    assert seen == [(orthant(n, "linf"), 1e-10)]
+    assert seen == [orthant(n, "linf")]
     assert check_resolvent_positivity(T, orthant(n, "linf")) is rep.verdict("RESOLVENT_POS")
     check_resolvent_positivity(T, orthant(n, "l1"))
     assert len(seen) == 2

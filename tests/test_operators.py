@@ -32,6 +32,7 @@ from posstab import (
     shift,
     spectral_radius,
 )
+from posstab.operators import _ray_test
 
 UPPER2X2 = dense([[0.5, 1.0], [0.0, 0.5]])
 
@@ -133,18 +134,22 @@ def test_is_positive_lorentz_returns_first_violating_ray():
     ok, wit = is_positive(dense(np.diag([1.0, 1.0, 2.0])), lorentz(3))
     assert not ok
     np.testing.assert_array_equal(wit, [1.0, 0.0, 1.0])
-    # random non-positive maps: the ray a per-ray loop finds first
+    # random non-positive maps: the ray a per-ray loop finds first, on the rays
+    # of each seed's rng, and on the fixed rays of is_positive (rng seed 0)
     for seed in range(6):
         rng = np.random.default_rng(seed)
         n = 3 + seed % 4
         a = np.eye(n) + 0.6 * rng.normal(size=(n, n))
-        violating = []
-        for x in _rays_in_order(n, 256, np.random.default_rng(seed)):
-            y = a @ x
-            if y[0] - np.linalg.norm(y[1:]) < -1e-10 * max(1.0, np.linalg.norm(y)):
-                violating.append(x)
-        assert len(violating) > 1
-        ok, wit = is_positive(dense(a), lorentz(n), rng=np.random.default_rng(seed))
+        for ray_seed in (seed, 0):
+            violating = []
+            for x in _rays_in_order(n, 256, np.random.default_rng(ray_seed)):
+                y = a @ x
+                if y[0] - np.linalg.norm(y[1:]) < -1e-10 * max(1.0, np.linalg.norm(y)):
+                    violating.append(x)
+            assert len(violating) > 1
+            rays, _, bad = _ray_test(a, lorentz(n), np.random.default_rng(ray_seed))
+            np.testing.assert_array_equal(rays[bad[0]], violating[0])
+        ok, wit = is_positive(dense(a), lorentz(n))
         assert not ok
         np.testing.assert_array_equal(wit, violating[0])
 
