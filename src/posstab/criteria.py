@@ -26,7 +26,7 @@ from .cones import (
     project,
     random_points,
 )
-from .errors import DimensionMismatchError, SpectralProximityError, UnsupportedConeNormError
+from .errors import DimensionMismatchError, SpectralProximityError
 from .lyapunov import _stein_rider
 from .norms import batch_induced_norm, batch_vec_norm, dual_norm, vec_norm
 from .operators import (
@@ -159,17 +159,6 @@ class RankOneDestabilizer:
     z: np.ndarray
 
 
-def _decision_tol(est):
-    """Tolerance of the growth test `_is_growth` on the Perron vector.
-
-    The computed Perron vector x meets Tx >= x only up to the
-    eigen-residual, so the tolerance scales with it; without a Perron pair
-    the residual is undefined and DEFAULT_TOL applies.
-    """
-    res = est.residual if np.isfinite(est.residual) else 0.0
-    return max(DEFAULT_TOL, 10.0 * res)
-
-
 def check_resolvent_positivity(T, cone):
     """Is id - T invertible with a positive inverse?
 
@@ -243,24 +232,33 @@ def mbi_constant(T, cone):
 
 
 def _growth_vector(T, cone):
-    """The Perron vector projected onto the cone, if it passes `_is_growth`
-    within the decision tolerance, else None.  It is the only producer of
-    growth witnesses: SPR, SIMPLE_SG, SUBFIXED_POS, STRONG_STAB and WEAK_ATTR
-    carry it (`_growth_witness`), UNIFORM_SG and INTERIOR_SG when (I - T)^{-1}
-    is not positive, ROBUST_SG and RANK1_SG through `rank_one_destabilizer`,
-    and DUAL_SG on `adjoint(T)`.
+    """(x, x/||x||) or None: the Perron vector projected onto the cone, and
+    scaled to unit norm, if it passes `_is_growth`, once per operator and
+    cone; both arrays are read-only.
+
+    The computed Perron vector meets Tx >= x only up to its eigen-residual,
+    so the growth test's tolerance is max(DEFAULT_TOL, 10 residual), or
+    DEFAULT_TOL when the residual is undefined.  This is the only producer
+    of growth witnesses: SPR, SIMPLE_SG, SUBFIXED_POS, STRONG_STAB and
+    WEAK_ATTR carry x (`_growth_witness`), UNIFORM_SG and INTERIOR_SG the
+    unit vector when (I - T)^{-1} is not positive, ROBUST_SG and RANK1_SG
+    through `rank_one_destabilizer`, and DUAL_SG x on `adjoint(T)`.
     """
-    est = spectral_radius(T)
-    if est.perron_vector is None:
-        return None
-    x = project(cone, est.perron_vector)
-    return x if _is_growth(T, cone, x, _decision_tol(est)) else None
 
+    def make():
+        est = spectral_radius(T)
+        if est.perron_vector is None:
+            return None
+        x = project(cone, est.perron_vector)
+        res = est.residual if np.isfinite(est.residual) else 0.0
+        if not _is_growth(T, cone, x, max(DEFAULT_TOL, 10.0 * res)):
+            return None
+        unit = x / vec_norm(x, cone.norm)
+        x.setflags(write=False)
+        unit.setflags(write=False)
+        return x, unit
 
-def _unit_growth_vector(T, cone):
-    """The `_growth_vector` scaled to unit norm, or None."""
-    x = _growth_vector(T, cone)
-    return None if x is None else x / vec_norm(x, cone.norm)
+    return _memo(T, ("growth", cone), make)
 
 
 def _is_growth(T, cone, x, tol):
@@ -270,15 +268,16 @@ def _is_growth(T, cone, x, tol):
 
 
 def _growth_witness(T, cone, holds, note, negate=False):
-    """None if `holds`; else the `_growth_vector` (negated for SUBFIXED_POS) with
-    `note`, or a flag when there is none."""
+    """None if `holds`; else the projected Perron vector x of `_growth_vector`
+    (negated for SUBFIXED_POS) with `note`, or a flag when there is none."""
     if holds:
         return None
-    x = _growth_vector(T, cone)
-    if x is None:
+    growth = _growth_vector(T, cone)
+    if growth is None:
         est = spectral_radius(T)
         note = f"no cone vector with Tx >= x found; spectral bracket [{est.lower}, {est.upper}]"
         return Witness(kind="flag", note=note)
+    x = growth[0]
     return Witness(kind="cone_vector", vector=-x if negate else x, note=note)
 
 
@@ -287,12 +286,12 @@ def _no_positive_inverse(T, cone, criterion_id, note):
 
     Then the spectral radius is >= 1 (or the solve was refused), and the
     Krein-Rutman vector x in K with Tx = rho x >= x makes the margin exactly
-    0; the witness is the unit `_growth_vector` with `note`, feasible at
-    eta = 0, or else the RESOLVENT_POS gate's own witness.
+    0; the witness is the unit vector of `_growth_vector` with `note`,
+    feasible at eta = 0, or else the RESOLVENT_POS gate's own witness.
     """
-    x = _unit_growth_vector(T, cone)
-    witness = check_resolvent_positivity(T, cone).witness if x is None else Witness(
-        "cone_vector", x, note=note
+    growth = _growth_vector(T, cone)
+    witness = check_resolvent_positivity(T, cone).witness if growth is None else Witness(
+        "cone_vector", growth[1], note=note
     )
     return 0.0, CriterionVerdict(criterion_id, False, 0.0, witness)
 
@@ -390,39 +389,35 @@ def approximate_positive_eigenvector(T, cone, n_steps=30):
 
 def _dual_functional(cone, x):
     """Positive z' with <z', x> >= 1 and ||z'||_dual <= M' for a unit x in the cone."""
-    if cone.kind == "orthant":
-        if cone.norm == "linf":
-            zp = np.zeros(cone.dim)
-            zp[int(np.argmax(x))] = 1.0
-            return zp
-        if cone.norm == "l1":
-            return np.ones(cone.dim)
-        return x.copy()
-    if cone.norm != "l2":
-        raise UnsupportedConeNormError(
-            "dual functional for the Lorentz cone is only available under l2"
-        )
-    return x.copy()
+    if cone.kind == "orthant" and cone.norm == "linf":
+        zp = np.zeros(cone.dim)
+        zp[int(np.argmax(x))] = 1.0
+        return zp
+    if cone.kind == "orthant" and cone.norm == "l1":
+        return np.ones(cone.dim)
+    return x.copy()  # l2; `project` has already refused the Lorentz cone under l1 and linf
 
 
 def rank_one_destabilizer(T, cone):
     """Rank-one positive P with ||P|| <= M' ||z|| and (T+P)x >= x, or None.
 
-    Built from the unit `_growth_vector` x: split (T - I)x = y - z
+    Built from the unit vector x of `_growth_vector`: split (T - I)x = y - z
     (`decompose`), take the dual functional z' of x and set P v = <z', v> z.
     Then (T+P)x - x = y + z(<z', x> - 1) >= 0 holds exactly, because
     <z', x> >= 1, and ||P|| (= ||z'|| ||z||) is as small as the residual of
     x.  Returns None when the spectral upper bound is < 1 (no small-norm
     destabilizer needs to exist there) or when there is no growth vector.
     """
-    x = None if spectral_radius(T).upper < 1.0 else _unit_growth_vector(T, cone)
-    if x is None:
+    growth = None if spectral_radius(T).upper < 1.0 else _growth_vector(T, cone)
+    if growth is None:
         return None
-    _, z = decompose(cone, apply(T, x) - x)
+    x = growth[1]
+    tx = apply(T, x)
+    _, z = decompose(cone, tx - x)
     zp = _dual_functional(cone, x)
     P = np.outer(z, zp)
     norm_p = vec_norm(zp, dual_norm(cone.norm)) * vec_norm(z, cone.norm)
-    lhs = apply(T, x) + P @ x - x
+    lhs = tx + P @ x - x
     if not contains(cone, lhs, 1e-10):
         raise ArithmeticError("destabilizer construction failed to verify; internal error")
     return RankOneDestabilizer(P, x, norm_p, zp, z)
@@ -475,9 +470,9 @@ def dual_small_gain(T, cone):
     holds = est_adj.upper < 1.0
     witness = None
     if not holds:
-        xp = _growth_vector(adj, cone)
-        if xp is not None:
-            xp = xp / float(np.sum(np.abs(xp)))
+        growth = _growth_vector(adj, cone)
+        if growth is not None:
+            xp = growth[0] / vec_norm(growth[0], "l1")
             if contains(cone, apply(adj, xp) - xp, DEFAULT_TOL):
                 note = "Perron functional of the adjoint: T'x' >= x'"
                 witness = Witness(kind="dual_functional", functional=xp, note=note)

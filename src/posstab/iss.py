@@ -24,6 +24,7 @@ from .operators import (
     _first_power,
     _power_table,
     geometric_envelope,
+    is_positive,
     materialize,
     spectral_radius,
 )
@@ -36,6 +37,9 @@ BLOCK_RATIO_CONVERGENT = 0.9
 
 #: steps per block of the solution-formula route in `simulate`
 _CONVOLUTION_BLOCK = 8
+
+#: `simulate`'s two routes agree at step k within this times (1 + ||x(k)||_2)
+SIMULATE_CHECK_TOL = 1e-10
 
 #: the block rule of `iss_constants` closes once its certified tail is at most this
 ISS_TAIL_TOL = 1e-10
@@ -143,13 +147,13 @@ def _convolution_states(a, x0, uv, K):
     return np.vstack([x0, X.reshape(Q * B, n)[:K]])
 
 
-def simulate(T, x0, u, K=None, norm="linf", check_tol=1e-10):
+def simulate(T, x0, u, K=None, norm="linf"):
     """Trajectory of x(k+1) = T x(k) + u(k) for k < K.
 
     The recurrence gives the states.  The solution formula, evaluated in
     blocks of at most 8 steps (`_convolution_states`: O(K 8 n^2) flops, no
     K+1 stored powers), must agree with it at every step k within
-    `check_tol` (1 + ||x(k)||_2); a disagreement raises ArithmeticError
+    SIMULATE_CHECK_TOL (1 + ||x(k)||_2); a disagreement raises ArithmeticError
     naming the first bad step and must never happen.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -170,7 +174,7 @@ def simulate(T, x0, u, K=None, norm="linf", check_tol=1e-10):
     a = materialize(T)
     states = _recurrence(a, x0, uv, K)
     gaps = np.linalg.norm(_convolution_states(a, x0, uv, K)[1:] - states[1:], axis=1)
-    bad = np.nonzero(gaps > check_tol * (1.0 + np.linalg.norm(states[1:], axis=1)))[0]
+    bad = np.nonzero(gaps > SIMULATE_CHECK_TOL * (1.0 + np.linalg.norm(states[1:], axis=1)))[0]
     if bad.size:
         raise ArithmeticError(
             f"recurrence and convolution formulas disagree at step {bad[0] + 1} "
@@ -270,11 +274,12 @@ class _TailSearch:
     """The `_first_power` predicate of `iss_constants`: passes at the first
     power where the block rule or the decay-vector rule closes, and then
     holds the certificate: `rule`, `K`, `summed` (table entries summed into
-    C), `C` and `tail`."""
+    C), `C` and `tail`.  The decay-vector rule and the rounding factor apply
+    to a dense T that `is_positive` accepts on the orthant (T >= 0 entrywise)."""
 
     def __init__(self, T, norm, est):
         self.norm, self.table, self.lower = norm, _power_table(T, norm), est.lower
-        positive = isinstance(T, DenseOperator) and bool(np.all(T.matrix >= 0.0))
+        positive = isinstance(T, DenseOperator) and is_positive(T, orthant(T.dim))[0]
         self.unit = T.dim + 1 if positive else 0  # of the rounding factor's gamma
         lam = _cw_bounds(T.matrix, est.perron_vector, orthant(T.dim))[1] if positive else np.inf
         self.decay = (est.perron_vector, lam) if lam < 1.0 else None  # T z <= lam z
@@ -498,7 +503,7 @@ def datko_test(T, x, p, K=64, norm="linf"):
     tail = terms[half:]
     scale = max(float(np.max(tail)), 1e-300)
     nondecreasing = bool(np.all(np.diff(tail) >= -1e-12 * scale))
-    trend_down = terms[K] < terms[half] - 1e-12 * scale if K > half else False
+    trend_down = terms[K] < terms[half] - 1e-12 * scale
     if total == 0.0 or (frac < DYADIC_BLOCK_FRACTION and (trend_down or last_block == 0.0)):
         cls = "convergent"
     elif nondecreasing and total > 0.0:

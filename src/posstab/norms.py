@@ -4,11 +4,10 @@ import numpy as np
 
 NORMS = ("l1", "l2", "linf")
 
-_ORD = {"l1": 1, "l2": 2, "linf": np.inf}
-
 
 def vec_norm(x, norm="l2"):
-    return float(np.linalg.norm(np.asarray(x, dtype=float), ord=_ORD[norm]))
+    """The norm of one vector, as a float: `batch_vec_norm` of it."""
+    return float(batch_vec_norm(x, norm))
 
 
 def batch_vec_norm(X, norm="l2"):

@@ -171,7 +171,7 @@ def _transpose(T):
     est = spectral_radius(T)
     if est.perron_vector is not None:
         # both cones are self-dual, so T' is positive on the cone that T is
-        cone = orthant(T.dim) if np.all(adj.matrix >= 0.0) else lorentz(T.dim)
+        cone = orthant(T.dim) if is_positive(T, orthant(T.dim))[0] else lorentz(T.dim)
         v = _noda(adj.matrix, est.lower, est.upper, interior_point(cone), cone)[2]
         est = _perron_pair(adj.matrix, v, est)
     # the estimate, not T: the memo must not refer back to T
@@ -233,10 +233,6 @@ def is_positive(T, cone):
     """
     if cone.dim != T.dim:
         raise DimensionMismatchError("cone and operator dimensions differ")
-    return _positive(T, cone)
-
-
-def _positive(T, cone):  # `is_positive`, memoized per operator and cone kind
     return _memo(T, ("positive", cone.kind), lambda: _positivity(T, cone))
 
 
@@ -503,8 +499,8 @@ def _cw_bounds(a, x, cone):
 def spectral_radius(T):
     """Certified spectral-radius bracket (and Perron pair when available).
 
-    A map positive on the orthant (T >= 0), or on the Lorentz cone by the
-    sampled test of `is_positive`, runs `_noda` from [max_i a_ii (orthant)
+    A map that `is_positive` accepts on the orthant (T >= 0), or on the
+    Lorentz cone by its sampled test, runs `_noda` from [max_i a_ii (orthant)
     or 0, min(||T||_inf, ||T||_1)] and the cone's interior point; its last
     iterate is the Perron vector.  Where Noda stalls (reducible and
     defective maps), the upper end falls to the Gelfand bound, the lower
@@ -519,6 +515,9 @@ def spectral_radius(T):
 
 
 def _spectral_bracket(T):
+    """`spectral_radius`, not memoized.  A dense map's cone is the first one that
+    `is_positive` accepts, orthant then Lorentz, so its memoized answer serves
+    every later positivity question about T on that cone kind."""
     if isinstance(T, DiagonalOperator):
         d = T.entries
         r = float(np.max(np.abs(d)))
@@ -534,11 +533,11 @@ def _spectral_bracket(T):
 
     a = materialize(T)
     n = a.shape[0]
-    if np.all(a >= 0.0):
+    if is_positive(T, orthant(n))[0]:
         cone, lower = orthant(n), float(np.max(np.diag(a)))
         stat, k_max = (lambda p: float(np.max(np.diag(p)))), min(24, 2 * n)
     else:
-        cone, lower = (lorentz(n) if n >= 2 and _positive(T, lorentz(n))[0] else None), 0.0
+        cone, lower = (lorentz(n) if n >= 2 and is_positive(T, lorentz(n))[0] else None), 0.0
         stat, k_max = (lambda p: abs(float(np.trace(p))) / len(p)), 16
     if cone is None:
         upper = _gelfand_upper(a)

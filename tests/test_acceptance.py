@@ -36,6 +36,7 @@ from posstab import (
     vec_norm,
     verify_iss_bound,
 )
+from posstab.iss import SIMULATE_CHECK_TOL
 
 TARGETS = (0.3, 0.7, 0.9, 1.1, 1.5, 3.0)
 N_SWEEP = 200
@@ -200,15 +201,16 @@ def test_acceptance_7_gallery():
 def test_acceptance_8_iss(stable_sweep):
     est = iss_constants(diagonal([0.5]))
     assert abs(est.C - 2.0) <= 1e-9
-    traj = simulate(diagonal([0.5]), [0.0], np.ones((100, 1)), check_tol=1e-10)
+    traj = simulate(diagonal([0.5]), [0.0], np.ones((100, 1)))
     assert abs(float(traj.norms.max()) - 2.0) <= 1e-9
     for T, _target, t_est, i in stable_sweep:
         t_iss = iss_constants(T, norm="linf")
         assert verify_iss_bound(T, t_iss, trials=100, rng=np.random.default_rng(i))
     # recurrence/convolution agreement is enforced inside simulate at 1e-10
+    assert SIMULATE_CHECK_TOL == 1e-10
     rng = np.random.default_rng(4)
     for T, _target, t_est, _i in stable_sweep[:10]:
-        simulate(T, rng.normal(size=T.dim), rng.normal(size=(40, T.dim)), check_tol=1e-10)
+        simulate(T, rng.normal(size=T.dim), rng.normal(size=(40, T.dim)))
     print("\n[acceptance 8] PASS  C=2 tight bound; ISS bound on 100 trials/matrix; routes agree")
 
 

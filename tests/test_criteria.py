@@ -1115,6 +1115,7 @@ def test_lorentz_cross_check_searches_once_per_operator(monkeypatch, n):
 def test_lorentz_cross_check_samples_positivity_once(monkeypatch):
     # the bracket and cross_check both ask is_positive(T, lorentz) on the
     # fixed rays: one sampled test answers both, with a read-only witness.
+    # The bracket first asks is_positive(T, orthant), which fails once.
     # The RESOLVENT_POS gate tests (I - T)^{-1} on the same rays (`_ray_test`)
     # without asking is_positive, and the one random_points draw of a report
     # is the quasi-compact starts
@@ -1122,21 +1123,22 @@ def test_lorentz_cross_check_samples_positivity_once(monkeypatch):
     import posstab.operators as ops
 
     real, seen = ops._positivity, []
-    monkeypatch.setattr(ops, "_positivity", lambda T, cone: seen.append(T) or real(T, cone))
+    monkeypatch.setattr(ops, "_positivity", lambda T, cone: seen.append((T, cone.kind)) or real(T, cone))
     asked, real_is_positive = [], crit.is_positive
     monkeypatch.setattr(crit, "is_positive", lambda T, cone: asked.append(T) or real_is_positive(T, cone))
     draws = _count_calls(monkeypatch, "random_points")
     T = dense(_lorentz_positive(np.random.default_rng(1), 8, 0.9))
     assert check_resolvent_positivity(T, lorentz(8, "l2")).holds
-    assert asked == [] and seen == [T]  # T's own test, for its spectral bracket
+    # T's own tests, for its spectral bracket
+    assert asked == [] and seen == [(T, "orthant"), (T, "lorentz")]
     rep = cross_check(T, lorentz(8, "l2"))
-    assert rep.positive and sum(t is T for t in seen) == 1
+    assert rep.positive and sum(t is T for t, _ in seen) == 2
     assert len(draws) == 1
     signed = dense([[0.5, 0.0], [-0.1, 0.5]])
     positive, w = is_positive(signed, lorentz(2, "l2"))
     assert not positive and not w.flags.writeable
     assert is_positive(signed, lorentz(2, "l2"))[1] is w
-    assert sum(t is signed for t in seen) == 1
+    assert sum(t is signed for t, _ in seen) == 1
 
 
 def test_lorentz_maps_above_one_report_unstable():
@@ -1839,3 +1841,60 @@ def test_integer_arrays_serialize_as_floats():
     cert = StrictDecayCertificate(np.array([3, 4]), 0.5, 0.4, 3.0).to_dict()
     for got, want in ((w["vector"], [1.0, 0.0, 2.0]), (w["z"], [3.0]), (cert["z"], [3.0, 4.0])):
         assert got == want and all(type(v) is float for v in got)
+
+
+@pytest.mark.parametrize("kind", ["orthant", "lorentz"])
+def test_failing_cross_check_projects_growth_vector_once(monkeypatch, kind):
+    # the growth vector is projected once per operator and cone: once for T and
+    # once for adjoint(T) (DUAL_SG); every growth witness reads that one copy
+    import posstab.criteria as crit
+
+    real, projected = crit.project, []
+    monkeypatch.setattr(crit, "project", lambda cone, x: projected.append(x) or real(cone, x))
+    if kind == "orthant":
+        T, cone = dense(_dense_positive(8, 1.05)), orthant(8, "linf")
+    else:
+        T, cone = dense(_lorentz_positive(np.random.default_rng(3), 8, 1.05)), lorentz(8, "l2")
+    rep = cross_check(T, cone)
+    assert rep.consensus == "UNSTABLE"
+    perron = (spectral_radius(T).perron_vector, spectral_radius(adjoint(T)).perron_vector)
+    assert [sum(x is p for x in projected) for p in perron] == [1, 1]
+    assert len(projected) == 2
+    x, unit = crit._growth_vector(T, cone)
+    assert not x.flags.writeable and not unit.flags.writeable
+    for cid in ("SPR", "SIMPLE_SG", "STRONG_STAB", "WEAK_ATTR"):
+        assert rep.verdict(cid).witness.vector is x, cid
+    for cid in ("UNIFORM_SG", "INTERIOR_SG", "ROBUST_SG", "RANK1_SG"):
+        assert rep.verdict(cid).witness.vector is unit, cid
+    assert crit._growth_vector(T, cone)[0] is x and len(projected) == 2
+
+
+@pytest.mark.parametrize("kind", ["orthant", "lorentz"])
+def test_positivity_runs_once_per_operator(monkeypatch, kind):
+    # the bracket, the adjoint, the ISS decay-vector rule and cross_check all
+    # read is_positive's memo: one test per operator and cone kind
+    import posstab.operators as ops
+    from posstab import iss_constants
+
+    real, seen = ops._positivity, []
+    monkeypatch.setattr(ops, "_positivity", lambda T, cone: seen.append((T, cone.kind)) or real(T, cone))
+    if kind == "orthant":
+        T, cone = dense(_dense_positive(8, 0.9)), orthant(8, "linf")
+    else:
+        T, cone = dense(_lorentz_positive(np.random.default_rng(3), 8, 0.9)), lorentz(8, "l2")
+    spectral_radius(T)
+    adjoint(T)
+    iss_constants(T, cone.norm)
+    assert cross_check(T, cone).positive
+    kinds = [k for t, k in seen if t is T]
+    assert kinds == (["orthant"] if kind == "orthant" else ["orthant", "lorentz"])
+
+
+def test_unstable_lorentz_map_under_l1_raises_from_robust_small_gain():
+    # the growth vector's Lorentz projection is certified only under l2, so the
+    # rank-one destabilizer is never built under l1
+    from posstab import UnsupportedConeNormError
+
+    T = dense(_lorentz_positive(np.random.default_rng(3), 4, 1.2))
+    with pytest.raises(UnsupportedConeNormError):
+        robust_small_gain(T, lorentz(4, "l1"), 1e-3)

@@ -300,3 +300,16 @@ def test_no_power_step_runs_where_no_matrix_can_be_usable(monkeypatch):
         assert s <= b <= s * (1.0 + 1e-10)
     assert 1.0 <= one <= 1.0 + 1e-10
     np.testing.assert_array_equal(start, np.arange(1.0, 5.0) / np.linalg.norm(np.arange(1.0, 5.0)))
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_vec_norm_is_batch_vec_norm_bit_for_bit(norm):
+    # one implementation: a vector's norm has the bits of its row in a batch
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 7, 16, 64, 257):
+        X = rng.normal(size=(8, n)) * 10.0 ** rng.uniform(-8, 8, size=(8, 1))
+        batch = norms.batch_vec_norm(X, norm)
+        for x, b in zip(X, batch):
+            got = norms.vec_norm(x, norm)
+            assert type(got) is float
+            assert got == float(norms.batch_vec_norm(x, norm)) == float(b)
